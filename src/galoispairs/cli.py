@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cases import LABELS, PRIMES
@@ -31,13 +30,6 @@ EXIT_EXHAUSTED = 3
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("GALOIS_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _cmd_verify_paper(args) -> int:
@@ -99,7 +91,7 @@ def _cmd_search(args) -> int:
             raise ValueError(f"p={args.p} is not prime")
         cfg = SearchConfig(p=args.p, kind1=kind1, kind2=kind2,
                            strategy=args.strategy, seed=args.seed,
-                           limit=args.limit, jobs=args.jobs)
+                           limit=args.limit)
         cert = run_search(cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -170,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--strategy", choices=STRATEGIES, default="random")
     se.add_argument("--seed", type=int, default=0)
     se.add_argument("--limit", type=int, default=1000)
-    se.add_argument("--jobs", type=int, default=_default_jobs())
     se.set_defaults(func=_cmd_search)
 
     ec = sub.add_parser("emit-curve", help="emit a plane-curve parametrization "

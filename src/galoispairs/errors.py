@@ -46,4 +46,4 @@ class EvaluationAtPole(GaloisPairsError):
 
 
 class ResultantVanishes(GaloisPairsError):
-    """The implicitization resultant is identically zero."""
+    """The components of a parametrization share a factor."""

@@ -1,457 +1,70 @@
-"""Implicit degree of a plane parametrization via t-resultants.
+"""Implicit degree of a plane parametrization by a fiber count.
 
-F(x, y) = Res_t(A - x D, B - y D) is computed exactly by evaluation and
-interpolation. Since deg_x F can reach p + 1 while F_p only has p elements,
-evaluation nodes are drawn from the quadratic extension F_{p^2}; the
-interpolated coefficients must land back in F_p, which is asserted.
+For t -> (A : B : D) with gcd(A, B, D) = 1 and d = max(deg A, deg B, deg D),
+the image curve has degree d / k, where k is the degree of the map onto its
+image (the tracing index of Sendra, Winkler and Perez-Diaz, *Rational
+Algebraic Curves*, Springer 2008). The fiber over the image of a point t0
+of P^1 is cut out by the 2x2 minors of the matrix with rows (A, B, D) and
+(a0, b0, d0) = the image of t0:
 
-The reported number is the total degree of the *image curve*: if some line
-slice of F is squarefree, F itself is squarefree and the answer is the
-total degree of F (this is the certified path, and the one taken by every
-passing certificate, whose parametrization is birational). Otherwise F is
-a proper power of the image equation and the answer falls back to the
-maximum number of distinct roots over sampled line slices.
+    A b0 - B a0,    A d0 - D a0,    B d0 - D b0.
+
+Its size, counted with multiplicity, is the degree of the gcd of the
+minors plus the multiplicity of t = infinity, which is the least gap
+d - deg M over the non-zero minors M (a minor of degree below d vanishes
+at infinity once homogenized to degree d).
+
+The map factors as a birational map after one of degree k, so every fiber
+size is k times a fiber size of the birational map, which is 1 except over
+the singular points of the image. The gcd of d and the fiber sizes over
+P^1(F_p), infinity included, is therefore a multiple of k. The scan stops
+as soon as that gcd is 1, which certifies a birational map and image
+degree d. A rational curve of degree e has at most (e - 1)(e - 2)
+parameters over its singular points, so the whole map, of degree d = k e,
+has at most k (e - 1)(e - 2) <= (d - 1)(d - 2) parameters with a fiber
+above k. The gcd equals k, and the result is exact, whenever
+p + 1 > (d - 1)(d - 2). Below that bound every rational parameter can lie
+over a singular point, and the result is then a lower bound: at p = 5, a
+map of degree 2 onto a quartic can have all six rational fibers of size 4.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import chain
+from math import gcd
 
 from .errors import ResultantVanishes
-from .field import PrimeField
-from .polys import Poly
 from .quotient import CurveParametrization
 
-_NUMPY_P_LIMIT = 1 << 27  # inner sums of <= ~128 products of residues fit int64
-_SLICE_TRIES = 40
 
-
-class QuadExt:
-    """F_{p^2} = F_p(u) with u^2 = r, r the least non-residue mod p.
-
-    Elements are pairs (a, b) of canonical residues meaning a + b u;
-    implements the same element protocol as PrimeField, so the generic
-    Poly machinery works over it.
-    """
-
-    __slots__ = ("p", "r")
-
-    def __init__(self, field: PrimeField):
-        self.p = field.p
-        self.r = field.nonresidue()
-
-    def __eq__(self, other):
-        return isinstance(other, QuadExt) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("QuadExt", self.p))
-
-    @property
-    def zero(self):
-        return (0, 0)
-
-    @property
-    def one(self):
-        return (1, 0)
-
-    def element(self, v):
-        if isinstance(v, tuple):
-            return (v[0] % self.p, v[1] % self.p)
-        return (v % self.p, 0)
-
-    def add(self, x, y):
-        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
-
-    def sub(self, x, y):
-        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
-
-    def neg(self, x):
-        return (-x[0] % self.p, -x[1] % self.p)
-
-    def mul(self, x, y):
-        return ((x[0] * y[0] + self.r * x[1] * y[1]) % self.p,
-                (x[0] * y[1] + x[1] * y[0]) % self.p)
-
-    def inv(self, x):
-        n = (x[0] * x[0] - self.r * x[1] * x[1]) % self.p
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in F_{p^2}")
-        ninv = pow(n, -1, self.p)
-        return (x[0] * ninv % self.p, -x[1] * ninv % self.p)
-
-    def scalar(self, k: int):
-        return (k % self.p, 0)
-
-    def pth_root(self, x):
-        """Inverse Frobenius; on F_{p^2} that is conjugation."""
-        return (x[0], -x[1] % self.p)
-
-    def iter_elements(self):
-        for b in range(self.p):
-            for a in range(self.p):
-                yield (a, b)
-
-
-# -- vectorized F_{p^2} arrays: shape (..., 2) int64, canonical residues ---
-
-def _vmul(p, r, x, y):
-    re = (x[..., 0] * y[..., 0] % p + (x[..., 1] * y[..., 1] % p) * r) % p
-    im = (x[..., 0] * y[..., 1] + x[..., 1] * y[..., 0]) % p
-    return np.stack([re, im], axis=-1)
-
-
-def _vmodpow(base, e, p):
-    out = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            out = out * b % p
-        b = b * b % p
-        e >>= 1
-    return out
-
-
-def _vinv(p, r, x):
-    """Componentwise inverse; zero maps to zero (callers mask those slices)."""
-    n = (x[..., 0] * x[..., 0] - r * x[..., 1] * x[..., 1]) % p
-    ninv = _vmodpow(n, p - 2, p)
-    re = x[..., 0] * ninv % p
-    im = -x[..., 1] * ninv % p
-    return np.stack([re, im], axis=-1)
-
-
-def _vpow(p, r, x, e):
-    out = np.zeros_like(x)
-    out[..., 0] = 1
-    b = x
-    while e:
-        if e & 1:
-            out = _vmul(p, r, out, b)
-        b = _vmul(p, r, b, b)
-        e >>= 1
-    return out
-
-
-def _qmatmul(p, r, X, Y):
-    """Matrix product of (n,k,2) x (k,m,2) over F_{p^2}."""
-    re = (X[..., 0] @ Y[..., 0] % p + (X[..., 1] @ Y[..., 1] % p) * r) % p
-    im = (X[..., 0] @ Y[..., 1] + X[..., 1] @ Y[..., 0]) % p
-    return np.stack([re, im], axis=-1)
-
-
-def _batch_resultant(p, r, F, G):
-    """Res_t(F_slice, G_slice) for every slice, fully vectorized.
-
-    F: (N, m+1, 2); G: (N, n+1, 2); leading coefficients of both must be
-    nonzero (the callers' node choice guarantees it). Degenerate remainder
-    sequences (extra degree drops) are handled by re-merging slices into
-    buckets keyed by the actual degree pair, so every slice stays on the
-    vector path and equal-degree work coalesces. Uses the exact recursion
-    Res(f, g) = (-1)^(df*dg) lc(g)^(df-dr) Res(g, f mod g). The sign
-    convention is that of `_scalar_resultant`: Res(f, g) = det Sylvester(f, g).
-    """
-    N = F.shape[0]
-    res = np.zeros((N, 2), dtype=np.int64)
-    res[:, 0] = 1
-    m, n = F.shape[1] - 1, G.shape[1] - 1
-    if m < n:
-        F, G, m, n = G, F, n, m
-        if (m * n) % 2:
-            res = (-res) % p
-    buckets: dict[tuple[int, int], list] = {}
-
-    def push(idx, a, b):
-        buckets.setdefault((a.shape[1] - 1, b.shape[1] - 1), []).append((idx, a, b))
-
-    push(np.arange(N), F, G)
-    while buckets:
-        key = max(buckets)  # children always carry strictly smaller keys
-        parts = buckets.pop(key)
-        if len(parts) == 1:
-            idx, a, b = parts[0]
-        else:
-            idx = np.concatenate([x[0] for x in parts])
-            a = np.concatenate([x[1] for x in parts])
-            b = np.concatenate([x[2] for x in parts])
-        da, db = key
-        if db == 0:
-            res[idx] = _vmul(p, r, res[idx], _vpow(p, r, b[:, 0], da))
-            continue
-        inv_lead = _vinv(p, r, b[:, db])
-        rem = a.copy()
-        for k in range(da, db - 1, -1):
-            q = _vmul(p, r, rem[:, k], inv_lead)
-            prod = _vmul(p, r, q[:, None, :], b)
-            rem[:, k - db : k + 1] = (rem[:, k - db : k + 1] - prod) % p
-        rem = rem[:, :db]
-        if (da * db) % 2:
-            res[idx] = (-res[idx]) % p
-        rnz = (rem[..., 0] != 0) | (rem[..., 1] != 0)
-        rhas = rnz.any(axis=1)
-        res[idx[~rhas]] = 0
-        if not rhas.any():
-            continue
-        deg_r = (db - 1) - rnz[:, ::-1].argmax(axis=1)
-        lead = b[:, db]
-        for drv in np.unique(deg_r[rhas]):
-            drv = int(drv)
-            rsel = rhas & (deg_r == drv)
-            sub = idx[rsel]
-            res[sub] = _vmul(p, r, res[sub], _vpow(p, r, lead[rsel], da - drv))
-            push(sub, b[rsel], rem[rsel][:, : drv + 1])
-    return res
-
-
-def _scalar_resultant(K: QuadExt, f: Poly, g: Poly):
-    """Exact Euclidean resultant over F_{p^2} (any degree sequence).
-
-    Sign convention: Res(f, g) = det Sylvester(f, g)
-    = lc(f)^deg g * prod_{f(a)=0} g(a), so Res(t - 2, t^3 + 5) = g(2) = 13.
-    `_batch_resultant` follows the same convention.
-    """
-    if f.is_zero or g.is_zero:
-        return K.zero
-    res = K.one
-    sign = 1
-    while True:
-        m, n = f.degree, g.degree
-        if n == 0:
-            val = g.coeffs[0]
-            acc = K.one
-            for _ in range(m):
-                acc = K.mul(acc, val)
-            res = K.mul(res, acc)
-            return res if sign > 0 else K.neg(res)
-        if m < n:
-            f, g = g, f
-            if (m * n) % 2:
-                sign = -sign
-            continue
-        rem = f % g
-        dr = rem.degree
-        if dr < 0:
-            return K.zero
-        lead = g.lead
-        acc = K.one
-        for _ in range(m - dr):
-            acc = K.mul(acc, lead)
-        res = K.mul(res, acc)
-        if (m * n) % 2:
-            sign = -sign
-        f, g = g, rem
-
-
-def _lagrange_matrix(K: QuadExt, nodes):
-    """rows[i][a] = coefficient of X^a in the i-th Lagrange basis poly."""
-    k = len(nodes)
-    master = Poly(K, [K.one])
-    for x in nodes:
-        master = master * Poly(K, [K.neg(x), K.one])
-    rows = []
-    for x in nodes:
-        q, rem = master.divmod(Poly(K, [K.neg(x), K.one]))
-        assert rem.is_zero
-        scale = K.inv(q.eval(x))
-        row = [K.mul(c, scale) for c in q.coeffs]
-        row += [K.zero] * (k - len(row))
-        rows.append(row)
-    return rows
-
-
-def _rows_to_array(rows):
-    return np.array(rows, dtype=np.int64)
-
-
-def _pick_nodes(K: QuadExt, count: int, bad_value):
-    """First `count` extension elements, skipping the one collapsing value."""
-    out = []
-    for v in K.iter_elements():
-        if bad_value is not None and v == bad_value:
-            continue
-        out.append(v)
-        if len(out) == count:
-            return out
-    raise AssertionError("F_{p^2} exhausted while picking nodes")
-
-
-def _lead_collapse_value(K: QuadExt, top_num: int, top_den: int):
-    """x with top_num - x*top_den == 0, or None."""
-    if top_den % K.p == 0:
-        return None
-    return K.element(top_num * pow(top_den, -1, K.p))
-
-
-def _coeff_at(poly: Poly, k: int) -> int:
-    return poly.coeffs[k] if k <= poly.degree else 0
-
-
-def _specialized(K, P: Poly, D: Poly, deg: int, nodes):
-    """Arrays of P - x_i*D coefficients per node: (N, deg+1, 2)."""
-    N = len(nodes)
-    out = np.zeros((N, deg + 1, 2), dtype=np.int64)
-    for k in range(deg + 1):
-        out[:, k, 0] = _coeff_at(P, k)
-    dcoef = np.array([_coeff_at(D, k) for k in range(deg + 1)], dtype=np.int64)
-    xs = np.array(nodes, dtype=np.int64)  # (N, 2)
-    out[:, :, 0] = (out[:, :, 0] - xs[:, 0:1] * dcoef[None, :]) % K.p
-    out[:, :, 1] = (out[:, :, 1] - xs[:, 1:2] * dcoef[None, :]) % K.p
-    return out
-
-
-def _interpolated_coefficients(param: CurveParametrization):
-    """Exact coefficient matrix C[i, j] of x^i y^j in F(x, y), over F_p."""
-    field = PrimeField(param.p)
-    K = QuadExt(field)
-    p, r = K.p, K.r
-    A, B, D = param.A, param.B, param.D
-    m = max(A.degree, D.degree)
-    n = max(B.degree, D.degree)
-    x_nodes = _pick_nodes(K, n + 1,
-                          _lead_collapse_value(K, _coeff_at(A, m), _coeff_at(D, m)))
-    y_nodes = _pick_nodes(K, m + 1,
-                          _lead_collapse_value(K, _coeff_at(B, n), _coeff_at(D, n)))
-    F = _specialized(K, A, D, m, x_nodes)
-    G = _specialized(K, B, D, n, y_nodes)
-    Nx, Ny = len(x_nodes), len(y_nodes)
-    Fp = np.repeat(F[:, None], Ny, axis=1).reshape(Nx * Ny, m + 1, 2)
-    Gp = np.repeat(G[None, :], Nx, axis=0).reshape(Nx * Ny, n + 1, 2)
-    values = _batch_resultant(p, r, Fp, Gp).reshape(Nx, Ny, 2)
-    Lx = _rows_to_array(_lagrange_matrix(K, x_nodes))  # (Nx, Nx, 2)
-    Ly = _rows_to_array(_lagrange_matrix(K, y_nodes))
-    # C[a, b] = sum_ij values[i, j] * Lx[i, a] * Ly[j, b]
-    tmp = _qmatmul(p, r, np.swapaxes(Lx, 0, 1), values)  # (Nx, Ny, 2)
-    C = _qmatmul(p, r, tmp, Ly)  # (Nx, Ny, 2)
-    if (C[..., 1] != 0).any():
-        raise AssertionError("interpolated coefficients left the prime field")
-    return C[..., 0]
-
-
-def _pth_root_poly(K: QuadExt, f: Poly) -> Poly:
-    """g with g**p == f, for f a p-th power (only t^(kp) coefficients)."""
-    return Poly(K, [K.pth_root(f.coeffs[k])
-                    for k in range(0, f.degree + 1, K.p)])
-
-
-def _radical_degree_univariate(K: QuadExt, f: Poly) -> int:
-    """Degree of the product of the distinct irreducible factors of f."""
-    if f.degree <= 0:
-        return 0
-    f = f.monic()
-    d = f.derivative()
-    if d.is_zero:
-        return _radical_degree_univariate(K, _pth_root_poly(K, f))
-    g = f.gcd(d)
-    if g.degree == 0:
-        return f.degree
-    w = f // g  # product of the distinct factors with multiplicity prime to p
-    y = f
-    while True:
-        c = y.gcd(w)
-        if c.degree == 0:
-            break
-        y = y // c
-    # y collects the factors with multiplicity divisible by p: a p-th power
-    if y.degree == 0:
-        return w.degree
-    return w.degree + _radical_degree_univariate(K, _pth_root_poly(K, y))
-
-
-def _is_squarefree(K: QuadExt, f: Poly) -> bool:
-    d = f.derivative()
-    return (not d.is_zero) and f.gcd(d).degree == 0
-
-
-def _slice_poly(K: QuadExt, C: np.ndarray, x0, ax, y0, by) -> Poly:
-    """F(x0 + ax*s, y0 + by*s) as a univariate polynomial over F_{p^2}."""
-    p, r = K.p, K.r
-    nx, ny = C.shape[0] - 1, C.shape[1] - 1
-
-    def powers(v0, v1, deg):
-        P = np.zeros((deg + 1, deg + 1, 2), dtype=np.int64)
-        P[0, 0, 0] = 1
-        for i in range(1, deg + 1):
-            prev = P[i - 1]
-            lo = _vmul(p, r, prev, np.array(v0, dtype=np.int64))
-            hi = _vmul(p, r, prev, np.array(v1, dtype=np.int64))
-            P[i] = lo
-            P[i, 1:] = (P[i, 1:] + hi[:-1]) % p
-        return P
-
-    PX = powers(x0, ax, nx)  # (nx+1, nx+1, 2)
-    PY = powers(y0, by, ny)
-    # V[j] = sum_i C[i, j] * PX[i]  -> (ny+1, nx+1, 2)
-    V_re = (C.T @ PX[..., 0]) % p
-    V_im = (C.T @ PX[..., 1]) % p
-    out = np.zeros((nx + ny + 1, 2), dtype=np.int64)
-    for j in range(ny + 1):
-        yr, yi = PY[j, : j + 1, 0], PY[j, : j + 1, 1]
-        re = (np.convolve(V_re[j], yr) % p + np.convolve(V_im[j], yi) % p * r) % p
-        im = (np.convolve(V_re[j], yi) + np.convolve(V_im[j], yr)) % p
-        out[: re.shape[0], 0] = (out[: re.shape[0], 0] + re) % p
-        out[: im.shape[0], 1] = (out[: im.shape[0], 1] + im) % p
-    return Poly(K, [tuple(int(v) for v in c) for c in out])
+def _fiber_size(A, B, D, d: int, a0, b0, d0) -> int:
+    minors = [m for m in (A.scale(b0) - B.scale(a0), A.scale(d0) - D.scale(a0),
+                          B.scale(d0) - D.scale(b0)) if not m.is_zero]
+    g = minors[0]
+    for m in minors[1:]:
+        g = g.gcd(m)
+    return g.degree + min(d - m.degree for m in minors)
 
 
 def implicit_degree(param: CurveParametrization) -> int:
     """Total degree of the image curve of (A : B : D).
 
     Equals param.degree exactly when the parametrization is birational
-    onto its image. Raises ResultantVanishes when the three components
-    share a factor (the resultant is identically zero).
+    onto its image; a smaller value is exact when p + 1 > (d - 1)(d - 2)
+    and a lower bound otherwise. Returns 0 for a constant map and raises
+    ResultantVanishes when the three components share a factor.
     """
-    field = PrimeField(param.p)
-    if param.p >= _NUMPY_P_LIMIT:
-        raise ValueError("implicit_degree supports p < 2**27")
     A, B, D = param.A, param.B, param.D
-    m = max(A.degree, D.degree)
-    n = max(B.degree, D.degree)
-    if m <= 0 and n <= 0:
+    d = max(A.degree, B.degree, D.degree)
+    if d <= 0:
         return 0
-    if m <= 0 or n <= 0:
-        # one coordinate map is constant: the image is a line
-        return 1
-    C = _interpolated_coefficients(param)
-    nz = np.nonzero(C)
-    if nz[0].size == 0:
-        raise ResultantVanishes("the implicitization resultant is identically "
-                                "zero; the components share a factor")
-    total_degree = int((nz[0] + nz[1]).max())
-    if total_degree == 0:
-        return 0
-    K = QuadExt(field)
-    elements = K.iter_elements()
-    next(elements)  # skip 0
-    best = 0
-    tried = 0
-    top = [(int(i), int(j)) for i, j in zip(*nz) if int(i + j) == total_degree]
-    for e in elements:
-        if tried >= _SLICE_TRIES:
+    if A.gcd(B).gcd(D).degree > 0:
+        raise ResultantVanishes("the components A, B, D share a factor")
+    at_infinity = tuple(P.lead if P.degree == d else 0 for P in (A, B, D))
+    affine = (tuple(P.eval(t0) for P in (A, B, D)) for t0 in range(A.field.p))
+    k = d
+    for a0, b0, d0 in chain([at_infinity], affine):
+        k = gcd(k, _fiber_size(A, B, D, d, a0, b0, d0))
+        if k == 1:
             break
-        # direction (1, e) with offset (0, e^2): degree check certifies the
-        # slice is proper (top form nonzero along the direction)
-        x0, ax, y0, by = K.zero, K.one, K.mul(e, e), e
-        top_val = K.zero
-        for i, j in top:
-            term = _vpow_scalar(K, e, j)
-            top_val = K.add(top_val, K.mul(K.scalar(int(C[i, j])), term))
-        if top_val == K.zero:
-            continue
-        tried += 1
-        S = _slice_poly(K, C, x0, ax, y0, by)
-        if S.degree != total_degree:
-            continue
-        if _is_squarefree(K, S):
-            return total_degree
-        best = max(best, _radical_degree_univariate(K, S))
-    return best
-
-
-def _vpow_scalar(K: QuadExt, x, e: int):
-    out = K.one
-    b = x
-    while e:
-        if e & 1:
-            out = K.mul(out, b)
-        b = K.mul(b, b)
-        e >>= 1
-    return out
+    return d // k

@@ -3,7 +3,7 @@
 Coefficients are stored lowest degree first with no trailing zeros, over
 any field object implementing the small element protocol (zero/one,
 element, add/sub/mul/neg, inv, scalar). Multiplication over a prime field
-small enough for int64 convolution goes through numpy.
+goes through numpy's int64 convolution whenever its sums cannot overflow.
 """
 
 from __future__ import annotations
@@ -14,8 +14,12 @@ from .field import PrimeField
 
 INFINITY = "infinity"  # projective value of a pole
 
-# convolution sums of k products of ints < p must fit in int64
-_NUMPY_P_LIMIT = 1 << 25
+_INT64_MAX = (1 << 63) - 1
+
+
+def _fits_int64(terms: int, p: int) -> bool:
+    """Whether a sum of `terms` products of residues mod p fits in int64."""
+    return terms * (p - 1) ** 2 <= _INT64_MAX
 
 
 def _trim(field, coeffs: list) -> tuple:
@@ -98,7 +102,8 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(f)
-        if isinstance(f, PrimeField) and f.p < _NUMPY_P_LIMIT and len(a) + len(b) > 8:
+        if (isinstance(f, PrimeField) and len(a) + len(b) > 8
+                and _fits_int64(min(len(a), len(b)), f.p)):
             conv = np.convolve(np.array(a, dtype=np.int64),
                                np.array(b, dtype=np.int64)) % f.p
             return Poly._raw(f, _trim(f, [int(c) for c in conv]))

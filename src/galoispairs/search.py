@@ -30,13 +30,10 @@ class SearchConfig:
     strategy: str = "random"
     seed: int = 0
     limit: int = 1000
-    jobs: int = 1
 
     def __post_init__(self):
         if self.limit < 1:
             raise ValueError("limit must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.kind1.order != self.kind2.order:

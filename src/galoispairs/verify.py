@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cases import LABELS, PRIMES, _pt, _pts, case_subgroups, load_case, prime_table
 from .criterion import check_pair_all_basepoints
-from .errors import UnknownCase
+from .errors import NotBlockPreserving, UnknownCase
 from .projline import ProjectiveLine, ProjectiveMatrix
 from .subgroups import (GroupKind, Partition, Subgroup, block_action,
                         generate_closure, intersect, is_faithful_on_blocks,
@@ -285,7 +285,7 @@ def _preserves(line, A, partition) -> bool:
     try:
         block_action(line, A, partition)
         return True
-    except Exception:
+    except NotBlockPreserving:
         return False
 
 

@@ -103,3 +103,18 @@ def test_verify_items_cover_the_headline_claims():
     ids59 = {i.id for i in verify_prime(59).items}
     for needed in ("g1.kind", "g3.dihedral", "order.r", "pair.c.orbits"):
         assert needed in ids59
+
+
+def test_block_check_propagates_unexpected_errors(monkeypatch):
+    from galoispairs import NotBlockPreserving, verify
+
+    def raising(error):
+        def block_action(*args):
+            raise error
+        return block_action
+
+    monkeypatch.setattr(verify, "block_action", raising(NotBlockPreserving("moved")))
+    assert verify._preserves(None, None, None) is False
+    monkeypatch.setattr(verify, "block_action", raising(KeyError("not a block error")))
+    with pytest.raises(KeyError):
+        verify._preserves(None, None, None)

@@ -1,132 +1,31 @@
-import random
+import itertools
 
-import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from galoispairs import (CurveParametrization, Poly, PrimeField,
                          ResultantVanishes, case_subgroups, check_pair,
                          emit_parametrization, implicit_degree)
-from galoispairs.implicitize import (QuadExt, _batch_resultant,
-                                     _interpolated_coefficients,
-                                     _is_squarefree, _radical_degree_univariate,
-                                     _scalar_resultant)
+
+REFERENCE_CASES = [(p, label) for p in (11, 23, 59) for label in "abc"]
 
 
-def test_quadratic_extension_arithmetic():
-    K = QuadExt(PrimeField(11))
-    assert K.r == 2  # least non-residue mod 11
-    els = list(K.iter_elements())
-    assert len(els) == 121 and len(set(els)) == 121
-    for x in els:
-        if x == K.zero:
-            continue
-        assert K.mul(x, K.inv(x)) == K.one
-        # Frobenius inverse really is a p-th root
-        root = K.pth_root(x)
-        acc = K.one
-        for _ in range(11):
-            acc = K.mul(acc, root)
-        assert acc == x
+def reference_parametrization(p, label):
+    G1, G2 = case_subgroups(p, label)
+    return emit_parametrization(check_pair(G1, G2))
 
 
-def test_scalar_resultant_against_sympy():
-    # The oracle is the Sylvester determinant over ZZ, not sympy.resultant:
-    # sympy 1.14 returns -Res(f, g) when deg f < deg g and both are odd.
-    sympy = pytest.importorskip("sympy")
-
-    def sylvester_res(fc, gc):
-        """det Sylvester(f, g) over ZZ, from constant-first coefficient lists."""
-        m, n = len(fc) - 1, len(gc) - 1
-        rows = [[0] * i + fc[::-1] + [0] * (n - 1 - i) for i in range(n)]
-        rows += [[0] * i + gc[::-1] + [0] * (m - 1 - i) for i in range(m)]
-        return int(sympy.Matrix(rows).det(method="bareiss"))
-
-    # Res(t - 2, t^3 + 5) = g(2) = 13, with deg f < deg g, both odd
-    assert sylvester_res([-2, 1], [5, 0, 0, 1]) == 13
-    rng = random.Random(9)
-    p = 11
-    K = QuadExt(PrimeField(p))
-    for _ in range(40):
-        fc = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)]
-        gc = [rng.randrange(p) for _ in range(rng.randrange(1, 6))] + [rng.randrange(1, p)]
-        f = Poly(K, [(c, 0) for c in fc])
-        g = Poly(K, [(c, 0) for c in gc])
-        got = _scalar_resultant(K, f, g)
-        want = sylvester_res(fc, gc) % p
-        assert got == (want, 0)
+def parametrization(p, A, B, D):
+    return CurveParametrization(p, A, B, D, max(A.degree, B.degree, D.degree))
 
 
-def test_batch_resultant_handles_forced_degree_drops():
-    rng = random.Random(10)
-    p = 23
-    K = QuadExt(PrimeField(p))
-    for _ in range(100):
-        n = rng.randrange(1, 6)
-        g = [(rng.randrange(p), rng.randrange(p)) for _ in range(n)] + [(rng.randrange(1, p), 0)]
-        # build f = q*g + r with small r so remainders collapse early
-        q = Poly(K, [(rng.randrange(p), rng.randrange(p)), (1, 0)])
-        r_poly = Poly(K, [(rng.randrange(p), 0)])
-        f = q * Poly(K, g) + r_poly
-        if f.degree < Poly(K, g).degree:
-            continue
-        F = np.array([[list(f.coeffs[k]) if k <= f.degree else [0, 0]
-                       for k in range(f.degree + 1)]], dtype=np.int64)
-        G = np.array([[list(c) for c in g]], dtype=np.int64)
-        got = tuple(int(v) for v in _batch_resultant(K.p, K.r, F, G)[0])
-        want = _scalar_resultant(K, f, Poly(K, g))
-        assert got == want
-
-
-def test_interpolated_coefficients_match_sympy_small_case():
-    # full bivariate resultant cross-check at p = 11, reference pair (11, a)
-    sympy = pytest.importorskip("sympy")
-    G1, G2 = case_subgroups(11, "a")
-    param = emit_parametrization(check_pair(G1, G2))
-    C = _interpolated_coefficients(param)
-    t, x, y = sympy.symbols("t x y")
-
-    def to_sympy(poly):
-        return sum(int(c) * t ** k for k, c in enumerate(poly.coeffs))
-
-    f = to_sympy(param.A) - x * to_sympy(param.D)
-    g = to_sympy(param.B) - y * to_sympy(param.D)
-    # sympy.resultant has a sign fault when deg f < deg g and both are odd;
-    # an even product of the t-degrees keeps this oracle clear of it.
-    assert (sympy.degree(f, t) * sympy.degree(g, t)) % 2 == 0
-    # Res_t over ZZ[x, y], reduced mod 11 below: GF(11) cannot hold x and y
-    R = sympy.Poly(sympy.resultant(f, g, t), x, y)
-    want = np.zeros_like(C)
-    for (i, j), coeff in R.terms():
-        want[i, j] = int(coeff) % 11
-    assert (C == want).all()
-
-
-def test_radical_degree_univariate():
-    K = QuadExt(PrimeField(11))
-    t = Poly(K, [K.zero, K.one])
-    one = Poly(K, [K.one])
-
-    def linear(a):
-        return Poly(K, [K.neg(K.element(a)), K.one])
-
-    f = linear(1) * linear(1) * linear(2)
-    assert _radical_degree_univariate(K, f) == 2
-    assert not _is_squarefree(K, f)
-    g = linear(1) * linear(2) * linear(3)
-    assert _radical_degree_univariate(K, g) == 3
-    assert _is_squarefree(K, g)
-    # (t - 1)^11 has zero derivative in characteristic 11
-    h = one
-    for _ in range(11):
-        h = h * linear(1)
-    assert h.derivative().is_zero
-    assert _radical_degree_univariate(K, h) == 1
-    # t^11 - t splits into 11 distinct roots
-    split = Poly(K, [(0, 0), (10, 0)] + [(0, 0)] * 9 + [(1, 0)])
-    assert _radical_degree_univariate(K, split) == 11
-    # mixed: (t-1)^11 * (t-2)^2 * (t-3)
-    mixed = h * linear(2) * linear(2) * linear(3)
-    assert _radical_degree_univariate(K, mixed) == 3
+def compose(P, h):
+    """P(h(t)) by Horner's rule."""
+    out = Poly.zero(h.field)
+    for c in reversed(P.coeffs):
+        out = out * h + Poly.const(h.field, c)
+    return out
 
 
 def test_implicit_degree_line():
@@ -137,17 +36,41 @@ def test_implicit_degree_line():
 
 
 def test_implicit_degree_collapse_flagged():
-    G1, G2 = case_subgroups(11, "a")
-    param = emit_parametrization(check_pair(G1, G2))
+    param = reference_parametrization(11, "a")
     collapsed = CurveParametrization(11, param.A, param.A, param.D, param.degree)
     assert implicit_degree(collapsed) == 1 != param.degree
 
 
-def test_implicit_degree_reference_cases_fast_subset():
-    for p, label in ((11, "b"), (23, "c")):
-        G1, G2 = case_subgroups(p, label)
-        param = emit_parametrization(check_pair(G1, G2))
-        assert implicit_degree(param) == param.degree == p + 1
+@pytest.mark.parametrize("p,label", REFERENCE_CASES)
+def test_implicit_degree_reference_cases(p, label):
+    param = reference_parametrization(p, label)
+    assert implicit_degree(param) == param.degree == p + 1
+
+
+@pytest.mark.parametrize("label", "abc")
+def test_resultant_oracle_at_11(label):
+    # Res_t(A - x D, B - y D) over ZZ[x, y], reduced mod 11, is a constant
+    # times (image equation)^(map degree). A squarefree line slice of full
+    # degree 12 shows the power is 1, so the image has degree 12. The sign
+    # fault of sympy.resultant (odd degrees, deg f < deg g) is immaterial.
+    sympy = pytest.importorskip("sympy")
+    param = reference_parametrization(11, label)
+    t, x, y = sympy.symbols("t x y")
+
+    def to_sympy(poly):
+        return sum(int(c) * t ** k for k, c in enumerate(poly.coeffs))
+
+    f = to_sympy(param.A) - x * to_sympy(param.D)
+    g = to_sympy(param.B) - y * to_sympy(param.D)
+    R = sympy.Poly(sympy.resultant(f, g, t), x, y, modulus=11)
+    assert R.total_degree() == 12
+    for c, e in itertools.product(range(11), repeat=2):
+        s = sympy.Poly(R.as_expr().subs(y, c * x + e), x, modulus=11)
+        if s.degree() == 12 and all(m == 1 for _, m in s.sqf_list()[1]):
+            break
+    else:
+        pytest.fail("no squarefree line slice of degree 12")
+    assert implicit_degree(param) == 12
 
 
 def test_resultant_vanishes_on_shared_factor():
@@ -159,9 +82,101 @@ def test_resultant_vanishes_on_shared_factor():
         implicit_degree(param)
 
 
+def test_point_image_raises():
+    F = PrimeField(11)
+    A = Poly(F, [3, 4, 6, 8])
+    with pytest.raises(ResultantVanishes):
+        implicit_degree(parametrization(11, A, Poly.zero(F), Poly.zero(F)))
+
+
+def test_map_onto_the_line_at_infinity():
+    F = PrimeField(11)
+    A, B = Poly(F, [1, 2, 3]), Poly(F, [5, 0, 1, 4])
+    assert A.gcd(B).degree == 0
+    assert implicit_degree(parametrization(11, A, B, Poly.zero(F))) == 1
+
+
+def test_fiber_at_infinity_counts():
+    # D = 10 A + 4: the image is a line, and the affine fibers alone read 3
+    F = PrimeField(11)
+    A = Poly(F, [3, 4, 6, 8])
+    param = parametrization(11, A, A + Poly.const(F, 1), A.scale(10) + Poly.const(F, 4))
+    assert implicit_degree(param) == 1
+
+
+def test_point_at_infinity_is_sampled():
+    # a birational quartic at p = 5 whose five affine fibers all have size 2
+    F = PrimeField(5)
+    param = parametrization(5, Poly(F, [3, 4, 4]), Poly(F, [2, 4, 0, 0, 3]),
+                            Poly(F, [2, 0, 3, 3, 1]))
+    assert implicit_degree(param) == 4
+
+
+def test_fiber_sizes_combine_by_gcd():
+    # a quintic composed with t^2 + 2t + 3 at p = 5: no rational fiber has
+    # the map degree 2, but the fiber sizes 4 and 6 are both multiples of it
+    F = PrimeField(5)
+    h = Poly(F, [3, 2, 1])
+    base = parametrization(5, Poly(F, [1, 4]), Poly(F, [0, 0, 4, 1]),
+                           Poly(F, [4, 0, 2, 2, 2, 3]))
+    composed = parametrization(5, *(compose(P, h) for P in (base.A, base.B, base.D)))
+    assert implicit_degree(composed) == implicit_degree(base) == 5
+
+
 def test_quadratic_image_of_degree_two_map():
     # t -> (t^2 : t^2 + t + 1 : 1): a conic parametrized birationally
     F = PrimeField(11)
     param = CurveParametrization(11, Poly(F, [0, 0, 1]), Poly(F, [1, 1, 1]),
                                  Poly(F, [1]), 2)
     assert implicit_degree(param) == 2
+
+
+PRIMES = st.sampled_from([5, 7, 11, 13, 101])
+
+
+def polys(F, max_degree, min_degree=-1):
+    """Polynomials over F of degree in [min_degree, max_degree]."""
+    lower = st.lists(st.integers(0, F.p - 1), min_size=max(min_degree, 0),
+                     max_size=max_degree)
+    lead = st.integers(1 if min_degree >= 0 else 0, F.p - 1)
+    return st.builds(lambda cs, c: Poly(F, cs + [c]), lower, lead)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_implicit_degree_invariant_under_reparametrization(data):
+    F = PrimeField(data.draw(PRIMES))
+    A, B, D = (data.draw(polys(F, 4)) for _ in range(3))
+    h = data.draw(polys(F, 3, min_degree=2))
+    d = max(A.degree, B.degree, D.degree)
+    assume(d >= 1)
+    # the exactness bound of the fiber count, for both maps
+    assume(F.p + 1 > h.degree * (d - 1) * (d - 2))
+    base = parametrization(F.p, A, B, D)
+    composed = parametrization(F.p, *(compose(P, h) for P in (A, B, D)))
+    try:
+        want = implicit_degree(base)
+    except ResultantVanishes:
+        with pytest.raises(ResultantVanishes):
+            implicit_degree(composed)
+        return
+    assert implicit_degree(composed) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_implicit_degree_of_a_line_is_coordinate_free(data):
+    # (A : A + c D : D) is (A : c D : D) after the change y -> y - x, and
+    # both are non-constant maps onto a line unless A and D share a factor
+    F = PrimeField(data.draw(PRIMES))
+    A, D = data.draw(polys(F, 6)), data.draw(polys(F, 6))
+    c = data.draw(st.integers(0, F.p - 1))
+    line = parametrization(F.p, A, D.scale(c), D)
+    sheared = parametrization(F.p, A, A + D.scale(c), D)
+    try:
+        want = implicit_degree(line)
+    except ResultantVanishes:
+        with pytest.raises(ResultantVanishes):
+            implicit_degree(sheared)
+        return
+    assert implicit_degree(sheared) == want == (1 if line.degree >= 1 else 0)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from galoispairs import (INFINITY, Poly, PrimeField, RationalFunction,
-                         is_prime, projective_line)
+                         is_prime, polys, projective_line)
 from galoispairs.polys import vanishing_poly
 
 
@@ -41,6 +41,26 @@ def test_mul_matches_schoolbook_small_and_large_modulus():
             b = random_poly(rng, F, 9)
             want = schoolbook_mul(list(a.coeffs), list(b.coeffs), p)
             assert list((a * b).coeffs) == want
+
+
+def test_numpy_mul_guard_at_its_int64_boundary(monkeypatch):
+    # sums of 20 products of residues mod 679093949 fit in int64, 21 do not
+    p = 679093949
+    assert polys._fits_int64(20, p) and not polys._fits_int64(21, p)
+    assert polys._fits_int64(8192, 33554393) and not polys._fits_int64(8193, 33554393)
+    convolve = polys.np.convolve
+    calls = []
+
+    def spy(a, b):
+        calls.append(len(a))
+        return convolve(a, b)
+
+    monkeypatch.setattr(polys.np, "convolve", spy)
+    F = PrimeField(p)
+    for n in (20, 21):
+        top = Poly(F, [p - 1] * n)
+        assert list((top * top).coeffs) == schoolbook_mul([p - 1] * n, [p - 1] * n, p)
+    assert calls == [20]
 
 
 def test_divmod_property():

@@ -85,7 +85,7 @@ def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(p=11, seed=-1, **kinds)
     cfg = SearchConfig(p=11, **kinds)
-    assert cfg.strategy == "random" and cfg.jobs == 1
+    assert cfg.strategy == "random"
 
 
 def test_random_search_finds_reference_kind_pair():
