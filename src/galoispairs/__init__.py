@@ -16,7 +16,6 @@ from .errors import (ClosureCapExceeded, DegenerateInvariant, EvaluationAtPole,
                      SingularMatrix, UnknownCase, ZeroInverse)
 from .field import PrimeField, is_prime
 from .implicitize import implicit_degree
-from .models import recognize_by_isomorphism
 from .polys import INFINITY, Poly, RationalFunction
 from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
                        projective_line)
@@ -27,8 +26,8 @@ from .search import (SearchConfig, find_cyclic_regular, find_scaling_conjugates,
                      random_pair_search, run_search)
 from .subgroups import (GroupKind, Partition, Subgroup, block_action, conjugate,
                         generate_closure, intersect, is_faithful_on_blocks,
-                        orbit, order_multiset, parse_kind, recognize,
-                        stabilizer, trivial_subgroup)
+                        orbit, orbit_labels, order_multiset, parse_kind,
+                        recognize, stabilizer, trivial_subgroup)
 from .verify import VerificationReport, verify_prime
 
 __version__ = "0.1.0"

@@ -60,8 +60,8 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    # element protocol shared with the internal quadratic extension:
-    # canonical elements, zero/one, and the four ring ops plus inv
+    # element protocol that polys.Poly computes with: canonical elements,
+    # zero/one, and the four ring ops plus inv
 
     @property
     def zero(self) -> int:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import SingularMatrix
-from .field import PrimeField
+from .field import PrimeField, prime_factors
 
 
 class ProjectivePoint(NamedTuple):
@@ -46,7 +46,7 @@ class ProjectiveLine:
         self.field = field if isinstance(field, PrimeField) else PrimeField(field)
         self.p = self.field.p
         self._points: tuple[ProjectivePoint, ...] | None = None
-        self._orders: dict[ProjectiveMatrix, int] = {}
+        self._orders: dict[int, int] = {}  # tau = tr^2/det -> class order
 
     def __eq__(self, other):
         return isinstance(other, ProjectiveLine) and other.p == self.p
@@ -93,9 +93,7 @@ class ProjectiveLine:
         u = pow(lead, -1, p)
         return ProjectiveMatrix(a * u % p, b * u % p, c * u % p, d * u % p)
 
-    @property
-    def identity(self) -> ProjectiveMatrix:
-        return ProjectiveMatrix(1, 0, 0, 1)
+    identity = ProjectiveMatrix(1, 0, 0, 1)
 
     def points(self) -> tuple[ProjectivePoint, ...]:
         """All p+1 rational points: (0:1) first, then (1:t) for t = 0..p-1."""
@@ -142,20 +140,39 @@ class ProjectiveLine:
         return self.point(Q.s * A.a + Q.t * A.c, Q.s * A.b + Q.t * A.d)
 
     def element_order(self, A: ProjectiveMatrix) -> int:
-        """Least n >= 1 with A**n in the identity class, by iteration."""
-        cached = self._orders.get(A)
-        if cached is not None:
-            return cached
-        ident = self.identity
-        M = A
-        n = 1
-        bound = self.p ** 3 - self.p
-        while M != ident:
-            M = self.compose(M, A)
-            n += 1
-            if n > bound:
-                raise AssertionError("order exceeded |PGL(2,p)|; broken invariant")
-        self._orders[A] = n
+        """Least n >= 1 with A**n in the identity class.
+
+        The order of a non-identity class depends only on tau = tr^2 / det,
+        by the conjugacy classification of PGL(2, q) (Dickson, Linear
+        Groups, 1901): tau = 4 is parabolic, of order p; tau = 0 has order
+        2; otherwise the order divides p - 1 if tau(tau - 4) is a square
+        mod p (eigenvalues in F_p) and p + 1 if not (eigenvalues in
+        F_{p^2}). The exact order is that bound with every superfluous prime
+        factor stripped, and it is cached per tau, so at most p values are
+        ever stored.
+        """
+        if A == self.identity:
+            return 1
+        p = self.p
+        tau = (A.a + A.d) ** 2 * pow(A.a * A.d - A.b * A.c, -1, p) % p
+        n = self._orders.get(tau)
+        if n is None:
+            n = self._orders[tau] = self._class_order(A, tau)
+        return n
+
+    def _class_order(self, A: ProjectiveMatrix, tau: int) -> int:
+        p = self.p
+        if tau == 4 % p:
+            return p
+        if tau == 0:
+            return 2
+        # F_2 has no quadratic character; its only such class is tau = 1,
+        # of order 3 = p + 1
+        split = p > 2 and pow(tau * (tau - 4), (p - 1) // 2, p) == 1
+        n = p - 1 if split else p + 1
+        for q in prime_factors(n):
+            while n % q == 0 and self.power(A, n // q) == self.identity:
+                n //= q
         return n
 
     def power(self, A: ProjectiveMatrix, e: int) -> ProjectiveMatrix:
@@ -174,5 +191,6 @@ class ProjectiveLine:
 
 @lru_cache(maxsize=None)
 def projective_line(p: int) -> ProjectiveLine:
-    """Shared per-prime instance (order cache and point tuple reused)."""
+    """Shared per-prime instance, so its point tuple and its per-tau table
+    of element orders are built once per prime."""
     return ProjectiveLine(p)

@@ -97,6 +97,11 @@ def _sample_subgroup(rng: random.Random, line: ProjectiveLine,
     """One candidate subgroup of the requested kind, or None on mismatch."""
     n_gens = 1 if kind.family == "C" else 2
     gens = [_sample_matrix(rng, line) for _ in range(n_gens)]
+    # Lagrange: a generator whose order does not divide |kind| cannot lie
+    # in a group of that kind (all draws are made first, so the seeded
+    # stream is the same with or without this screen)
+    if any(kind.order % line.element_order(g) for g in gens):
+        return None
     try:
         G = generate_closure(line, gens, cap=kind.order)
     except ClosureCapExceeded:

@@ -108,17 +108,24 @@ class Subgroup:
 
 
 def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix],
-                     cap: int = DEFAULT_CLOSURE_CAP) -> Subgroup:
+                     cap: int | None = None) -> Subgroup:
     """Breadth-first closure of the generators under composition.
 
     Raises ClosureCapExceeded as soon as more than `cap` elements appear
     (inverses come for free in a finite group, so right-multiplication by
-    generators suffices).
+    generators suffices). The default cap is
+    max(DEFAULT_CLOSURE_CAP, 2(p + 1)). Every subgroup of order coprime to
+    p is cyclic, dihedral (up to D_{2(p+1)}), A4, S4 or A5, so it closes
+    under 2(p + 1) or 60 elements; the floor of DEFAULT_CLOSURE_CAP keeps
+    small-p groups of order divisible by p (the Borel subgroup at p = 11,
+    of order 110) closable too.
     """
     gens = [line.matrix(g) if not isinstance(g, ProjectiveMatrix) else g
             for g in generators]
     if not gens:
         raise ValueError("at least one generator required")
+    if cap is None:
+        cap = max(DEFAULT_CLOSURE_CAP, 2 * (line.p + 1))
     if cap < 1:
         raise ValueError("cap must be >= 1")
     els = {line.identity}
@@ -218,6 +225,30 @@ def orbit(G: Subgroup, Q: ProjectivePoint) -> frozenset[ProjectivePoint]:
     return frozenset(line.apply(Q, A) for A in G.elements)
 
 
+def orbit_labels(G: Subgroup) -> list[int]:
+    """The G-orbit of every point, indexed like line.points().
+
+    Two points share a label iff they share an orbit. Built by union-find
+    over the point permutations of G.generators, in O(p * |generators|).
+    """
+    line = G.line
+    index = {Q: i for i, Q in enumerate(line.points())}
+    parent = list(range(len(index)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for A in G.generators:
+        for Q, i in index.items():
+            ri, rj = find(i), find(index[line.apply(Q, A)])
+            if ri != rj:
+                parent[ri] = rj
+    return [find(i) for i in range(len(parent))]
+
+
 def stabilizer(G: Subgroup, Q: ProjectivePoint) -> Subgroup:
     """{A in G : Q·A = Q}; satisfies |orbit| * |stabilizer| = |G|."""
     line = G.line
@@ -250,12 +281,6 @@ class Partition:
 
     def __len__(self):
         return len(self.blocks)
-
-    def index_of(self, Q: ProjectivePoint) -> int:
-        for i, block in enumerate(self.blocks):
-            if Q in block:
-                return i
-        raise KeyError(Q)
 
 
 def block_action(line_or_G: ProjectiveLine | Subgroup, A: ProjectiveMatrix,

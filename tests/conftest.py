@@ -7,8 +7,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from galoispairs import (ClosureCapExceeded, Subgroup, generate_closure,
-                         projective_line)
+from galoispairs import (ClosureCapExceeded, ProjectiveLine, ProjectiveMatrix,
+                         Subgroup, generate_closure, projective_line)
+
+
+def iterated_order(line: ProjectiveLine, A: ProjectiveMatrix) -> int:
+    """Oracle for ProjectiveLine.element_order: compose A with itself until
+    the identity class comes back."""
+    M, n = A, 1
+    while M != line.identity:
+        M = line.compose(M, A)
+        n += 1
+        assert n <= line.p ** 3 - line.p, "order exceeded |PGL(2, p)|"
+    return n
 
 
 def canonical_matrix_array(p: int) -> np.ndarray:

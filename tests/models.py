@@ -13,9 +13,8 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Hashable, Sequence
 
-from .projline import ProjectiveLine, ProjectiveMatrix
-from .subgroups import GroupKind, Subgroup, generate_closure
-from .errors import ClosureCapExceeded
+from galoispairs import (ClosureCapExceeded, GroupKind, ProjectiveLine,
+                         ProjectiveMatrix, Subgroup, generate_closure)
 
 
 class GroupModel:

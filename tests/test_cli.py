@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from galoispairs import case_subgroups, check_pair
+from galoispairs import (case_subgroups, check_pair, conjugate,
+                         find_cyclic_regular, projective_line)
 from galoispairs.cli import EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
 
 
@@ -43,3 +44,15 @@ def test_exhausted_search_prints_none(capsys):
     argv = ["search", "--p", "11", "--kind1", "A5", "--kind2", "C60", "--limit", "5"]
     assert main(argv) == EXIT_EXHAUSTED
     assert capsys.readouterr().out == "none\n"
+
+
+def test_check_pair_closes_groups_above_600_elements(tmp_path, capsys):
+    # a Singer cycle C602 and a diagonal conjugate of it: a valid pair whose
+    # closures exceed the fixed floor of 600 elements
+    line = projective_line(601)
+    G = find_cyclic_regular(line)
+    H = conjugate(G, line.matrix([[2, 0], [0, 1]]))
+    argv = ["check-pair", "--all-basepoints", pair_document(tmp_path, G, H)]
+    assert main(argv) == EXIT_PASS
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["kind1"], doc["verdict"]) == ("C602", "pass")

@@ -1,11 +1,15 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from galoispairs import (GroupKind, ModulusMismatch, case_subgroups, check_pair,
-                         check_pair_all_basepoints, generate_closure,
-                         projective_line, reverify, subgroups_from_dict,
-                         trivial_subgroup)
+from conftest import seeded_random_subgroups
+from galoispairs import (GroupKind, ModulusMismatch, PairCertificate,
+                         case_subgroups, check_pair, check_pair_all_basepoints,
+                         conjugate, generate_closure, intersect, orbit,
+                         projective_line, recognize, reverify,
+                         subgroups_from_dict, trivial_subgroup)
 
 SCHEMA_KEYS = {"p", "g1", "g2", "kind1", "kind2", "degree", "base_point",
                "intersection_size", "orbit_equal", "orbit_length", "verdict",
@@ -114,3 +118,57 @@ def test_failures_name_offending_basepoints():
     cert = check_pair_all_basepoints(A, B)
     assert cert.verdict == "fail"
     assert any("orbit" in f for f in cert.failures)
+
+
+def per_point_certificate(G1, G2) -> PairCertificate:
+    """Oracle for check_pair_all_basepoints: both orbits rebuilt from the
+    element sets at every point, failures kept in first-occurrence order."""
+    line = G1.line
+    d, inter_size = len(G1), len(intersect(G1, G2))
+    failures = []
+    if G1.elements == G2.elements:
+        failures.append("groups not different")
+    if len(G2) != d:
+        failures.append("orders differ")
+    if inter_size != 1:
+        failures.append("intersection not trivial")
+    for Q in line.points():
+        o1, o2 = orbit(G1, Q), orbit(G2, Q)
+        if len(o1) != d:
+            failures.append(f"orbit of G1 at {Q} has length {len(o1)} != {d}")
+        if len(o2) != len(G2):
+            failures.append(f"orbit of G2 at {Q} has length {len(o2)} != {len(G2)}")
+        if o1 != o2:
+            failures.append(f"orbits at {Q} differ")
+    base = line.point(0, 1)
+    return PairCertificate(
+        p=line.p, g1_generators=G1.generators, g2_generators=G2.generators,
+        kind1=recognize(G1), kind2=recognize(G2), degree=d, base_point=base,
+        intersection_size=inter_size, orbit1=orbit(G1, base),
+        orbit2=orbit(G2, base), failures=tuple(failures))
+
+
+def test_all_basepoints_matches_per_point_orbits_on_reference_pairs():
+    for p in (11, 23):
+        for label in "abc":
+            G1, G2 = case_subgroups(p, label)
+            for pair in ((G1, G2), (G2, G1), (G1, G1)):
+                assert (check_pair_all_basepoints(*pair).to_json()
+                        == per_point_certificate(*pair).to_json())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_all_basepoints_matches_per_point_orbits(data):
+    p, seed = data.draw(st.sampled_from([(5, 101), (7, 202), (11, 303), (13, 404)]))
+    groups = seeded_random_subgroups(p, 30, seed)
+    G1, G2 = (groups[data.draw(st.integers(0, 29))] for _ in range(2))
+    line = G1.line
+    a, b, c, d = (data.draw(st.integers(0, p - 1)) for _ in range(4))
+    assume((a * d - b * c) % p)
+    # conjugate moves the generators along with the elements; intersect
+    # takes every element as a generator
+    for H1, H2 in ((G1, G2), (G1, conjugate(G1, line.matrix([[a, b], [c, d]]))),
+                   (intersect(G1, G2), G2)):
+        assert (check_pair_all_basepoints(H1, H2).to_json()
+                == per_point_certificate(H1, H2).to_json())

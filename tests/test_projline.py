@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import exhaustive_projline_checks
-from galoispairs import ProjectivePoint, SingularMatrix, projective_line
+from conftest import exhaustive_projline_checks, iterated_order
+from galoispairs import ProjectivePoint, SingularMatrix, is_prime, projective_line
 from galoispairs.cases import prime_table
 
 
@@ -111,6 +113,36 @@ def test_element_order_divides_group_order():
         n = p ** 3 - p
         for M in line.matrices():
             assert n % line.element_order(M) == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_element_order_matches_iteration_on_every_class(p):
+    line = projective_line(p)
+    for M in line.matrices():
+        assert line.element_order(M) == iterated_order(line, M), M
+    # one cached order per value of tr^2/det
+    assert len(line._orders) <= p
+
+
+def test_element_order_without_a_quadratic_character():
+    # PGL(2, F_2) is S3; tr^2/det = 1 is its class of order 3 = p + 1
+    line = projective_line(2)
+    M = line.matrix([[0, 1], [1, 1]])
+    assert line.element_order(M) == 3 == iterated_order(line, M)
+
+
+PRIMES_TO_401 = [q for q in range(2, 402) if is_prime(q)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_element_order_matches_iteration_on_random_classes(data):
+    p = data.draw(st.sampled_from(PRIMES_TO_401))
+    a, b, c, d = (data.draw(st.integers(0, p - 1)) for _ in range(4))
+    assume((a * d - b * c) % p)
+    line = projective_line(p)
+    M = line.matrix([[a, b], [c, d]])
+    assert line.element_order(M) == iterated_order(line, M)
 
 
 def test_enumerate_points():

@@ -3,10 +3,9 @@
 import pytest
 
 from conftest import seeded_random_subgroups
-from galoispairs import (GroupKind, case_subgroups, recognize,
-                         recognize_by_isomorphism)
-from galoispairs.models import (candidate_models, cyclic_model, dihedral_model,
-                                is_isomorphic, permutation_model)
+from galoispairs import GroupKind, case_subgroups, recognize
+from models import (candidate_models, cyclic_model, dihedral_model,
+                    is_isomorphic, permutation_model, recognize_by_isomorphism)
 
 
 def test_model_order_statistics():
