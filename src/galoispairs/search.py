@@ -9,9 +9,10 @@ sampling is driven by an explicit 64-bit seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .criterion import (PairCertificate, check_pair, check_pair_all_basepoints)
+from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
 from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,
@@ -45,25 +46,18 @@ class SearchConfig:
 
 def find_scaling_conjugates(G: Subgroup) -> list[int]:
     """All scalars c in F_p \\ {0, 1} whose diagonal conjugate diag(c,1)
-    intersects G trivially (and, for regular transitive G, certifies a pair).
+    intersects G trivially.
 
+    For regular transitive G each such conjugate H certifies a pair: H is
+    transitive too (it is conjugate to G), so its orbit of any base point
+    is all of P^1(F_p), equal to G's, and check_pair(G, H) passes.
     Deterministic ascending sweep; an empty list is a valid result.
     """
     if len(G) < 2:
         raise ValueError("need |G| >= 2")
     line = G.line
-    base = line.points()[0]
-    regular = (len(G) == line.p + 1
-               and orbit(G, base) == frozenset(line.points()))
-    out = []
-    for c in range(2, line.p):
-        H = conjugate(G, line.matrix([[c, 0], [0, 1]]))
-        if len(intersect(G, H)) != 1:
-            continue
-        if regular and check_pair(G, H, base).verdict != "pass":
-            continue
-        out.append(c)
-    return out
+    return [c for c in range(2, line.p)
+            if len(intersect(G, conjugate(G, line.matrix([[c, 0], [0, 1]])))) == 1]
 
 
 def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
@@ -92,15 +86,47 @@ def _sample_matrix(rng: random.Random, line: ProjectiveLine) -> ProjectiveMatrix
             return line.matrix([[a, b], [c, d]])
 
 
+def _orders_fit(line: ProjectiveLine, kind: GroupKind,
+                gens: Sequence[ProjectiveMatrix]) -> bool:
+    """False when <gens> cannot be a group of `kind`, judged from element
+    orders alone, before any closure.
+
+    One generator g spans a cyclic group of order ord(g). For a pair
+    (g, h), the orders of g, h, gh, gh^-1, gh^2 and g^2h must all lie in
+    kind.element_orders. Sound: every element of a group of that kind has
+    an order in that set, so a rejected tuple would have failed at the
+    closure cap or at recognize.
+    """
+    order = line.element_order
+    if len(gens) == 1:
+        return kind == GroupKind.cyclic(order(gens[0]))
+    allowed = kind.element_orders
+    g, h = gens
+    compose = line.compose
+
+    def words():
+        yield g
+        yield h
+        gh = compose(g, h)
+        yield gh
+        yield compose(g, line.inverse(h))
+        yield compose(gh, h)
+        yield compose(g, gh)
+
+    return all(order(w) in allowed for w in words())
+
+
 def _sample_subgroup(rng: random.Random, line: ProjectiveLine,
                      kind: GroupKind) -> Subgroup | None:
-    """One candidate subgroup of the requested kind, or None on mismatch."""
+    """One candidate subgroup of the requested kind, or None on mismatch.
+
+    Draws one generator for a cyclic kind and two otherwise. All draws are
+    made before the order screen (_orders_fit), so the seeded stream does
+    not depend on it; only tuples that pass the screen are closed.
+    """
     n_gens = 1 if kind.family == "C" else 2
     gens = [_sample_matrix(rng, line) for _ in range(n_gens)]
-    # Lagrange: a generator whose order does not divide |kind| cannot lie
-    # in a group of that kind (all draws are made first, so the seeded
-    # stream is the same with or without this screen)
-    if any(kind.order % line.element_order(g) for g in gens):
+    if not _orders_fit(line, kind, gens):
         return None
     try:
         G = generate_closure(line, gens, cap=kind.order)
@@ -147,23 +173,80 @@ def _order_profiles(kind: GroupKind) -> list[tuple[int, ...]]:
     raise ValueError(f"cannot enumerate generators for kind {kind}")
 
 
-def _elements_of_order(line: ProjectiveLine, n: int, cap: int):
-    """First `cap` canonical matrices of exact order n, scan order."""
-    out = []
-    for M in line.matrices():
-        if line.element_order(M) == n:
-            out.append(M)
-            if len(out) >= cap:
-                break
-    return out
+def _order_pools(line: ProjectiveLine, orders: Iterable[int],
+                 cap: int) -> dict[int, list[ProjectiveMatrix]]:
+    """For each n in `orders`, the first `cap` canonical classes of order n,
+    in line.matrices() order.
+
+    The classes are solved for, not scanned. A non-identity class has the
+    order of its tau = tr^2/det (ProjectiveLine.element_order), so one
+    companion matrix per tau gives the set T_n of tau values of order n.
+    Canonical classes are (s, b, c, d) with prefix (0, 1, c) or (1, b, c);
+    for a fixed prefix, tr^2 = tau * det reads
+        d^2 + s(2 - tau) d + s + tau m = 0,
+    with m = c when s = 0 and m = bc when s = 1 (where d = bc is
+    singular). Walking the prefixes in order and emitting each prefix's
+    roots d in ascending order costs O(p^2 |T_n|) instead of O(p^3).
+    """
+    p = line.p
+    pools = {n: [] for n in orders}
+    if 1 in pools:  # the identity is the only class of order 1
+        pools[1] = [line.identity][:cap]
+    # companion matrix of x^2 - x + 1/tau, and (0, 1, -1, 0) for tau = 0
+    tau_order = [line.element_order(ProjectiveMatrix(0, 1, -pow(t, -1, p) % p, 1)
+                                    if t else ProjectiveMatrix(0, 1, p - 1, 0))
+                 for t in range(p)]
+    taus_of = {n: [t for t in range(p) if tau_order[t] == n] for n in pools if n != 1}
+    open_taus = {n: ts for n, ts in taus_of.items() if ts}  # pools still filling
+    sqrt = [None] * p
+    for r in range(p):
+        sqrt[r * r % p] = r
+    half = (p + 1) // 2
+
+    def roots(B, C):
+        """The roots d of d^2 + B d + C."""
+        if p == 2:  # no 1/2 in F_2; try both residues
+            return [d for d in (0, 1) if (d * d + B * d + C) % 2 == 0]
+        r = sqrt[(B * B - 4 * C) % p]
+        if r is None:
+            return ()
+        return {(r - B) * half % p, (-r - B) * half % p}
+
+    def prefixes():
+        """(s, b, c, m) for each prefix, in line.matrices() order."""
+        for c in range(1, p):
+            yield 0, 1, c, c
+        for b in range(p):
+            for c in range(p):
+                yield 1, b, c, b * c % p
+
+    for s, b, c, m in prefixes():
+        for n, taus in list(open_taus.items()):
+            found = sorted(d for t in taus for d in roots(s * (2 - t), s + t * m)
+                           if not (s and d == m))
+            pool = pools[n]
+            for d in found:
+                M = ProjectiveMatrix(s, b, c, d)
+                if M != line.identity:
+                    pool.append(M)
+                    if len(pool) == cap:
+                        del open_taus[n]
+                        break
+        if not open_taus:
+            break
+    return pools
 
 
 def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
     """Deterministic search anchored on the regular cyclic subgroup.
 
     One target kind must be C(p+1): that side is the Singer-cycle scan
-    result; the other side is enumerated by generator order profiles.
-    Every generator tuple tried counts against the limit.
+    result. The other side is built from generators of the orders in its
+    profiles (_order_profiles): one pool per order, in line.matrices()
+    order and solved per tau class (_order_pools), paired by a diagonal
+    sweep. A pair whose word orders rule the kind out (_orders_fit) is
+    dropped before any closure. Every generator tuple tried counts against
+    the limit, screened-out ones included.
     """
     line = projective_line(cfg.p)
     n = line.p + 1
@@ -174,7 +257,6 @@ def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
     swap = cfg.kind1 == cyclic_kind and cfg.kind2 != cyclic_kind
     other = cfg.kind2 if swap else cfg.kind1
     Gc = find_cyclic_regular(line)
-    spent = 0
 
     def finish(G_other):
         pair = (Gc, G_other) if swap else (G_other, Gc)
@@ -183,12 +265,7 @@ def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
 
     if other == cyclic_kind:
         # second regular cyclic subgroup, different from the first
-        for M in line.matrices():
-            if spent >= cfg.limit:
-                return None
-            if line.element_order(M) != n:
-                continue
-            spent += 1
+        for M in _order_pools(line, [n], cap=cfg.limit)[n]:
             H = generate_closure(line, [M], cap=n)
             if H.elements == Gc.elements:
                 continue
@@ -197,12 +274,11 @@ def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
                 return cert
         return None
 
-    pools = {}
-    for profile in _order_profiles(other):
-        for o in profile:
-            if o not in pools:
-                pools[o] = _elements_of_order(line, o, cap=4 * cfg.limit)
-    for profile in _order_profiles(other):
+    profiles = _order_profiles(other)
+    pools = _order_pools(line, {o for profile in profiles for o in profile},
+                         cap=4 * cfg.limit)
+    spent = 0
+    for profile in profiles:
         pool_a, pool_b = pools[profile[0]], pools[profile[1]]
         # diagonal sweep so early candidates mix both pools
         for total in range(len(pool_a) + len(pool_b) - 1):
@@ -213,9 +289,11 @@ def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
                 if spent >= cfg.limit:
                     return None
                 spent += 1
+                gens = (pool_a[i], pool_b[j])
+                if not _orders_fit(line, other, gens):
+                    continue
                 try:
-                    G = generate_closure(line, [pool_a[i], pool_b[j]],
-                                         cap=other.order)
+                    G = generate_closure(line, gens, cap=other.order)
                 except ClosureCapExceeded:
                     continue
                 if recognize(G) != other:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ClosureCapExceeded, ModulusMismatch, NotBlockPreserving
@@ -44,6 +45,25 @@ class GroupKind:
     @classmethod
     def other(cls, n: int) -> "GroupKind":
         return cls("other", n)
+
+    @cached_property
+    def element_orders(self) -> frozenset[int]:
+        """Every order an element of a group of this kind can have.
+
+        A4, S4 and A5 by their order tallies; D_n has rotations of order
+        dividing n/2 and involutions; C_n and other kinds by Lagrange.
+        """
+        if self.family == "A4":
+            return frozenset((1, 2, 3))
+        if self.family == "S4":
+            return frozenset((1, 2, 3, 4))
+        if self.family == "A5":
+            return frozenset((1, 2, 3, 5))
+        n = self.order // 2 if self.family == "D" else self.order
+        divisors = {k for k in range(1, n + 1) if n % k == 0}
+        if self.family == "D":
+            divisors.add(2)
+        return frozenset(divisors)
 
     def __str__(self):
         if self.family in ("C", "D"):

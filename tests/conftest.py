@@ -22,6 +22,19 @@ def iterated_order(line: ProjectiveLine, A: ProjectiveMatrix) -> int:
     return n
 
 
+def scanned_elements_of_order(line: ProjectiveLine, n: int,
+                              cap: int | None = None) -> list[ProjectiveMatrix]:
+    """Oracle for search._order_pools: the first `cap` canonical classes of
+    order n, found by scanning all of PGL(2, p) in line.matrices() order."""
+    out = []
+    for M in line.matrices():
+        if line.element_order(M) == n:
+            out.append(M)
+            if len(out) == cap:
+                break
+    return out
+
+
 def canonical_matrix_array(p: int) -> np.ndarray:
     """All canonical PGL(2, F_p) classes as an (N, 4) int64 array, in the
     same lexicographic order as ProjectiveLine.matrices()."""

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galoispairs import (INFINITY, Poly, PrimeField, RationalFunction,
                          is_prime, polys, projective_line)
@@ -162,3 +164,55 @@ def test_rational_function_degree():
     assert f.degree == 2
     assert f.reciprocal().degree == 2
     assert f.shift_value(3).degree == 2
+
+
+# a small field, and one where products of 21 or more terms overflow int64,
+# so that Poly.__mul__ takes both its numpy and its exact path
+PROPERTY_PRIMES = (11, 679093949)
+
+
+@st.composite
+def polys_over(draw, count):
+    F = PrimeField(draw(st.sampled_from(PROPERTY_PRIMES)))
+    coeffs = st.lists(st.integers(0, F.p - 1), max_size=30)
+    return [Poly(F, draw(coeffs)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_over(3))
+def test_ring_laws(abc):
+    a, b, c = abc
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a - b) + b == a
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_over(2))
+def test_divmod_reconstructs(ab):
+    a, b = ab
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a.divmod(b)
+        return
+    q, r = a.divmod(b)
+    assert q * b + r == a
+    assert r.degree < b.degree
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys_over(3))
+def test_gcd_divides_both_and_is_monic(abc):
+    a, b, c = abc
+    g = a.gcd(b)
+    if a.is_zero and b.is_zero:
+        assert g.is_zero
+        return
+    assert g.lead == 1
+    assert (a % g).is_zero and (b % g).is_zero
+    # greatest: a common factor c multiplies the gcd
+    if not c.is_zero:
+        assert (a * c).gcd(b * c) == (g * c).monic()
