@@ -19,15 +19,14 @@ from .implicitize import implicit_degree
 from .polys import INFINITY, Poly, RationalFunction
 from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
                        projective_line)
-from .quotient import (CurveParametrization, emit_parametrization, fibers,
-                       invariant_generator, is_invariant_under, moebius_adjust,
+from .quotient import (CurveParametrization, emit_parametrization,
+                       invariant_generator, moebius_adjust,
                        parametrization_from_dict)
 from .search import (SearchConfig, find_cyclic_regular, find_scaling_conjugates,
                      random_pair_search, run_search)
 from .subgroups import (GroupKind, Partition, Subgroup, block_action, conjugate,
                         generate_closure, intersect, is_faithful_on_blocks,
-                        orbit, orbit_labels, order_multiset, parse_kind,
-                        recognize, stabilizer, trivial_subgroup)
+                        orbit, orbit_labels, parse_kind, recognize)
 from .verify import VerificationReport, verify_prime
 
 __version__ = "0.1.0"

@@ -250,9 +250,3 @@ def case_subgroups(p: int, label: str) -> tuple[Subgroup, Subgroup]:
     else:
         G2 = generate_closure(line, case.g2_generators)
     return G1, G2
-
-
-def iter_cases():
-    for p in PRIMES:
-        for label in LABELS:
-            yield load_case(p, label)

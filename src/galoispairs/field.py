@@ -87,10 +87,6 @@ class PrimeField:
     def neg(self, a: int) -> int:
         return -a % self.p
 
-    def scalar(self, k: int) -> int:
-        """Image of the integer k (used for derivative coefficients)."""
-        return k % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroInverse for a ≡ 0."""
         a %= self.p
@@ -121,13 +117,3 @@ class PrimeField:
                 g += 1
             self._primitive = g
         return self._primitive
-
-    def nonresidue(self) -> int:
-        """Smallest quadratic non-residue (p odd)."""
-        if self.p == 2:
-            raise ValueError("no quadratic non-residue in F_2")
-        e = (self.p - 1) // 2
-        r = 2
-        while pow(r, e, self.p) == 1:
-            r += 1
-        return r

@@ -2,7 +2,7 @@
 
 Coefficients are stored lowest degree first with no trailing zeros, over
 any field object implementing the small element protocol (zero/one,
-element, add/sub/mul/neg, inv, scalar). Multiplication over a prime field
+element, add/sub/mul/neg, inv). Multiplication over a prime field
 goes through numpy's int64 convolution whenever its sums cannot overflow.
 """
 
@@ -160,39 +160,12 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def derivative(self) -> "Poly":
-        f = self.field
-        out = [f.mul(f.scalar(k), c) for k, c in enumerate(self.coeffs)][1:]
-        return Poly._raw(f, _trim(f, out))
-
     def eval(self, t):
         """Horner evaluation at a field element."""
         f = self.field
         acc = f.zero
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, t), c)
-        return acc
-
-    def compose_frac(self, m: int, abcd: tuple) -> "Poly":
-        """(a + c t)**m * P((b + d t)/(a + c t)) for m >= deg P.
-
-        This is the cleared substitution matching the row action, where
-        the matrix [[a,b],[c,d]] moves the affine coordinate t of (1:t)
-        to (b + d t)/(a + c t).
-        """
-        f = self.field
-        if m < self.degree:
-            raise ValueError("clearing exponent below degree")
-        a, b, c, d = (f.element(v) for v in abcd)
-        num = Poly(f, [b, d])
-        den = Poly(f, [a, c])
-        den_pows = [Poly.const(f, f.one)]
-        for _ in range(m):
-            den_pows.append(den_pows[-1] * den)
-        coeffs = list(self.coeffs) + [f.zero] * (m + 1 - len(self.coeffs))
-        acc = Poly.const(f, coeffs[m])
-        for k in range(m - 1, -1, -1):
-            acc = acc * num + Poly.const(f, coeffs[k]) * den_pows[m - k]
         return acc
 
 

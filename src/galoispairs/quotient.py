@@ -4,9 +4,12 @@ For a subgroup G with |G| coprime to p, a G-invariant rational function of
 degree exactly |G| is read off the coefficients of prod_{g in G}(X - g(t)):
 each coefficient is a symmetric function of the orbit {g(t)} and hence
 invariant, and a non-constant invariant of a degree-|G| quotient map has
-degree exactly |G|. A Moebius adjustment 1/(f - f(Q)) then moves the orbit
-of the base point to the polar set, giving two maps over one common
-denominator and the projective parametrization (A : B : D).
+degree exactly |G|. The product is expanded by a balanced product tree
+(von zur Gathen and Gerhard, Modern Computer Algebra, 10.1), each node one
+univariate Poly product by Kronecker substitution. A Moebius adjustment
+1/(f - f(Q)) then moves the orbit of the base point to the polar set,
+giving two maps over one common denominator and the projective
+parametrization (A : B : D).
 """
 
 from __future__ import annotations
@@ -17,8 +20,47 @@ from functools import lru_cache
 from .criterion import PairCertificate
 from .errors import DegenerateInvariant, EvaluationAtPole, IrregularOrbit
 from .polys import INFINITY, Poly, RationalFunction, vanishing_poly
-from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
+from .projline import ProjectivePoint, projective_line
 from .subgroups import Subgroup, generate_closure, orbit
+
+
+def _orbit_product(G: Subgroup) -> list[Poly]:
+    """The rows of prod_{g in G} (D_g X - N_g), N_g = b + d t, D_g = a + c t:
+    row i is the t-polynomial multiplying X^i, so there are |G| + 1 rows.
+
+    Balanced product tree: the linear factors are multiplied pairwise,
+    level by level, an odd one out carried up to the next level.
+    """
+    field = G.line.field
+    level = [[(-b, -d), (a, c)] for (a, b, c, d) in G]
+    while len(level) > 1:
+        paired = [_mul_rows(field, A, B) for A, B in zip(level[::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return [Poly(field, row) for row in level[0]]
+
+
+def _mul_rows(field, A: list, B: list) -> list:
+    """Product of two polynomials in X, each given as rows of t-coefficients
+    (row i multiplies X^i, lowest t-degree first).
+
+    One univariate Poly product by Kronecker substitution X = t^s: with s
+    one more than the largest t-degree a product row can reach, no row
+    spills into the next. Each operand needs a non-zero row; product rows
+    come back as canonical residues, possibly with trailing zeros.
+    """
+    s = max(map(len, A)) + max(map(len, B)) - 1
+
+    def pack(rows):
+        out = []
+        for row in rows:
+            out.extend(row)
+            out.extend([field.zero] * (s - len(row)))
+        return Poly(field, out)
+
+    prod = (pack(A) * pack(B)).coeffs
+    return [prod[i:i + s] for i in range(0, (len(A) + len(B) - 1) * s, s)]
 
 
 @lru_cache(maxsize=128)
@@ -31,30 +73,7 @@ def invariant_generator(G: Subgroup) -> RationalFunction:
         raise ValueError("group order must be coprime to p")
     if n == 1:
         return RationalFunction(Poly.x(field), Poly.const(field, 1))
-    # cleared product prod (D_g X - N_g) with N_g = b + d t, D_g = a + c t:
-    # coeffs[i] is the t-polynomial multiplying X^i
-    p = line.p
-    coeffs = [[1]]
-    for (a, b, c, d) in sorted(G.elements):
-        nb, nd = -b % p, -d % p
-        new = []
-        for i in range(len(coeffs) + 1):
-            lo = coeffs[i] if i < len(coeffs) else None
-            hi = coeffs[i - 1] if i >= 1 else None
-            ln = len(lo) if lo else 0
-            lh = len(hi) if hi else 0
-            row = [0] * (max(ln, lh) + 1)
-            if lo:
-                for k, v in enumerate(lo):
-                    row[k] = (row[k] + v * nb) % p
-                    row[k + 1] = (row[k + 1] + v * nd) % p
-            if hi:
-                for k, v in enumerate(hi):
-                    row[k] = (row[k] + v * a) % p
-                    row[k + 1] = (row[k + 1] + v * c) % p
-            new.append(row)
-        coeffs = new
-    polys = [Poly(field, row) for row in coeffs]
+    polys = _orbit_product(G)
     top = polys[n]
     for i in range(n - 1, -1, -1):
         if polys[i].degree < 0:
@@ -162,19 +181,3 @@ def emit_parametrization(cert: PairCertificate) -> CurveParametrization:
     degree = max(h1.num.degree, h2.num.degree, h1.den.degree)
     return CurveParametrization(p=cert.p, A=h1.num, B=h2.num, D=h1.den,
                                 degree=degree)
-
-
-def is_invariant_under(f: RationalFunction, M: ProjectiveMatrix) -> bool:
-    """Exact identity f((b+dt)/(a+ct)) == f(t) after clearing (a+ct)^deg."""
-    m = f.degree
-    num_sub = f.num.compose_frac(m, M)
-    den_sub = f.den.compose_frac(m, M)
-    return num_sub * f.den == f.num * den_sub
-
-
-def fibers(f: RationalFunction, line) -> dict:
-    """Level sets of f on the rational points, keyed by value (or INFINITY)."""
-    out: dict = {}
-    for Q in line.points():
-        out.setdefault(f.eval_point(Q), set()).add(Q)
-    return {k: frozenset(v) for k, v in out.items()}

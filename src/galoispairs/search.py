@@ -15,8 +15,8 @@ from typing import Iterable, Sequence
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
-from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,
-                        intersect, orbit, recognize)
+from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
+                        orbit, recognize)
 
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
@@ -55,9 +55,30 @@ def find_scaling_conjugates(G: Subgroup) -> list[int]:
     """
     if len(G) < 2:
         raise ValueError("need |G| >= 2")
+    return [c for c in range(2, G.line.p)
+            if len(intersect(G, _diagonal_conjugate(G, c))) == 1]
+
+
+def _diagonal_conjugate(G: Subgroup, c: int) -> Subgroup:
+    """conjugate(G, diag(c, 1)) in closed form.
+
+    Conjugating (a, b, x, d) by diag(c, 1) gives (a, b/c, xc, d). A
+    canonical class with a = 1 stays canonical; one with a = 0 has b = 1,
+    and rescaling by c makes it canonical again: (0, 1, xc^2, dc).
+    """
     line = G.line
-    return [c for c in range(2, line.p)
-            if len(intersect(G, conjugate(G, line.matrix([[c, 0], [0, 1]])))) == 1]
+    p = line.p
+    c_inv = pow(c, -1, p)
+    c_sq = c * c % p
+
+    def conj(M):
+        a, b, x, d = M
+        if a:
+            return ProjectiveMatrix(a, b * c_inv % p, x * c % p, d)
+        return ProjectiveMatrix(0, 1, x * c_sq % p, d * c % p)
+
+    return Subgroup(line, tuple(conj(line.matrix(A)) for A in G.generators),
+                    frozenset(map(conj, G.elements)))
 
 
 def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
@@ -323,7 +344,7 @@ def scaling_pair_search(cfg: SearchConfig) -> PairCertificate | None:
         if spent >= cfg.limit:
             return None
         spent += 1
-        H = conjugate(G, line.matrix([[c, 0], [0, 1]]))
+        H = _diagonal_conjugate(G, c)
         cert = check_pair_all_basepoints(G, H)
         if cert.verdict == "pass":
             return cert

@@ -166,15 +166,6 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
     return Subgroup(line, gens, frozenset(els))
 
 
-def trivial_subgroup(line: ProjectiveLine) -> Subgroup:
-    return Subgroup(line, (line.identity,), frozenset({line.identity}))
-
-
-def order_multiset(G: Subgroup) -> dict[int, int]:
-    """Map element order -> count; counts sum to |G|."""
-    return dict(Counter(G.line.element_order(A) for A in G.elements))
-
-
 _ALT4_ORDERS = {1: 1, 2: 3, 3: 8}
 _SYM4_ORDERS = {1: 1, 2: 9, 3: 8, 4: 6}
 _ALT5_ORDERS = {1: 1, 2: 15, 3: 20, 5: 24}
@@ -267,14 +258,6 @@ def orbit_labels(G: Subgroup) -> list[int]:
             if ri != rj:
                 parent[ri] = rj
     return [find(i) for i in range(len(parent))]
-
-
-def stabilizer(G: Subgroup, Q: ProjectivePoint) -> Subgroup:
-    """{A in G : Q·A = Q}; satisfies |orbit| * |stabilizer| = |G|."""
-    line = G.line
-    Q = _check_point(line, Q)
-    els = frozenset(A for A in G.elements if line.apply(Q, A) == Q)
-    return Subgroup(line, tuple(sorted(els)), els)
 
 
 def _check_point(line: ProjectiveLine, Q: ProjectivePoint) -> ProjectivePoint:

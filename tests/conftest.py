@@ -7,7 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from galoispairs import (ClosureCapExceeded, ProjectiveLine, ProjectiveMatrix,
+from galoispairs import (ClosureCapExceeded, Poly, ProjectiveLine,
+                         ProjectiveMatrix, ProjectivePoint, RationalFunction,
                          Subgroup, generate_closure, projective_line)
 
 
@@ -33,6 +34,79 @@ def scanned_elements_of_order(line: ProjectiveLine, n: int,
             if len(out) == cap:
                 break
     return out
+
+
+def trivial_subgroup(line: ProjectiveLine) -> Subgroup:
+    return Subgroup(line, (line.identity,), frozenset({line.identity}))
+
+
+def stabilizer(G: Subgroup, Q: ProjectivePoint) -> Subgroup:
+    """{A in G : Q·A = Q}; satisfies |orbit| * |stabilizer| = |G|."""
+    line = G.line
+    els = frozenset(A for A in G.elements if line.apply(Q, A) == Q)
+    return Subgroup(line, tuple(sorted(els)), els)
+
+
+def compose_frac(P: Poly, m: int, abcd: tuple) -> Poly:
+    """(a + c t)**m * P((b + d t)/(a + c t)) for m >= deg P.
+
+    This is the cleared substitution matching the row action, where
+    the matrix [[a,b],[c,d]] moves the affine coordinate t of (1:t)
+    to (b + d t)/(a + c t).
+    """
+    f = P.field
+    if m < P.degree:
+        raise ValueError("clearing exponent below degree")
+    a, b, c, d = (f.element(v) for v in abcd)
+    num = Poly(f, [b, d])
+    den = Poly(f, [a, c])
+    den_pows = [Poly.const(f, f.one)]
+    for _ in range(m):
+        den_pows.append(den_pows[-1] * den)
+    coeffs = list(P.coeffs) + [f.zero] * (m + 1 - len(P.coeffs))
+    acc = Poly.const(f, coeffs[m])
+    for k in range(m - 1, -1, -1):
+        acc = acc * num + Poly.const(f, coeffs[k]) * den_pows[m - k]
+    return acc
+
+
+def is_invariant_under(f: RationalFunction, M: ProjectiveMatrix) -> bool:
+    """Exact identity f((b+dt)/(a+ct)) == f(t) after clearing (a+ct)^deg."""
+    m = f.degree
+    num_sub = compose_frac(f.num, m, M)
+    den_sub = compose_frac(f.den, m, M)
+    return num_sub * f.den == f.num * den_sub
+
+
+def expanded_orbit_product(G: Subgroup) -> list[Poly]:
+    """Oracle for quotient._orbit_product: prod_{g in G} (D_g X - N_g)
+    expanded one linear factor at a time, O(|G|^3) coefficient operations."""
+    line = G.line
+    field = line.field
+    # cleared product prod (D_g X - N_g) with N_g = b + d t, D_g = a + c t:
+    # coeffs[i] is the t-polynomial multiplying X^i
+    p = line.p
+    coeffs = [[1]]
+    for (a, b, c, d) in sorted(G.elements):
+        nb, nd = -b % p, -d % p
+        new = []
+        for i in range(len(coeffs) + 1):
+            lo = coeffs[i] if i < len(coeffs) else None
+            hi = coeffs[i - 1] if i >= 1 else None
+            ln = len(lo) if lo else 0
+            lh = len(hi) if hi else 0
+            row = [0] * (max(ln, lh) + 1)
+            if lo:
+                for k, v in enumerate(lo):
+                    row[k] = (row[k] + v * nb) % p
+                    row[k + 1] = (row[k + 1] + v * nd) % p
+            if hi:
+                for k, v in enumerate(hi):
+                    row[k] = (row[k] + v * a) % p
+                    row[k + 1] = (row[k + 1] + v * c) % p
+            new.append(row)
+        coeffs = new
+    return [Poly(field, row) for row in coeffs]
 
 
 def canonical_matrix_array(p: int) -> np.ndarray:

@@ -4,7 +4,13 @@ import pytest
 
 from galoispairs import (GroupKind, UnknownCase, case_subgroups, load_case,
                          recognize, verify_prime)
-from galoispairs.cases import LABELS, PRIMES, iter_cases, prime_table
+from galoispairs.cases import LABELS, PRIMES, prime_table
+
+
+def iter_cases():
+    for p in PRIMES:
+        for label in LABELS:
+            yield load_case(p, label)
 
 
 def test_load_case_rejects_unknown():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -56,3 +57,91 @@ def test_check_pair_closes_groups_above_600_elements(tmp_path, capsys):
     assert main(argv) == EXIT_PASS
     doc = json.loads(capsys.readouterr().out)
     assert (doc["kind1"], doc["verdict"]) == ("C602", "pass")
+
+
+# the nine paper pairs: G1 per prime, G2 per case (generator rows)
+PAPER_G1 = {
+    11: [[[0, 1], [6, 0]], [[1, 2], [10, 10]], [[1, 8], [6, 2]]],
+    23: [[[0, 1], [17, 0]], [[1, 15], [9, 21]], [[1, 9], [8, 19]],
+         [[1, 22], [17, 22]]],
+    59: [[[1, 8], [57, 58]], [[1, 2], [5, 27]]],
+}
+PAPER_G2 = {
+    "11a": [[[1, 6], [6, 0]]],
+    "11b": [[[0, 1], [7, 0]], [[1, 3], [1, 4]]],
+    "11c": [[[0, 1], [2, 0]], [[1, 1], [9, 10]], [[1, 4], [1, 2]]],
+    "23a": [[[0, 1], [1, 22]]],
+    "23b": [[[0, 1], [14, 0]], [[1, 16], [6, 13]]],
+    "23c": [[[0, 1], [14, 0]], [[1, 9], [15, 21]], [[1, 10], [21, 19]],
+            [[1, 4], [13, 22]]],
+    "59a": [[[1, 1], [25, 0]]],
+    "59b": [[[0, 1], [37, 0]], [[1, 2], [44, 44]]],
+    "59c": [[[1, 10], [11, 58]], [[1, 53], [45, 44]]],
+}
+# SHA-256 of the stdout of each paper command, recorded at commit 026f07e
+# (perfbench/paper_digests.json)
+PAPER_DIGESTS = {
+    "verify-paper/11":
+        "0376bc0dac7a94e2ff7716a729e79e6641857404b641836bc43e48910565f348",
+    "verify-paper/23":
+        "58a08ea55211699435f6dc118cdc5b955f39b3bcf62ccd0c204a8afae9e906ae",
+    "verify-paper/59":
+        "098327406b748a226d9667857d3b22e909851583aca910688b1d5503707f8ed3",
+    "check-pair/11a":
+        "8b55a16c58f4ab9aa3134f5970ddbad70ddd6364c21ae352210d284e03909549",
+    "emit-curve/11a":
+        "6040e2f2fe607c67cf92007622ecf7ca388e6277c5bb829091cadd3abafb8f62",
+    "check-pair/11b":
+        "5d6c830fdf31551bd1f6a45128021a1a4b7f523365aee245e76bfad6b637651c",
+    "emit-curve/11b":
+        "54a26efd0c3075daa3979f5607237f5f4b29f934886ed778fedef4e0daee10e6",
+    "check-pair/11c":
+        "34f2f2f3bce836f37e5b5b3fda8ef4fe5323d85433662b799f3f4f50b155bdee",
+    "emit-curve/11c":
+        "a7daf1d199603323bb81ccd843c8a8cdd825dd8c345b8999b7dbbc84216dc0ba",
+    "check-pair/23a":
+        "78d7d71ccd7f9afbdfdc09f8433acf9c8238bfb11d5b0ebc9873f92413f13899",
+    "emit-curve/23a":
+        "59348a018705ffd67b3d9c1efba01d54a8204d320a6dcdb042449cf0482bd979",
+    "check-pair/23b":
+        "7f2609e8d5ffc371d7e6eba5669537193199013f340ee65a400c814cb1dd7862",
+    "emit-curve/23b":
+        "2d1fb6953e3bca3798329abeb076b947ef5da01aa80bd02f86efba4e62802f2a",
+    "check-pair/23c":
+        "cc84779b98ab011c83ea54a92ae0cfa882100e7e86ac95e9ad7feb81b599b52b",
+    "emit-curve/23c":
+        "d60b84fedc2786d8ddda08a5784b29543c74cc68ed14943bcb32237a5c908ec5",
+    "check-pair/59a":
+        "270d5fabd433ec4335a62c7176a9fc086d232df4ab0edbb81c2b4dc12b1c0505",
+    "emit-curve/59a":
+        "54c140043b3eb81cbc8b9696881f23a5cf2528faa69476562609f10e7ac57972",
+    "check-pair/59b":
+        "4e69b7488933f7be15dc479b8d016846c1b2535c9a77e90dabc32be6c13e79ab",
+    "emit-curve/59b":
+        "b6984d7703ab0fd1d1b8da509c1997f9c2f97b60f6aaa1628dec6bb7d5f7ba29",
+    "check-pair/59c":
+        "3bc51ee3bc201ca209100dfb41ea19639c2beba5d6ae52be17b88af629852f97",
+    "emit-curve/59c":
+        "9739c90618c10158d03288b5eef877d9c4d04ace927e3dafe0757d61f63a9509",
+}
+
+
+def paper_argv(job, tmp_path):
+    command, name = job.split("/")
+    if command == "verify-paper":
+        return ["verify-paper", "--p", name, "--json"]
+    p = int(name[:2])
+    doc = {"p": p, "g1": {"generators": PAPER_G1[p]},
+           "g2": {"generators": PAPER_G2[name]}}
+    path = tmp_path / f"pair_{name}.json"
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    if command == "check-pair":
+        return ["check-pair", "--all-basepoints", str(path)]
+    return ["emit-curve", str(path)]
+
+
+@pytest.mark.parametrize("job", sorted(PAPER_DIGESTS))
+def test_paper_output_is_pinned(job, tmp_path, capsys):
+    assert main(paper_argv(job, tmp_path)) == EXIT_PASS
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PAPER_DIGESTS[job]

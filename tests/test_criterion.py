@@ -4,12 +4,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_random_subgroups
+from conftest import seeded_random_subgroups, trivial_subgroup
 from galoispairs import (GroupKind, ModulusMismatch, PairCertificate,
                          case_subgroups, check_pair, check_pair_all_basepoints,
                          conjugate, generate_closure, intersect, orbit,
                          projective_line, recognize, reverify,
-                         subgroups_from_dict, trivial_subgroup)
+                         subgroups_from_dict)
 
 SCHEMA_KEYS = {"p", "g1", "g2", "kind1", "kind2", "degree", "base_point",
                "intersection_size", "orbit_equal", "orbit_length", "verdict",

@@ -1,12 +1,24 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from galoispairs import (INFINITY, IrregularOrbit, Poly, RationalFunction,
-                         case_subgroups, check_pair, emit_parametrization,
-                         fibers, generate_closure, invariant_generator,
-                         is_invariant_under, moebius_adjust, orbit,
-                         parametrization_from_dict, projective_line,
-                         trivial_subgroup)
+from conftest import (expanded_orbit_product, is_invariant_under,
+                      seeded_random_subgroups, trivial_subgroup)
+from galoispairs import (INFINITY, LABELS, PRIMES, IrregularOrbit, Poly,
+                         PrimeField, RationalFunction, case_subgroups,
+                         check_pair, emit_parametrization, generate_closure,
+                         invariant_generator, moebius_adjust, orbit,
+                         parametrization_from_dict, projective_line, quotient)
 from galoispairs.polys import vanishing_poly
+from galoispairs.quotient import _mul_rows, _orbit_product
+
+
+def fibers(f, line):
+    """Level sets of f on the rational points, keyed by value (or INFINITY)."""
+    out = {}
+    for Q in line.points():
+        out.setdefault(f.eval_point(Q), set()).add(Q)
+    return {k: frozenset(v) for k, v in out.items()}
 
 
 def negation_group(p=11):
@@ -133,3 +145,61 @@ def test_curve_json_round_trip():
     h1 = RationalFunction(back.A, back.D)
     for M in G1.generators:
         assert is_invariant_under(h1, M)
+
+
+def assert_orbit_product_matches_expansion(G):
+    rows = _orbit_product(G)
+    assert len(rows) == len(G) + 1
+    assert rows == expanded_orbit_product(G)
+    f = invariant_generator.__wrapped__(G)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quotient, "_orbit_product", expanded_orbit_product)
+        assert invariant_generator.__wrapped__(G) == f
+
+
+def test_orbit_product_matches_expansion_on_bundled_groups():
+    groups = [G for p in PRIMES for label in LABELS for G in case_subgroups(p, label)]
+    assert len(groups) == 18
+    for G in groups:
+        assert_orbit_product_matches_expansion(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 23]), st.integers(0, 29))
+def test_orbit_product_matches_expansion(p, i):
+    G = seeded_random_subgroups(p, 30, 17 * p)[i]
+    assume(len(G) % p)
+    assert_orbit_product_matches_expansion(G)
+
+
+def schoolbook_rows(A, B, p):
+    """The product of two polynomials in X given as rows of t-coefficients,
+    one coefficient product at a time."""
+    width = max(map(len, A)) + max(map(len, B)) - 1
+    out = [[0] * width for _ in range(len(A) + len(B) - 1)]
+    for i, row_a in enumerate(A):
+        for j, row_b in enumerate(B):
+            for k, x in enumerate(row_a):
+                for m, y in enumerate(row_b):
+                    out[i + j][k + m] = (out[i + j][k + m] + x * y) % p
+    return out
+
+
+@st.composite
+def row_operands(draw):
+    # at 679093949, packed operands of 21 or more terms skip numpy, so both
+    # paths of Poly.__mul__ are taken
+    p = draw(st.sampled_from([11, 679093949]))
+    rows = st.lists(st.lists(st.integers(0, p - 1), max_size=8), min_size=1, max_size=6)
+    A, B = draw(rows), draw(rows)
+    assume(any(map(any, A)) and any(map(any, B)))
+    return p, A, B
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_operands())
+def test_row_product_matches_schoolbook(operands):
+    p, A, B = operands
+    F = PrimeField(p)
+    got = [Poly(F, row) for row in _mul_rows(F, A, B)]
+    assert got == [Poly(F, row) for row in schoolbook_rows(A, B, p)]

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scanned_elements_of_order, seeded_random_subgroups
+from conftest import (scanned_elements_of_order, seeded_random_subgroups,
+                      stabilizer, trivial_subgroup)
 from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          NotFound, SearchConfig, case_subgroups, check_pair,
                          check_pair_all_basepoints, conjugate,
                          find_cyclic_regular, find_scaling_conjugates,
                          generate_closure, intersect, load_case, orbit,
                          parse_kind, projective_line, random_pair_search,
-                         recognize, reverify, run_search, stabilizer)
+                         recognize, reverify, run_search)
 from galoispairs.cli import main
-from galoispairs.search import (_order_pools, _orders_fit,
+from galoispairs.search import (_diagonal_conjugate, _order_pools, _orders_fit,
                                 exhaustive_cyclic_search, scaling_pair_search)
 
 
@@ -65,9 +66,22 @@ def test_scaling_conjugates_deterministic():
 
 
 def test_scaling_conjugates_requires_nontrivial_group():
-    from galoispairs import trivial_subgroup
     with pytest.raises(ValueError):
         find_scaling_conjugates(trivial_subgroup(projective_line(11)))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
+def test_diagonal_conjugate_matches_conjugate(p):
+    line = projective_line(p)
+    groups = [find_cyclic_regular(line)]
+    if p in PRIMES:
+        groups += [G for label in LABELS for G in case_subgroups(p, label)]
+    for G in groups:
+        for c in range(1, p):
+            want = conjugate(G, line.matrix([[c, 0], [0, 1]]))
+            got = _diagonal_conjugate(G, c)
+            assert got.generators == want.generators
+            assert got.elements == want.elements
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 23])

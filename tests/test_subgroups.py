@@ -2,13 +2,18 @@ from collections import Counter
 
 import pytest
 
+from conftest import stabilizer, trivial_subgroup
 from galoispairs import (ClosureCapExceeded, GroupKind, ModulusMismatch,
                          NotBlockPreserving, Partition, block_action,
                          case_subgroups, conjugate, generate_closure,
-                         intersect, is_faithful_on_blocks, orbit,
-                         order_multiset, parse_kind, projective_line,
-                         recognize, stabilizer, trivial_subgroup)
+                         intersect, is_faithful_on_blocks, orbit, parse_kind,
+                         projective_line, recognize)
 from galoispairs.cases import prime_table
+
+
+def order_multiset(G):
+    """Map element order -> count; counts sum to |G|."""
+    return dict(Counter(G.line.element_order(A) for A in G.elements))
 
 
 def suite_groups():
