@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ModulusMismatch
-from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint, projective_line
+from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, intersect, orbit,
                         orbit_labels, recognize)
 

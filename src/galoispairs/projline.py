@@ -142,6 +142,10 @@ class ProjectiveLine:
     def element_order(self, A: ProjectiveMatrix) -> int:
         """Least n >= 1 with A**n in the identity class.
 
+        A may be any nonsingular representative with entries in [0, p),
+        canonical or not: the identity class is every lambda * I, and tau
+        is invariant under scaling.
+
         The order of a non-identity class depends only on tau = tr^2 / det,
         by the conjugacy classification of PGL(2, q) (Dickson, Linear
         Groups, 1901): tau = 4 is parabolic, of order p; tau = 0 has order
@@ -151,10 +155,11 @@ class ProjectiveLine:
         factor stripped, and it is cached per tau, so at most p values are
         ever stored.
         """
-        if A == self.identity:
+        a, b, c, d = A
+        if b == c == 0 and a == d:
             return 1
         p = self.p
-        tau = (A.a + A.d) ** 2 * pow(A.a * A.d - A.b * A.c, -1, p) % p
+        tau = (a + d) ** 2 * pow(a * d - b * c, -1, p) % p
         n = self._orders.get(tau)
         if n is None:
             n = self._orders[tau] = self._class_order(A, tau)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .criterion import PairCertificate
 from .errors import DegenerateInvariant, EvaluationAtPole, IrregularOrbit
-from .polys import INFINITY, Poly, RationalFunction, vanishing_poly
+from .polys import INFINITY, Poly, RationalFunction, _trim, vanishing_poly
 from .projline import ProjectivePoint, projective_line
 from .subgroups import Subgroup, generate_closure, orbit
 
@@ -29,16 +29,19 @@ def _orbit_product(G: Subgroup) -> list[Poly]:
     row i is the t-polynomial multiplying X^i, so there are |G| + 1 rows.
 
     Balanced product tree: the linear factors are multiplied pairwise,
-    level by level, an odd one out carried up to the next level.
+    level by level, an odd one out carried up to the next level. Every
+    row holds residues mod p from the leaves on, so rows become Poly
+    without another reduction.
     """
     field = G.line.field
-    level = [[(-b, -d), (a, c)] for (a, b, c, d) in G]
+    p = field.p
+    level = [[(-b % p, -d % p), (a, c)] for (a, b, c, d) in G]
     while len(level) > 1:
         paired = [_mul_rows(field, A, B) for A, B in zip(level[::2], level[1::2])]
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    return [Poly(field, row) for row in level[0]]
+    return [Poly._raw(field, _trim(field, list(row))) for row in level[0]]
 
 
 def _mul_rows(field, A: list, B: list) -> list:
@@ -47,8 +50,9 @@ def _mul_rows(field, A: list, B: list) -> list:
 
     One univariate Poly product by Kronecker substitution X = t^s: with s
     one more than the largest t-degree a product row can reach, no row
-    spills into the next. Each operand needs a non-zero row; product rows
-    come back as canonical residues, possibly with trailing zeros.
+    spills into the next. Rows must hold residues mod p, and each operand
+    needs a non-zero row; product rows come back as residues, possibly
+    with trailing zeros.
     """
     s = max(map(len, A)) + max(map(len, B)) - 1
 
@@ -57,7 +61,7 @@ def _mul_rows(field, A: list, B: list) -> list:
         for row in rows:
             out.extend(row)
             out.extend([field.zero] * (s - len(row)))
-        return Poly(field, out)
+        return Poly._raw(field, _trim(field, out))
 
     prod = (pack(A) * pack(B)).coeffs
     return [prod[i:i + s] for i in range(0, (len(A) + len(B) - 1) * s, s)]

@@ -3,7 +3,9 @@ generator search, and deterministic scans for regular cyclic subgroups of
 order p+1.
 
 Everything here is reproducible: scans run in a fixed order and random
-sampling is driven by an explicit 64-bit seed.
+sampling is driven by an explicit 64-bit seed. The sampler must consume
+exactly the stream that random.Random.randrange(p) draws for each matrix
+entry, so that a seed keeps its output across versions of this module.
 """
 
 from __future__ import annotations
@@ -100,11 +102,31 @@ def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
 
 
 def _sample_matrix(rng: random.Random, line: ProjectiveLine) -> ProjectiveMatrix:
+    """A uniform nonsingular matrix as drawn, not in canonical form.
+
+    Each entry is rng.randrange(p) inlined: getrandbits(p.bit_length())
+    redrawn while it is >= p, so the stream is the one randrange consumes.
+    Singular tuples are redrawn whole. The four entries are unrolled; a
+    loop over them costs about a third of the draw.
+    """
     p = line.p
+    k = p.bit_length()
+    bits = rng.getrandbits
     while True:
-        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        a = bits(k)
+        while a >= p:
+            a = bits(k)
+        b = bits(k)
+        while b >= p:
+            b = bits(k)
+        c = bits(k)
+        while c >= p:
+            c = bits(k)
+        d = bits(k)
+        while d >= p:
+            d = bits(k)
         if (a * d - b * c) % p:
-            return line.matrix([[a, b], [c, d]])
+            return ProjectiveMatrix(a, b, c, d)
 
 
 def _orders_fit(line: ProjectiveLine, kind: GroupKind,
@@ -120,14 +142,14 @@ def _orders_fit(line: ProjectiveLine, kind: GroupKind,
     """
     order = line.element_order
     if len(gens) == 1:
-        return kind == GroupKind.cyclic(order(gens[0]))
+        return kind.family == "C" and order(gens[0]) == kind.order
     allowed = kind.element_orders
     g, h = gens
+    if order(g) not in allowed or order(h) not in allowed:
+        return False  # most random draws stop here, before any compose
     compose = line.compose
 
     def words():
-        yield g
-        yield h
         gh = compose(g, h)
         yield gh
         yield compose(g, line.inverse(h))
@@ -143,14 +165,16 @@ def _sample_subgroup(rng: random.Random, line: ProjectiveLine,
 
     Draws one generator for a cyclic kind and two otherwise. All draws are
     made before the order screen (_orders_fit), so the seeded stream does
-    not depend on it; only tuples that pass the screen are closed.
+    not depend on it. The screen reads the raw draws, since element orders
+    do not depend on the representative; only tuples that pass it are put
+    in canonical form and closed.
     """
     n_gens = 1 if kind.family == "C" else 2
     gens = [_sample_matrix(rng, line) for _ in range(n_gens)]
     if not _orders_fit(line, kind, gens):
         return None
     try:
-        G = generate_closure(line, gens, cap=kind.order)
+        G = generate_closure(line, [line.matrix(g) for g in gens], cap=kind.order)
     except ClosureCapExceeded:
         return None
     if recognize(G) != kind:
@@ -338,7 +362,6 @@ def scaling_pair_search(cfg: SearchConfig) -> PairCertificate | None:
     G = _base_group(cfg, line)
     if G is None:
         return None
-    base = line.points()[0]
     spent = 0
     for c in range(2, line.p):
         if spent >= cfg.limit:

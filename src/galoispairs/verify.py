@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .cases import LABELS, PRIMES, _pt, _pts, case_subgroups, load_case, prime_table
+from .cases import LABELS, PRIMES, _pt, _pts, case_subgroups, prime_table
 from .criterion import check_pair_all_basepoints
 from .errors import NotBlockPreserving, UnknownCase
 from .projline import ProjectiveLine, ProjectiveMatrix

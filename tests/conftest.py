@@ -7,9 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from galoispairs import (ClosureCapExceeded, Poly, ProjectiveLine,
+from galoispairs import (ClosureCapExceeded, GroupKind, Poly, ProjectiveLine,
                          ProjectiveMatrix, ProjectivePoint, RationalFunction,
-                         Subgroup, generate_closure, projective_line)
+                         Subgroup, generate_closure, projective_line, recognize)
 
 
 def iterated_order(line: ProjectiveLine, A: ProjectiveMatrix) -> int:
@@ -34,6 +34,37 @@ def scanned_elements_of_order(line: ProjectiveLine, n: int,
             if len(out) == cap:
                 break
     return out
+
+
+def randrange_sample_matrix(rng: random.Random,
+                            line: ProjectiveLine) -> ProjectiveMatrix:
+    """Oracle for search._sample_matrix: four rng.randrange(p) entries,
+    redrawn while singular, in canonical form."""
+    p = line.p
+    while True:
+        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        if (a * d - b * c) % p:
+            return line.matrix([[a, b], [c, d]])
+
+
+def randrange_sample_subgroup(rng: random.Random, line: ProjectiveLine,
+                              kind: GroupKind) -> Subgroup | None:
+    """Oracle for search._sample_subgroup: one canonical generator for a
+    cyclic kind and two otherwise, closed under cap |kind| and kept only if
+    recognized as `kind`.
+
+    The order screen is left out. It is sound (a tuple it rejects would
+    exceed the cap or be recognized as another kind), so it changes no
+    result, and without it this oracle depends neither on search._orders_fit
+    nor on element orders of non-canonical matrices.
+    """
+    n_gens = 1 if kind.family == "C" else 2
+    gens = [randrange_sample_matrix(rng, line) for _ in range(n_gens)]
+    try:
+        G = generate_closure(line, gens, cap=kind.order)
+    except ClosureCapExceeded:
+        return None
+    return G if recognize(G) == kind else None
 
 
 def trivial_subgroup(line: ProjectiveLine) -> Subgroup:
@@ -204,11 +235,7 @@ def seeded_random_subgroups(p: int, count: int, seed: int,
     while len(out) < count:
         tries += 1
         assert tries < 400 * count, "sampling budget exhausted"
-        gens = []
-        while len(gens) < 2:
-            a, b, c, d = (rng.randrange(p) for _ in range(4))
-            if (a * d - b * c) % p:
-                gens.append(line.matrix([[a, b], [c, d]]))
+        gens = [randrange_sample_matrix(rng, line) for _ in range(2)]
         try:
             out.append(generate_closure(line, gens, cap=cap))
         except ClosureCapExceeded:

@@ -3,7 +3,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import exhaustive_projline_checks, iterated_order
-from galoispairs import ProjectivePoint, SingularMatrix, is_prime, projective_line
+from galoispairs import (ProjectiveMatrix, ProjectivePoint, SingularMatrix, is_prime,
+                         projective_line)
 from galoispairs.cases import prime_table
 
 
@@ -121,6 +122,19 @@ def test_element_order_matches_iteration_on_every_class(p):
     for M in line.matrices():
         assert line.element_order(M) == iterated_order(line, M), M
     # one cached order per value of tr^2/det
+    assert len(line._orders) <= p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_element_order_reads_any_representative(p):
+    line = projective_line(p)
+    for M in line.matrices():
+        n = line.element_order(M)
+        for lam in range(1, p):
+            raw = ProjectiveMatrix(*(lam * v % p for v in M))
+            assert line.element_order(raw) == n, (M, lam)
+    for lam in range(1, p):
+        assert line.element_order(ProjectiveMatrix(lam, 0, 0, lam)) == 1
     assert len(line._orders) <= p
 
 

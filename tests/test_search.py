@@ -1,10 +1,12 @@
 import hashlib
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (scanned_elements_of_order, seeded_random_subgroups,
+from conftest import (randrange_sample_matrix, randrange_sample_subgroup,
+                      scanned_elements_of_order, seeded_random_subgroups,
                       stabilizer, trivial_subgroup)
 from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          NotFound, SearchConfig, case_subgroups, check_pair,
@@ -15,6 +17,7 @@ from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          recognize, reverify, run_search)
 from galoispairs.cli import main
 from galoispairs.search import (_diagonal_conjugate, _order_pools, _orders_fit,
+                                _sample_matrix, _sample_subgroup,
                                 exhaustive_cyclic_search, scaling_pair_search)
 
 
@@ -244,6 +247,64 @@ def test_order_screen_admits_the_bundled_generators():
                     assert _orders_fit(line, kind, (g, h)), (case.p, case.label, kind)
 
 
+SAMPLER_PRIMES = [2, 3, 5, 11, 59, 401, 2 ** 31 - 1]
+SEEDS = st.integers(0, 2 ** 64 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SAMPLER_PRIMES), SEEDS, st.integers(1, 20))
+def test_sampled_matrices_follow_the_randrange_stream(p, seed, draws):
+    line = projective_line(p)
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        M = _sample_matrix(rng, line)
+        assert all(0 <= v < p for v in M)
+        assert line.matrix(M) == randrange_sample_matrix(oracle_rng, line)
+    assert rng.getstate() == oracle_rng.getstate()
+
+
+# the nine reference kinds, C and D kinds of orders p + 1 and p - 1 at
+# small primes, and the Borel subgroup of order 20 at p = 5 ("other")
+SAMPLER_KINDS = ([(11, parse_kind(k)) for k in ("A4", "C12", "D12")]
+                 + [(23, parse_kind(k)) for k in ("S4", "C24", "D24")]
+                 + [(59, parse_kind(k)) for k in ("A5", "C60", "D60")]
+                 + [(p, parse_kind(f"{f}{n}"))
+                    for p in (5, 7, 13) for n in (p + 1, p - 1) for f in "CD"]
+                 + [(5, GroupKind.other(20))])
+
+
+def assert_same_samples(line, kind, seed, calls):
+    """_sample_subgroup and its oracle return equal results and leave equal
+    RNG states; returns how many calls found a subgroup."""
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    hits = 0
+    for _ in range(calls):
+        G = _sample_subgroup(rng, line, kind)
+        want = randrange_sample_subgroup(oracle_rng, line, kind)
+        if want is None:
+            assert G is None
+            continue
+        hits += 1
+        assert G is not None
+        assert G.generators == want.generators and G.elements == want.elements
+    assert rng.getstate() == oracle_rng.getstate()
+    return hits
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SAMPLER_KINDS), SEEDS, st.integers(1, 40))
+def test_sampled_subgroups_follow_the_randrange_stream(case, seed, calls):
+    p, kind = case
+    assert_same_samples(projective_line(p), kind, seed, calls)
+
+
+@pytest.mark.parametrize("p,kind", [(5, GroupKind.other(20)), (11, GroupKind.alt4()),
+                                    (13, GroupKind.dihedral(14)), (59, GroupKind.cyclic(60))],
+                         ids=str)
+def test_sampled_subgroups_match_the_oracle_where_they_find(p, kind):
+    assert assert_same_samples(projective_line(p), kind, seed=2, calls=300) > 0
+
+
 # stdout SHA-256 and exit code of `search` commands, recorded at commit
 # edee7c6, before generator pools were solved per tau class and tuples
 # screened by word orders: neither may change an output byte
@@ -290,6 +351,18 @@ GOLDEN_SEARCHES = [
      "77480b7eb401b3d4ebce97cbe1d11582460376d95c69ff433ac4c41d052f90d0"),
     ("--p 2 --kind1 C3 --kind2 C3 --strategy exhaustive-cyclic --seed 5 --limit 500", 3,
      "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+    # random-strategy certificates at p = 23 and p = 59, recorded at commit
+    # 92b5bdc, before the sampler screened raw draws
+    ("--p 23 --kind1 S4 --kind2 S4 --strategy random --seed 97 --limit 10000", 0,
+     "fd4249cbe5558e5568aef69cd14d8c4bbb63c18ec08b08cf733f37b298d1343f"),
+    ("--p 23 --kind1 D24 --kind2 C24 --strategy random --seed 7 --limit 3000", 0,
+     "163e26a4b82e5eb1232f4c0fae05b46431f5cfa1334f102a183c0b90a3e7bf37"),
+    ("--p 59 --kind1 A5 --kind2 C60 --strategy random --seed 2 --limit 10000", 0,
+     "bfdf27a05844b1e3e5c04ff8bb4741f0472ce8dfb76e7cd0479cfe98d7b30e28"),
+    ("--p 59 --kind1 D60 --kind2 C60 --strategy random --seed 42 --limit 3000", 0,
+     "85eb866f53c691d74af5f4459a739378eec0f0b03607dfff1e06a995fe2281c8"),
+    ("--p 59 --kind1 C60 --kind2 C60 --strategy random --seed 0 --limit 2000", 0,
+     "b73d94ee21d63c0aee11689eaa42d84b3736185fa5fbf5d2278fd97e115d3862"),
 ]
 
 
