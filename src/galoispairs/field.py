@@ -60,33 +60,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    # element protocol that polys.Poly computes with: canonical elements,
-    # zero/one, and the four ring ops plus inv
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def element(self, value: int) -> int:
-        """Reduce an arbitrary int to its canonical residue."""
-        return value % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroInverse for a ≡ 0."""
         a %= self.p

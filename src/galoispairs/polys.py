@@ -1,39 +1,37 @@
-"""Dense univariate polynomials and reduced rational functions.
+"""Dense univariate polynomials over F_p and reduced rational functions.
 
-Coefficients are stored lowest degree first with no trailing zeros, over
-any field object implementing the small element protocol (zero/one,
-element, add/sub/mul/neg, inv). Multiplication over a prime field
-goes through numpy's int64 convolution whenever its sums cannot overflow.
+Coefficients are plain ints in [0, p), stored lowest degree first with no
+trailing zeros. Every product is one Kronecker substitution (von zur
+Gathen and Gerhard, Modern Computer Algebra, 8.4): both operands are
+packed into Python ints, one coefficient per slot, with slots wide enough
+for any coefficient of the integer product, so no slot carries into the
+next. The ints are multiplied once and the slots unpacked mod p. Python
+ints are unbounded, so the product is exact for every p.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .field import PrimeField
-
 INFINITY = "infinity"  # projective value of a pole
 
-_INT64_MAX = (1 << 63) - 1
 
-
-def _fits_int64(terms: int, p: int) -> bool:
-    """Whether a sum of `terms` products of residues mod p fits in int64."""
-    return terms * (p - 1) ** 2 <= _INT64_MAX
-
-
-def _trim(field, coeffs: list) -> tuple:
-    while coeffs and coeffs[-1] == field.zero:
+def _trim(coeffs: list) -> tuple:
+    while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
+
+
+def _pack(coeffs, size: int) -> int:
+    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]),
+                          "little")
 
 
 class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
+        p = field.p
         self.field = field
-        self.coeffs = _trim(field, [field.element(c) for c in coeffs])
+        self.coeffs = _trim([c % p for c in coeffs])
 
     @classmethod
     def _raw(cls, field, coeffs: tuple) -> "Poly":
@@ -48,12 +46,12 @@ class Poly:
 
     @classmethod
     def const(cls, field, c) -> "Poly":
-        c = field.element(c)
-        return cls._raw(field, () if c == field.zero else (c,))
+        c %= field.p
+        return cls._raw(field, (c,) if c else ())
 
     @classmethod
     def x(cls, field) -> "Poly":
-        return cls._raw(field, (field.zero, field.one))
+        return cls._raw(field, (0, 1))
 
     @property
     def degree(self) -> int:
@@ -81,71 +79,72 @@ class Poly:
         return f"Poly({list(self.coeffs)})"
 
     def __add__(self, other):
-        f = self.field
+        p = self.field.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly._raw(f, _trim(f, out))
+        out = [(x + y) % p for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return Poly._raw(self.field, _trim(out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.field
-        return Poly._raw(f, tuple(f.neg(c) for c in self.coeffs))
+        p = self.field.p
+        return Poly._raw(self.field, tuple(-c % p for c in self.coeffs))
 
     def __mul__(self, other):
-        f = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(f)
-        if (isinstance(f, PrimeField) and len(a) + len(b) > 8
-                and _fits_int64(min(len(a), len(b)), f.p)):
-            conv = np.convolve(np.array(a, dtype=np.int64),
-                               np.array(b, dtype=np.int64)) % f.p
-            return Poly._raw(f, _trim(f, [int(c) for c in conv]))
-        out = [f.zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == f.zero:
-                continue
-            for j, bj in enumerate(b):
-                out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return Poly._raw(f, _trim(f, out))
+            return Poly.zero(self.field)
+        p = self.field.p
+        # a product coefficient is a sum of at most min(len a, len b) products
+        # of residues, so it is below 2**w for w the bit length of
+        # min(len a, len b) * (p - 1)**2; slots are w bits rounded up to bytes
+        size = (min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7 >> 3
+        buf = (_pack(a, size) * _pack(b, size)).to_bytes(
+            (len(a) + len(b) - 1) * size, "little")
+        from_bytes = int.from_bytes
+        # the leading coefficient is a product of two units, so no trim
+        return Poly._raw(self.field, tuple([from_bytes(buf[i:i + size], "little") % p
+                                            for i in range(0, len(buf), size)]))
 
     def scale(self, c) -> "Poly":
-        f = self.field
-        c = f.element(c)
-        if c == f.zero:
-            return Poly.zero(f)
-        return Poly._raw(f, tuple(f.mul(a, c) for a in self.coeffs))
+        p = self.field.p
+        c %= p
+        if not c:
+            return Poly.zero(self.field)
+        return Poly._raw(self.field, tuple(a * c % p for a in self.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(self.field.inv(self.lead))
+        return self.scale(pow(self.lead, -1, self.field.p))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         f = self.field
-        if other.is_zero:
+        p = f.p
+        b = other.coeffs
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
+        db = len(b) - 1
+        dq = len(rem) - len(b)
         if dq < 0:
             return Poly.zero(f), self
-        inv_lead = f.inv(other.lead)
-        quo = [f.zero] * (dq + 1)
+        inv_lead = pow(b[-1], -1, p)
+        quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
-            top = rem[k + other.degree]
-            if top == f.zero:
+            top = rem[k + db]
+            if not top:
                 continue
-            q = f.mul(top, inv_lead)
+            q = top * inv_lead % p
             quo[k] = q
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] = f.sub(rem[k + i], f.mul(q, c))
-        return Poly._raw(f, _trim(f, quo)), Poly._raw(f, _trim(f, rem))
+            # rem[k + db] becomes 0 and is never read again
+            rem[k:k + db] = [(r - q * c) % p for r, c in zip(rem[k:k + db], b)]
+        del rem[db:]
+        return Poly._raw(f, tuple(quo)), Poly._raw(f, _trim(rem))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -161,20 +160,12 @@ class Poly:
         return a.monic()
 
     def eval(self, t):
-        """Horner evaluation at a field element."""
-        f = self.field
-        acc = f.zero
+        """Horner evaluation at a residue mod p."""
+        p = self.field.p
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, t), c)
+            acc = (acc * t + c) % p
         return acc
-
-
-def vanishing_poly(field, roots) -> Poly:
-    """Monic polynomial with the given roots (each simple)."""
-    out = Poly.const(field, field.one)
-    for t in roots:
-        out = out * Poly(field, [field.neg(field.element(t)), field.one])
-    return out
 
 
 class RationalFunction:
@@ -189,7 +180,7 @@ class RationalFunction:
         if g.degree > 0:
             num = num // g
             den = den // g
-        u = den.field.inv(den.lead)
+        u = pow(den.lead, -1, den.field.p)
         self.num = num.scale(u)
         self.den = den.scale(u)
 
@@ -218,11 +209,11 @@ class RationalFunction:
 
     def eval_affine(self, t):
         """Value at the point (1:t); INFINITY at a pole."""
-        vn = self.num.eval(t)
+        p = self.field.p
         vd = self.den.eval(t)
-        if vd == self.field.zero:
+        if not vd:
             return INFINITY
-        return self.field.mul(vn, self.field.inv(vd))
+        return self.num.eval(t) * pow(vd, -1, p) % p
 
     def eval_infinity(self):
         """Value at (0:1)."""
@@ -230,8 +221,8 @@ class RationalFunction:
         if dn > dd:
             return INFINITY
         if dn < dd:
-            return self.field.zero
-        return self.field.mul(self.num.lead, self.field.inv(self.den.lead))
+            return 0
+        return self.num.lead * pow(self.den.lead, -1, self.field.p) % self.field.p
 
     def eval_point(self, Q):
         """Value at a projective point (s:t) in canonical form."""

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .criterion import PairCertificate
 from .errors import DegenerateInvariant, EvaluationAtPole, IrregularOrbit
-from .polys import INFINITY, Poly, RationalFunction, _trim, vanishing_poly
+from .polys import INFINITY, Poly, RationalFunction, _trim
 from .projline import ProjectivePoint, projective_line
 from .subgroups import Subgroup, generate_closure, orbit
 
@@ -41,7 +41,7 @@ def _orbit_product(G: Subgroup) -> list[Poly]:
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    return [Poly._raw(field, _trim(field, list(row))) for row in level[0]]
+    return [Poly._raw(field, _trim(list(row))) for row in level[0]]
 
 
 def _mul_rows(field, A: list, B: list) -> list:
@@ -60,8 +60,8 @@ def _mul_rows(field, A: list, B: list) -> list:
         out = []
         for row in rows:
             out.extend(row)
-            out.extend([field.zero] * (s - len(row)))
-        return Poly._raw(field, _trim(field, out))
+            out.extend([0] * (s - len(row)))
+        return Poly._raw(field, _trim(out))
 
     prod = (pack(A) * pack(B)).coeffs
     return [prod[i:i + s] for i in range(0, (len(A) + len(B) - 1) * s, s)]
@@ -105,7 +105,9 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
     Requires the orbit to be regular (length |G|). The reduced denominator
     must come out as the monic vanishing polynomial of the orbit's affine
     points, with the degree excess accounting for a pole at (0:1) exactly
-    when the orbit contains it.
+    when the orbit contains it. The denominator is monic, so it is that
+    polynomial exactly when its degree is the number of affine orbit points
+    and it vanishes at each of them: they are distinct roots.
     """
     line = G.line
     Q = line.point(Q.s, Q.t)
@@ -119,15 +121,14 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
         if value is INFINITY:
             raise EvaluationAtPole(f"pole of both f and 1/f at {Q}")
     h = RationalFunction(f.den, f.shift_value(value).num)
-    expected_den = vanishing_poly(line.field, sorted(P.t for P in pts if P.s == 1))
-    infinity_in_orbit = any(P.s == 0 for P in pts)
-    d = len(G)
-    ok = h.den == expected_den
-    if infinity_in_orbit:
-        ok = ok and h.num.degree == expected_den.degree + 1
+    affine = [P.t for P in pts if P.s == 1]
+    n = len(affine)
+    ok = h.den.degree == n and not any(h.den.eval(t) for t in affine)
+    if n < len(pts):  # (0:1) is in the orbit
+        ok = ok and h.num.degree == n + 1
     else:
-        ok = ok and h.num.degree <= expected_den.degree
-    if not ok or h.degree != d:
+        ok = ok and h.num.degree <= n
+    if not ok or h.degree != len(G):
         raise EvaluationAtPole(
             f"polar set of the adjusted invariant is not the orbit of {Q}")
     return h

@@ -286,13 +286,12 @@ class Partition:
         return len(self.blocks)
 
 
-def block_action(line_or_G: ProjectiveLine | Subgroup, A: ProjectiveMatrix,
+def block_action(line: ProjectiveLine, A: ProjectiveMatrix,
                  partition: Partition) -> tuple[int, ...]:
     """Permutation i -> j induced by A on block indices.
 
     Raises NotBlockPreserving if the image of some block is not a block.
     """
-    line = line_or_G.line if isinstance(line_or_G, Subgroup) else line_or_G
     perm = []
     for i, block in enumerate(partition.blocks):
         image = frozenset(line.apply(Q, A) for Q in block)

@@ -88,17 +88,27 @@ def compose_frac(P: Poly, m: int, abcd: tuple) -> Poly:
     f = P.field
     if m < P.degree:
         raise ValueError("clearing exponent below degree")
-    a, b, c, d = (f.element(v) for v in abcd)
+    a, b, c, d = abcd
     num = Poly(f, [b, d])
     den = Poly(f, [a, c])
-    den_pows = [Poly.const(f, f.one)]
+    den_pows = [Poly.const(f, 1)]
     for _ in range(m):
         den_pows.append(den_pows[-1] * den)
-    coeffs = list(P.coeffs) + [f.zero] * (m + 1 - len(P.coeffs))
+    coeffs = list(P.coeffs) + [0] * (m + 1 - len(P.coeffs))
     acc = Poly.const(f, coeffs[m])
     for k in range(m - 1, -1, -1):
         acc = acc * num + Poly.const(f, coeffs[k]) * den_pows[m - k]
     return acc
+
+
+def vanishing_poly(field, roots) -> Poly:
+    """Oracle for the denominator check of quotient.moebius_adjust: the
+    monic polynomial with the given simple roots, one linear factor at a
+    time."""
+    out = Poly.const(field, 1)
+    for t in roots:
+        out = out * Poly(field, [-t, 1])
+    return out
 
 
 def is_invariant_under(f: RationalFunction, M: ProjectiveMatrix) -> bool:

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import galoispairs
 from galoispairs import (case_subgroups, check_pair, conjugate,
                          find_cyclic_regular, projective_line)
 from galoispairs.cli import EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
@@ -145,3 +150,14 @@ def test_paper_output_is_pinned(job, tmp_path, capsys):
     assert main(paper_argv(job, tmp_path)) == EXIT_PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_DIGESTS[job]
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is a test extra: the package itself runs on the standard library
+    src = str(Path(galoispairs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, galoispairs.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galoispairs import (INFINITY, Poly, PrimeField, RationalFunction,
-                         is_prime, polys, projective_line)
-from conftest import compose_frac
-from galoispairs.polys import vanishing_poly
+                         is_prime, projective_line)
+from conftest import compose_frac, vanishing_poly
 
 
 def schoolbook_mul(a, b, p):
@@ -46,24 +45,30 @@ def test_mul_matches_schoolbook_small_and_large_modulus():
             assert list((a * b).coeffs) == want
 
 
-def test_numpy_mul_guard_at_its_int64_boundary(monkeypatch):
-    # sums of 20 products of residues mod 679093949 fit in int64, 21 do not
-    p = 679093949
-    assert polys._fits_int64(20, p) and not polys._fits_int64(21, p)
-    assert polys._fits_int64(8192, 33554393) and not polys._fits_int64(8193, 33554393)
-    convolve = polys.np.convolve
-    calls = []
+# 2 and 3 pack into one- or two-byte slots, 679093949 and 2**31 - 1 into
+# slots of eight bytes or more
+MUL_FIELDS = [PrimeField(p) for p in (2, 3, 11, 679093949, 2 ** 31 - 1)]
 
-    def spy(a, b):
-        calls.append(len(a))
-        return convolve(a, b)
 
-    monkeypatch.setattr(polys.np, "convolve", spy)
-    F = PrimeField(p)
-    for n in (20, 21):
-        top = Poly(F, [p - 1] * n)
-        assert list((top * top).coeffs) == schoolbook_mul([p - 1] * n, [p - 1] * n, p)
-    assert calls == [20]
+@st.composite
+def mul_operands(draw):
+    F = draw(st.sampled_from(MUL_FIELDS))
+
+    def coeffs():
+        n = draw(st.integers(0, 200))
+        if draw(st.booleans()):
+            # every product coefficient at its largest, so every slot is full
+            return [F.p - 1] * n
+        return draw(st.lists(st.integers(0, F.p - 1), min_size=n, max_size=n))
+
+    return F, coeffs(), coeffs()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mul_operands())
+def test_mul_matches_schoolbook(operands):
+    F, a, b = operands
+    assert list((Poly(F, a) * Poly(F, b)).coeffs) == schoolbook_mul(a, b, F.p)
 
 
 def test_divmod_property():
@@ -171,8 +176,7 @@ def test_rational_function_degree():
     assert f.shift_value(3).degree == 2
 
 
-# a small field, and one where products of 21 or more terms overflow int64,
-# so that Poly.__mul__ takes both its numpy and its exact path
+# a small field, and one whose products pack into slots of eight bytes or more
 PROPERTY_PRIMES = (11, 679093949)
 
 

@@ -3,13 +3,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (expanded_orbit_product, is_invariant_under,
-                      seeded_random_subgroups, trivial_subgroup)
-from galoispairs import (INFINITY, LABELS, PRIMES, IrregularOrbit, Poly,
-                         PrimeField, RationalFunction, case_subgroups,
-                         check_pair, emit_parametrization, generate_closure,
+                      seeded_random_subgroups, trivial_subgroup, vanishing_poly)
+from galoispairs import (INFINITY, LABELS, PRIMES, EvaluationAtPole,
+                         IrregularOrbit, Poly, PrimeField, RationalFunction,
+                         case_subgroups, check_pair, conjugate,
+                         emit_parametrization, generate_closure,
                          invariant_generator, moebius_adjust, orbit,
                          parametrization_from_dict, projective_line, quotient)
-from galoispairs.polys import vanishing_poly
 from galoispairs.quotient import _mul_rows, _orbit_product
 
 
@@ -102,6 +102,21 @@ def test_moebius_adjust_rejects_irregular_orbit():
         moebius_adjust(invariant_generator(G), G, line.point(1, 0))
 
 
+def test_moebius_adjust_rejects_a_denominator_with_the_wrong_roots():
+    # H = <t -> 2 - t> is conjugate to G = <t -> -t>, and the H-orbit
+    # {3, 10} of Q is as affine as the G-orbit {3, 8}: adjusting the
+    # H-invariant gives a denominator of the right degree, (t - 3)(t - 10),
+    # with the wrong roots for G
+    line = projective_line(11)
+    G = negation_group()
+    H = conjugate(G, line.matrix([[0, 1], [1, 1]]))
+    Q = line.point(1, 3)
+    f = invariant_generator(H)
+    assert moebius_adjust(f, H, Q).den == vanishing_poly(line.field, [3, 10])
+    with pytest.raises(EvaluationAtPole):
+        moebius_adjust(f, G, Q)
+
+
 def test_emit_parametrization_reference_degrees():
     for p, label, d in ((11, "a", 12), (23, "c", 24)):
         G1, G2 = case_subgroups(p, label)
@@ -187,8 +202,7 @@ def schoolbook_rows(A, B, p):
 
 @st.composite
 def row_operands(draw):
-    # at 679093949, packed operands of 21 or more terms skip numpy, so both
-    # paths of Poly.__mul__ are taken
+    # at 679093949 the packed product has slots of eight bytes or more
     p = draw(st.sampled_from([11, 679093949]))
     rows = st.lists(st.lists(st.integers(0, p - 1), max_size=8), min_size=1, max_size=6)
     A, B = draw(rows), draw(rows)
