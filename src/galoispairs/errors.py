@@ -6,7 +6,11 @@ class GaloisPairsError(Exception):
 
 
 class ZeroInverse(GaloisPairsError):
-    """Multiplicative inverse of zero requested."""
+    """Multiplicative inverse of zero requested.
+
+    Still exported, but nothing in the package raises it: inverses are
+    taken with the built-in pow(x, -1, p).
+    """
 
 
 class SingularMatrix(GaloisPairsError):

@@ -1,12 +1,10 @@
-"""Exact arithmetic in the prime field F_p.
+"""The prime field F_p: a validated modulus and its primitive element.
 
 Field elements are plain Python ints kept in the canonical range [0, p);
-every operation returns a canonical residue.
+callers compute on them with % p and the built-in pow.
 """
 
 from __future__ import annotations
-
-from .errors import ZeroInverse
 
 
 def is_prime(n: int) -> bool:
@@ -59,20 +57,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises ZeroInverse for a ≡ 0."""
-        a %= self.p
-        if a == 0:
-            raise ZeroInverse(f"0 has no inverse mod {self.p}")
-        return pow(a, -1, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e by square-and-multiply; negative e routes through inv."""
-        a %= self.p
-        if e < 0 and a == 0:
-            raise ZeroInverse(f"0 has no inverse mod {self.p}")
-        return pow(a, e, self.p)
 
     def primitive_element(self) -> int:
         """Smallest generator of the multiplicative group.

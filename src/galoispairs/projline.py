@@ -139,12 +139,12 @@ class ProjectiveLine:
         """Image of Q under the row action: canonical form of (s,t)A."""
         return self.point(Q.s * A.a + Q.t * A.c, Q.s * A.b + Q.t * A.d)
 
-    def element_order(self, A: ProjectiveMatrix) -> int:
+    def element_order(self, A: ProjectiveMatrix | tuple[int, int, int, int]) -> int:
         """Least n >= 1 with A**n in the identity class.
 
-        A may be any nonsingular representative with entries in [0, p),
-        canonical or not: the identity class is every lambda * I, and tau
-        is invariant under scaling.
+        A may be any nonsingular (a, b, c, d) 4-tuple with entries in
+        [0, p), a ProjectiveMatrix or not, canonical or not: the identity
+        class is every lambda * I, and tau is invariant under scaling.
 
         The order of a non-identity class depends only on tau = tr^2 / det,
         by the conjugacy classification of PGL(2, q) (Dickson, Linear
@@ -162,7 +162,7 @@ class ProjectiveLine:
         tau = (a + d) ** 2 * pow(a * d - b * c, -1, p) % p
         n = self._orders.get(tau)
         if n is None:
-            n = self._orders[tau] = self._class_order(A, tau)
+            n = self._orders[tau] = self._class_order(ProjectiveMatrix(a, b, c, d), tau)
         return n
 
     def _class_order(self, A: ProjectiveMatrix, tau: int) -> int:

@@ -6,13 +6,21 @@ Everything here is reproducible: scans run in a fixed order and random
 sampling is driven by an explicit 64-bit seed. The sampler must consume
 exactly the stream that random.Random.randrange(p) draws for each matrix
 entry, so that a seed keeps its output across versions of this module.
+
+The random sampler draws plain (a, b, c, d) tuples, with getrandbits, k =
+p.bit_length() and p bound once per search, and screens their element
+orders before any canonical form, ProjectiveMatrix or closure is built:
+almost every tick is rejected there. Drawing words in blocks
+(getrandbits(32 * n) split by struct.unpack) keeps the stream exact but
+is slower under CPython 3.11 on x86-64: decoding 102,400 words took
+10.1 ms where 20k inline draws took 6.7 ms.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
@@ -101,17 +109,17 @@ def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
     raise NotFound(f"no regular cyclic subgroup of order {target} found (p={line.p})")
 
 
-def _sample_matrix(rng: random.Random, line: ProjectiveLine) -> ProjectiveMatrix:
-    """A uniform nonsingular matrix as drawn, not in canonical form.
+def _sample_matrix(bits: Callable[[int], int], k: int,
+                   p: int) -> tuple[int, int, int, int]:
+    """A uniform nonsingular matrix as drawn: a plain (a, b, c, d) tuple,
+    not in canonical form.
 
-    Each entry is rng.randrange(p) inlined: getrandbits(p.bit_length())
-    redrawn while it is >= p, so the stream is the one randrange consumes.
-    Singular tuples are redrawn whole. The four entries are unrolled; a
-    loop over them costs about a third of the draw.
+    bits is the seeded generator's getrandbits and k = p.bit_length(), both
+    bound once per search. Each entry is rng.randrange(p) inlined:
+    bits(k) redrawn while it is >= p, so the stream is the one randrange
+    consumes. Singular tuples are redrawn whole. The four entries are
+    unrolled; a loop over them costs about a third of the draw.
     """
-    p = line.p
-    k = p.bit_length()
-    bits = rng.getrandbits
     while True:
         a = bits(k)
         while a >= p:
@@ -126,7 +134,7 @@ def _sample_matrix(rng: random.Random, line: ProjectiveLine) -> ProjectiveMatrix
         while d >= p:
             d = bits(k)
         if (a * d - b * c) % p:
-            return ProjectiveMatrix(a, b, c, d)
+            return a, b, c, d
 
 
 def _orders_fit(line: ProjectiveLine, kind: GroupKind,
@@ -146,7 +154,7 @@ def _orders_fit(line: ProjectiveLine, kind: GroupKind,
     allowed = kind.element_orders
     g, h = gens
     if order(g) not in allowed or order(h) not in allowed:
-        return False  # most random draws stop here, before any compose
+        return False
     compose = line.compose
 
     def words():
@@ -159,22 +167,37 @@ def _orders_fit(line: ProjectiveLine, kind: GroupKind,
     return all(order(w) in allowed for w in words())
 
 
-def _sample_subgroup(rng: random.Random, line: ProjectiveLine,
+def _sample_subgroup(bits: Callable[[int], int], k: int, line: ProjectiveLine,
                      kind: GroupKind) -> Subgroup | None:
     """One candidate subgroup of the requested kind, or None on mismatch.
 
-    Draws one generator for a cyclic kind and two otherwise. All draws are
-    made before the order screen (_orders_fit), so the seeded stream does
-    not depend on it. The screen reads the raw draws, since element orders
-    do not depend on the representative; only tuples that pass it are put
-    in canonical form and closed.
+    Draws one generator for a cyclic kind and two otherwise, as raw tuples
+    (_sample_matrix with the search's bits and k). All draws are made
+    before any screen, so the seeded stream does not depend on it. The
+    first screen reads the orders of the raw draws (element orders do not
+    depend on the representative) and rejects almost every tick for the
+    cost of its draws and one or two order lookups. Only the survivors are
+    put in canonical form, screened by word orders (_orders_fit), closed
+    and recognized.
     """
-    n_gens = 1 if kind.family == "C" else 2
-    gens = [_sample_matrix(rng, line) for _ in range(n_gens)]
+    p = line.p
+    order = line.element_order
+    g = _sample_matrix(bits, k, p)
+    if kind.family == "C":
+        if order(g) != kind.order:
+            return None
+        draws = (g,)
+    else:
+        h = _sample_matrix(bits, k, p)
+        allowed = kind.element_orders
+        if order(g) not in allowed or order(h) not in allowed:
+            return None
+        draws = (g, h)
+    gens = [line.matrix(ProjectiveMatrix._make(m)) for m in draws]
     if not _orders_fit(line, kind, gens):
         return None
     try:
-        G = generate_closure(line, [line.matrix(g) for g in gens], cap=kind.order)
+        G = generate_closure(line, gens, cap=kind.order)
     except ClosureCapExceeded:
         return None
     if recognize(G) != kind:
@@ -188,13 +211,14 @@ def random_pair_search(cfg: SearchConfig) -> PairCertificate | None:
     Identical configs give identical output: sampling is strictly
     sequential from one seeded generator, one candidate per limit tick.
     """
-    rng = random.Random(cfg.seed)
     line = projective_line(cfg.p)
+    bits = random.Random(cfg.seed).getrandbits
+    k = line.p.bit_length()
     for _ in range(cfg.limit):
-        G1 = _sample_subgroup(rng, line, cfg.kind1)
+        G1 = _sample_subgroup(bits, k, line, cfg.kind1)
         if G1 is None:
             continue
-        G2 = _sample_subgroup(rng, line, cfg.kind2)
+        G2 = _sample_subgroup(bits, k, line, cfg.kind2)
         if G2 is None:
             continue
         cert = check_pair_all_basepoints(G1, G2)
@@ -385,9 +409,10 @@ def _base_group(cfg: SearchConfig, line: ProjectiveLine) -> Subgroup | None:
                     return case_subgroups(cfg.p, label)[which]
     if cfg.kind1 == GroupKind.cyclic(line.p + 1):
         return find_cyclic_regular(line)
-    rng = random.Random(cfg.seed)
+    bits = random.Random(cfg.seed).getrandbits
+    k = line.p.bit_length()
     for _ in range(cfg.limit):
-        G = _sample_subgroup(rng, line, cfg.kind1)
+        G = _sample_subgroup(bits, k, line, cfg.kind1)
         if G is not None:
             return G
     return None

@@ -36,15 +36,20 @@ def scanned_elements_of_order(line: ProjectiveLine, n: int,
     return out
 
 
-def randrange_sample_matrix(rng: random.Random,
-                            line: ProjectiveLine) -> ProjectiveMatrix:
+def randrange_matrix_entries(rng: random.Random, p: int) -> tuple[int, ...]:
     """Oracle for search._sample_matrix: four rng.randrange(p) entries,
-    redrawn while singular, in canonical form."""
-    p = line.p
+    redrawn while singular, as drawn."""
     while True:
         a, b, c, d = (rng.randrange(p) for _ in range(4))
         if (a * d - b * c) % p:
-            return line.matrix([[a, b], [c, d]])
+            return a, b, c, d
+
+
+def randrange_sample_matrix(rng: random.Random,
+                            line: ProjectiveLine) -> ProjectiveMatrix:
+    """randrange_matrix_entries in canonical form."""
+    a, b, c, d = randrange_matrix_entries(rng, line.p)
+    return line.matrix([[a, b], [c, d]])
 
 
 def randrange_sample_subgroup(rng: random.Random, line: ProjectiveLine,

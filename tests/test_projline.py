@@ -3,8 +3,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import exhaustive_projline_checks, iterated_order
-from galoispairs import (ProjectiveMatrix, ProjectivePoint, SingularMatrix, is_prime,
-                         projective_line)
+from galoispairs import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
+                         SingularMatrix, is_prime, projective_line)
 from galoispairs.cases import prime_table
 
 
@@ -136,6 +136,22 @@ def test_element_order_reads_any_representative(p):
     for lam in range(1, p):
         assert line.element_order(ProjectiveMatrix(lam, 0, 0, lam)) == 1
     assert len(line._orders) <= p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_element_order_reads_plain_tuples_on_a_cold_cache(p):
+    # one fresh line per form, so that each form takes the cache miss of
+    # every tau it reaches first
+    as_tuple, as_matrix, as_multiple = (ProjectiveLine(p) for _ in range(3))
+    for i, M in enumerate(as_matrix.matrices()):
+        lam = 1 + i % (p - 1)
+        n = 1
+        while as_matrix.power(M, n) != as_matrix.identity:
+            n += 1
+        assert as_tuple.element_order(tuple(M)) == n, M
+        assert as_matrix.element_order(M) == n, M
+        assert as_multiple.element_order(tuple(lam * v % p for v in M)) == n, (M, lam)
+    assert as_tuple._orders == as_matrix._orders == as_multiple._orders
 
 
 def test_element_order_without_a_quadratic_character():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (randrange_sample_matrix, randrange_sample_subgroup,
+from conftest import (randrange_matrix_entries, randrange_sample_subgroup,
                       scanned_elements_of_order, seeded_random_subgroups,
                       stabilizer, trivial_subgroup)
 from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
@@ -16,8 +16,8 @@ from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          parse_kind, projective_line, random_pair_search,
                          recognize, reverify, run_search)
 from galoispairs.cli import main
-from galoispairs.search import (_diagonal_conjugate, _order_pools, _orders_fit,
-                                _sample_matrix, _sample_subgroup,
+from galoispairs.search import (_base_group, _diagonal_conjugate, _order_pools,
+                                _orders_fit, _sample_matrix, _sample_subgroup,
                                 exhaustive_cyclic_search, scaling_pair_search)
 
 
@@ -247,19 +247,19 @@ def test_order_screen_admits_the_bundled_generators():
                     assert _orders_fit(line, kind, (g, h)), (case.p, case.label, kind)
 
 
-SAMPLER_PRIMES = [2, 3, 5, 11, 59, 401, 2 ** 31 - 1]
+# 4294967311 is the least prime above 2**32: getrandbits(33) consumes two
+# 32-bit words per entry
+SAMPLER_PRIMES = [2, 3, 5, 11, 59, 401, 2 ** 31 - 1, 4294967311]
 SEEDS = st.integers(0, 2 ** 64 - 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(SAMPLER_PRIMES), SEEDS, st.integers(1, 20))
 def test_sampled_matrices_follow_the_randrange_stream(p, seed, draws):
-    line = projective_line(p)
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     for _ in range(draws):
-        M = _sample_matrix(rng, line)
-        assert all(0 <= v < p for v in M)
-        assert line.matrix(M) == randrange_sample_matrix(oracle_rng, line)
+        M = _sample_matrix(rng.getrandbits, p.bit_length(), p)
+        assert M == randrange_matrix_entries(oracle_rng, p)
     assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -279,7 +279,7 @@ def assert_same_samples(line, kind, seed, calls):
     rng, oracle_rng = random.Random(seed), random.Random(seed)
     hits = 0
     for _ in range(calls):
-        G = _sample_subgroup(rng, line, kind)
+        G = _sample_subgroup(rng.getrandbits, line.p.bit_length(), line, kind)
         want = randrange_sample_subgroup(oracle_rng, line, kind)
         if want is None:
             assert G is None
@@ -303,6 +303,87 @@ def test_sampled_subgroups_follow_the_randrange_stream(case, seed, calls):
                          ids=str)
 def test_sampled_subgroups_match_the_oracle_where_they_find(p, kind):
     assert assert_same_samples(projective_line(p), kind, seed=2, calls=300) > 0
+
+
+def reference_random_search(cfg):
+    """Oracle for random_pair_search: the same tick loop on the
+    randrange_sample_subgroup oracle, without any order screen."""
+    rng = random.Random(cfg.seed)
+    line = projective_line(cfg.p)
+    for _ in range(cfg.limit):
+        G1 = randrange_sample_subgroup(rng, line, cfg.kind1)
+        if G1 is None:
+            continue
+        G2 = randrange_sample_subgroup(rng, line, cfg.kind2)
+        if G2 is None:
+            continue
+        cert = check_pair_all_basepoints(G1, G2)
+        if cert.verdict == "pass":
+            return cert
+    return None
+
+
+def reference_base_group(cfg):
+    """Oracle for _base_group's seeded fallback: the first subgroup the
+    randrange_sample_subgroup oracle finds within cfg.limit calls."""
+    rng = random.Random(cfg.seed)
+    line = projective_line(cfg.p)
+    for _ in range(cfg.limit):
+        G = randrange_sample_subgroup(rng, line, cfg.kind1)
+        if G is not None:
+            return G
+    return None
+
+
+# ordered pairs of SAMPLER_KINDS at one prime that share a group order
+SAMPLER_KIND_PAIRS = [(p, k1, k2) for p, k1 in SAMPLER_KINDS
+                      for q, k2 in SAMPLER_KINDS if q == p and k1.order == k2.order]
+
+
+def assert_random_search_matches_reference(cfg):
+    got, want = random_pair_search(cfg), reference_random_search(cfg)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.to_json() == want.to_json()
+    return want is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SAMPLER_KIND_PAIRS), SEEDS, st.integers(1, 300))
+def test_random_search_matches_the_reference_loop(case, seed, limit):
+    p, kind1, kind2 = case
+    assert_random_search_matches_reference(
+        SearchConfig(p, kind1, kind2, "random", seed, limit))
+
+
+@pytest.mark.parametrize("p,kind1,kind2", [(5, "C6", "D6"), (7, "D8", "C8"),
+                                           (11, "A4", "C12"), (13, "C14", "C14")])
+def test_random_search_matches_the_reference_where_it_finds(p, kind1, kind2):
+    found = [assert_random_search_matches_reference(
+        SearchConfig(p, parse_kind(kind1), parse_kind(kind2), "random", seed, 300))
+        for seed in range(6)]
+    assert any(found)
+
+
+@settings(max_examples=20, deadline=None)
+@given(SEEDS, st.integers(1, 300))
+def test_scaling_fallback_base_group_matches_the_reference(seed, limit):
+    # p = 13 has no bundled case and D14 is not C(p+1), so the base group
+    # comes from the seeded sampler
+    kind = GroupKind.dihedral(14)
+    cfg = SearchConfig(13, kind, kind, "scaling", seed, limit)
+    want = reference_base_group(cfg)
+    G = _base_group(cfg, projective_line(13))
+    if want is None:
+        assert G is None
+        assert scaling_pair_search(cfg) is None
+        return
+    assert G is not None
+    assert G.generators == want.generators and G.elements == want.elements
+    cert = scaling_pair_search(cfg)
+    if cert is not None:
+        assert cert.g1_generators == want.generators
 
 
 # stdout SHA-256 and exit code of `search` commands, recorded at commit
