@@ -13,7 +13,7 @@ from .criterion import (PairCertificate, check_pair, check_pair_all_basepoints,
 from .errors import (ClosureCapExceeded, DegenerateInvariant, EvaluationAtPole,
                      GaloisPairsError, IrregularOrbit, ModulusMismatch,
                      NotBlockPreserving, NotFound, ResultantVanishes,
-                     SingularMatrix, UnknownCase, ZeroInverse)
+                     SingularMatrix, UnknownCase)
 from .field import PrimeField, is_prime
 from .implicitize import implicit_degree
 from .polys import INFINITY, Poly, RationalFunction

@@ -20,8 +20,7 @@ from functools import lru_cache
 
 from .errors import UnknownCase
 from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint, projective_line
-from .subgroups import (GroupKind, Partition, Subgroup, conjugate,
-                        generate_closure)
+from .subgroups import GroupKind, Partition, Subgroup, generate_closure
 
 PRIMES = (11, 23, 59)
 LABELS = ("a", "b", "c")
@@ -244,9 +243,5 @@ def case_subgroups(p: int, label: str) -> tuple[Subgroup, Subgroup]:
     """Closed subgroup pair for a reference case."""
     case = load_case(p, label)
     line = prime_table(p)["line"]
-    G1 = generate_closure(line, case.g1_generators)
-    if case.conjugator is not None:
-        G2 = conjugate(G1, case.conjugator)
-    else:
-        G2 = generate_closure(line, case.g2_generators)
-    return G1, G2
+    return (generate_closure(line, case.g1_generators),
+            generate_closure(line, case.g2_generators))

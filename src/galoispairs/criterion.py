@@ -4,6 +4,11 @@ regular orbit with trivial intersection.
 A passing certificate witnesses the existence of a plane rational curve of
 degree d = |G1| = |G2| with two distinct outer Galois points whose groups
 are G1 and G2; the quotient module turns it into an explicit parametrization.
+
+One function, _certificate, makes every certificate: it reads the orbit
+conditions off the orbit partition of each group (subgroups.orbit_labels),
+at the one base point of check_pair or at every point for
+check_pair_all_basepoints.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ModulusMismatch
 from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
-from .subgroups import (GroupKind, Subgroup, generate_closure, intersect, orbit,
+from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
                         orbit_labels, recognize)
 
 DEFAULT_BASE_POINT = ProjectivePoint(0, 1)
@@ -73,73 +78,26 @@ class PairCertificate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _group_failures(G1: Subgroup, G2: Subgroup, inter_size: int) -> list[str]:
-    """The conditions that do not depend on the base point."""
-    failures = []
-    if G1.elements == G2.elements:
-        failures.append("groups not different")
-    if len(G2) != len(G1):
-        failures.append("orders differ")
-    if inter_size != 1:
-        failures.append("intersection not trivial")
-    return failures
+def _certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
+                 points: tuple[ProjectivePoint, ...]) -> PairCertificate:
+    """Certificate with orbit data at `base` and failures at each of
+    `points` in turn, every condition evaluated (no short-circuiting).
 
-
-def _pair_failures(G1: Subgroup, G2: Subgroup, Q: ProjectivePoint,
-                   inter_size: int) -> tuple[list[str], frozenset, frozenset]:
-    """Evaluate every condition (no short-circuiting)."""
-    d = len(G1)
-    failures = _group_failures(G1, G2, inter_size)
-    o1 = orbit(G1, Q)
-    o2 = orbit(G2, Q)
-    if len(o1) != d:
-        failures.append(f"orbit of G1 at {Q} has length {len(o1)} != {d}")
-    if len(o2) != len(G2):
-        failures.append(f"orbit of G2 at {Q} has length {len(o2)} != {len(G2)}")
-    if o1 != o2:
-        failures.append(f"orbits at {Q} differ")
-    return failures, o1, o2
-
-
-def check_pair(G1: Subgroup, G2: Subgroup,
-               Q: ProjectivePoint = DEFAULT_BASE_POINT) -> PairCertificate:
-    """Certificate for (G1, G2) at the single base point Q."""
-    if G1.line.p != G2.line.p:
-        raise ModulusMismatch(f"p={G1.line.p} vs p={G2.line.p}")
-    inter_size = len(intersect(G1, G2))
-    Q = G1.line.point(Q.s, Q.t)
-    failures, o1, o2 = _pair_failures(G1, G2, Q, inter_size)
-    return PairCertificate(
-        p=G1.line.p,
-        g1_generators=G1.generators,
-        g2_generators=G2.generators,
-        kind1=recognize(G1),
-        kind2=recognize(G2),
-        degree=len(G1),
-        base_point=Q,
-        intersection_size=inter_size,
-        orbit1=o1,
-        orbit2=o2,
-        failures=tuple(failures),
-    )
-
-
-def check_pair_all_basepoints(G1: Subgroup, G2: Subgroup) -> PairCertificate:
-    """Certificate quantified over every rational base point.
-
-    Recorded orbit data refers to the default base point (0:1); failures
-    name the base points at which a condition breaks, in the order that
-    check_pair at each point of line.points() would first report them.
-    Each group's orbit partition is built once, so this costs O(p) beyond
-    the two partitions instead of two orbits per point.
+    Each group's orbit partition is built once, so the orbit conditions
+    cost O(p) beyond the two partitions, at one point or at all of them.
     """
     if G1.line.p != G2.line.p:
         raise ModulusMismatch(f"p={G1.line.p} vs p={G2.line.p}")
     line = G1.line
     inter_size = len(intersect(G1, G2))
-    failures = _group_failures(G1, G2, inter_size)
     d1, d2 = len(G1), len(G2)
-    points = line.points()
+    failures = []
+    if G1.elements == G2.elements:
+        failures.append("groups not different")
+    if d2 != d1:
+        failures.append("orders differ")
+    if inter_size != 1:
+        failures.append("intersection not trivial")
     lab1, lab2 = orbit_labels(G1), orbit_labels(G2)
     size1, size2 = Counter(lab1), Counter(lab2)
     # the G1-orbit and the G2-orbit of a point agree iff neither meets
@@ -147,15 +105,17 @@ def check_pair_all_basepoints(G1: Subgroup, G2: Subgroup) -> PairCertificate:
     meets = set(zip(lab1, lab2))
     meets1 = Counter(r1 for r1, _ in meets)
     meets2 = Counter(r2 for _, r2 in meets)
-    for Q, r1, r2 in zip(points, lab1, lab2):
+    for Q in points:
+        i = Q.t + 1 if Q.s else 0  # the index of Q in line.points()
+        r1, r2 = lab1[i], lab2[i]
         if size1[r1] != d1:
             failures.append(f"orbit of G1 at {Q} has length {size1[r1]} != {d1}")
         if size2[r2] != d2:
             failures.append(f"orbit of G2 at {Q} has length {size2[r2]} != {d2}")
         if meets1[r1] != 1 or meets2[r2] != 1:
             failures.append(f"orbits at {Q} differ")
-    base = line.point(DEFAULT_BASE_POINT.s, DEFAULT_BASE_POINT.t)
-    i = points.index(base)
+    i = base.t + 1 if base.s else 0
+    all_points = line.points()
     return PairCertificate(
         p=line.p,
         g1_generators=G1.generators,
@@ -165,10 +125,29 @@ def check_pair_all_basepoints(G1: Subgroup, G2: Subgroup) -> PairCertificate:
         degree=d1,
         base_point=base,
         intersection_size=inter_size,
-        orbit1=frozenset(Q for Q, r in zip(points, lab1) if r == lab1[i]),
-        orbit2=frozenset(Q for Q, r in zip(points, lab2) if r == lab2[i]),
+        orbit1=frozenset(Q for Q, r in zip(all_points, lab1) if r == lab1[i]),
+        orbit2=frozenset(Q for Q, r in zip(all_points, lab2) if r == lab2[i]),
         failures=tuple(failures),
     )
+
+
+def check_pair(G1: Subgroup, G2: Subgroup,
+               Q: ProjectivePoint = DEFAULT_BASE_POINT) -> PairCertificate:
+    """Certificate for (G1, G2) at the single base point Q."""
+    Q = G1.line.point(Q.s, Q.t)
+    return _certificate(G1, G2, Q, (Q,))
+
+
+def check_pair_all_basepoints(G1: Subgroup, G2: Subgroup) -> PairCertificate:
+    """Certificate quantified over every rational base point.
+
+    Recorded orbit data refers to the default base point (0:1); failures
+    name the base points at which a condition breaks, in the order that
+    check_pair at each point of line.points() would first report them.
+    """
+    line = G1.line
+    base = line.point(DEFAULT_BASE_POINT.s, DEFAULT_BASE_POINT.t)
+    return _certificate(G1, G2, base, line.points())
 
 
 def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]:

@@ -5,14 +5,6 @@ class GaloisPairsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ZeroInverse(GaloisPairsError):
-    """Multiplicative inverse of zero requested.
-
-    Still exported, but nothing in the package raises it: inverses are
-    taken with the built-in pow(x, -1, p).
-    """
-
-
 class SingularMatrix(GaloisPairsError):
     """A 2x2 matrix with zero determinant cannot represent a PGL(2) class."""
 
@@ -38,7 +30,7 @@ class NotFound(GaloisPairsError):
 
 
 class DegenerateInvariant(GaloisPairsError):
-    """No coefficient combination reached the full invariant degree."""
+    """No orbit-product coefficient reached the full invariant degree."""
 
 
 class IrregularOrbit(GaloisPairsError):

@@ -42,8 +42,8 @@ class ProjectiveMatrix(NamedTuple):
 class ProjectiveLine:
     """P^1(F_p) together with the right action of PGL(2, F_p)."""
 
-    def __init__(self, field: PrimeField | int):
-        self.field = field if isinstance(field, PrimeField) else PrimeField(field)
+    def __init__(self, p: int):
+        self.field = PrimeField(p)
         self.p = self.field.p
         self._points: tuple[ProjectivePoint, ...] | None = None
         self._orders: dict[int, int] = {}  # tau = tr^2/det -> class order
@@ -181,9 +181,7 @@ class ProjectiveLine:
         return n
 
     def power(self, A: ProjectiveMatrix, e: int) -> ProjectiveMatrix:
-        """A**e as a class (negative e via inverse)."""
-        if e < 0:
-            return self.power(self.inverse(A), -e)
+        """A**e as a class, for e >= 0."""
         R = self.identity
         M = A
         while e:

@@ -3,8 +3,11 @@
 For a subgroup G with |G| coprime to p, a G-invariant rational function of
 degree exactly |G| is read off the coefficients of prod_{g in G}(X - g(t)):
 each coefficient is a symmetric function of the orbit {g(t)} and hence
-invariant, and a non-constant invariant of a degree-|G| quotient map has
-degree exactly |G|. The product is expanded by a balanced product tree
+invariant. A non-constant invariant has degree divisible by |G| (Artin's
+theorem: F_p(t) has degree |G| over its G-invariant subfield), and each
+coefficient has degree at most |G|, so every non-constant coefficient has
+degree exactly |G|; they are not all constant, since t is a root of the
+product. The product is expanded by a balanced product tree
 (von zur Gathen and Gerhard, Modern Computer Algebra, 10.1), each node one
 univariate Poly product by Kronecker substitution. A Moebius adjustment
 1/(f - f(Q)) then moves the orbit of the base point to the polar set,
@@ -69,7 +72,17 @@ def _mul_rows(field, A: list, B: list) -> list:
 
 @lru_cache(maxsize=128)
 def invariant_generator(G: Subgroup) -> RationalFunction:
-    """A rational function of degree |G| fixed by every element of G."""
+    """A rational function of degree |G| fixed by every element of G: the
+    first ratio polys[i]/polys[|G|] of orbit-product rows, from the top,
+    that is not constant.
+
+    One scan always finds it. Every ratio is G-invariant, so by Artin's
+    theorem a non-constant one has degree divisible by |G|, and every row
+    has t-degree at most |G|. The ratios are the coefficients of
+    prod_g (X - g(t)), which has the root X = t from the identity, so they
+    cannot all be constants in F_p. DegenerateInvariant marks a broken
+    orbit product.
+    """
     line = G.line
     field = line.field
     n = len(G)
@@ -85,16 +98,6 @@ def invariant_generator(G: Subgroup) -> RationalFunction:
         f = RationalFunction(polys[i], top)
         if f.degree == n:
             return f
-    # pairwise combinations as a fallback for fully degenerate coefficients
-    for i in range(n - 1, -1, -1):
-        for j in range(i - 1, -1, -1):
-            for lam in range(1, min(line.p, 32)):
-                cand = polys[i] + polys[j].scale(lam)
-                if cand.degree < 0:
-                    continue
-                f = RationalFunction(cand, top)
-                if f.degree == n:
-                    return f
     raise DegenerateInvariant(f"no degree-{n} invariant coefficient found")
 
 

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, lru_cache
+from math import gcd
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ClosureCapExceeded, ModulusMismatch, NotBlockPreserving
 from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint
@@ -47,23 +49,37 @@ class GroupKind:
         return cls("other", n)
 
     @cached_property
-    def element_orders(self) -> frozenset[int]:
-        """Every order an element of a group of this kind can have.
+    def tally(self) -> Mapping[int, int] | None:
+        """Element order -> number of elements of that order, in a group of
+        this kind; None for other.
 
-        A4, S4 and A5 by their order tallies; D_n has rotations of order
-        dividing n/2 and involutions; C_n and other kinds by Lagrange.
+        C_n has phi(k) elements of each order k dividing n, D_n adds n/2
+        involutions to the tally of its rotations C_{n/2}, and A4, S4 and A5
+        count their conjugacy classes.
         """
-        if self.family == "A4":
-            return frozenset((1, 2, 3))
-        if self.family == "S4":
-            return frozenset((1, 2, 3, 4))
-        if self.family == "A5":
-            return frozenset((1, 2, 3, 5))
-        n = self.order // 2 if self.family == "D" else self.order
-        divisors = {k for k in range(1, n + 1) if n % k == 0}
-        if self.family == "D":
-            divisors.add(2)
-        return frozenset(divisors)
+        n = self.order
+        if self.family == "C":
+            tally = Counter(n // gcd(j, n) for j in range(n))
+        elif self.family == "D":
+            tally = Counter(GroupKind.cyclic(n // 2).tally)
+            tally[2] += n // 2
+        elif self.family == "A4":
+            tally = {1: 1, 2: 3, 3: 8}
+        elif self.family == "S4":
+            tally = {1: 1, 2: 9, 3: 8, 4: 6}
+        elif self.family == "A5":
+            tally = {1: 1, 2: 15, 3: 20, 5: 24}
+        else:
+            return None
+        return MappingProxyType(dict(tally))
+
+    @cached_property
+    def element_orders(self) -> frozenset[int]:
+        """Every order an element of a group of this kind can have: the keys
+        of its tally, and for other every divisor of its order (Lagrange)."""
+        if self.tally is None:
+            return frozenset(k for k in range(1, self.order + 1) if self.order % k == 0)
+        return frozenset(self.tally)
 
     def __str__(self):
         if self.family in ("C", "D"):
@@ -166,42 +182,43 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
     return Subgroup(line, gens, frozenset(els))
 
 
-_ALT4_ORDERS = {1: 1, 2: 3, 3: 8}
-_SYM4_ORDERS = {1: 1, 2: 9, 3: 8, 4: 6}
-_ALT5_ORDERS = {1: 1, 2: 15, 3: 20, 5: 24}
+@lru_cache(maxsize=None)
+def _kinds_of_order(n: int) -> tuple[GroupKind, ...]:
+    """The named kinds of order n (every family but other), in recognition
+    order; shared instances, so each tally is computed once per (family,
+    order)."""
+    kinds = [GroupKind.cyclic(n)]
+    if n >= 4 and n % 2 == 0:
+        kinds.append(GroupKind.dihedral(n))
+    kinds.extend(k for k in (GroupKind.alt4(), GroupKind.sym4(), GroupKind.alt5())
+                 if k.order == n)
+    return tuple(kinds)
 
 
 def recognize(G: Subgroup) -> GroupKind:
-    """Isomorphism type of G by order statistics plus structural tests.
+    """Isomorphism type of G: the first kind of order |G| whose element-order
+    tally equals G's, and other if none does.
 
-    Sound for subgroups of PGL(2, q) of order coprime to q (they are
-    cyclic, dihedral, A4, S4 or A5); anything else falls out as other.
-    The Klein four-group is reported as D4 (order-based dihedral naming).
+    The tally decides the type (Dickson, Linear Groups, 1901). A subgroup of
+    PGL(2, p) of order coprime to p is cyclic, dihedral, A4, S4 or A5, and
+    no two of these of one order share a tally: C_n has an element of order
+    n, and D_n (n >= 4) has at least n/2 involutions, which no other kind of
+    its order has. A subgroup of order divisible by p is C_p x| C_k with
+    k | p - 1 (cyclic for k = 1, dihedral for k = 2), PSL(2, p) or
+    PGL(2, p), and p = 2 gives only C_2 and PGL(2, 2) = D6. For k >= 3,
+    C_p x| C_k has no element of order pk and at most p < pk/2 involutions.
+    For p >= 3, PSL(2, p) has p(p -+ 1)/2 involutions and PGL(2, p) has p^2,
+    fewer than half their order, and neither has an element of its order.
+    So none of them has the tally of C_n or D_n, and of the orders 12, 24
+    and 60 they reach only 12 as PSL(2, 3) = A4, 24 as PGL(2, 3) = S4 and
+    60 as PSL(2, 5) = A5. The Klein four-group is reported as D4
+    (order-based dihedral naming).
     """
-    line = G.line
     n = len(G)
-    orders = {A: line.element_order(A) for A in G.elements}
-    if n in orders.values() or n == 1:
-        return GroupKind.cyclic(n)
-    if n >= 4 and n % 2 == 0:
-        half = n // 2
-        rotations = sorted(A for A, o in orders.items() if o == half)
-        involutions = sorted(A for A, o in orders.items() if o == 2)
-        for r in rotations:
-            cyc = {line.power(r, k) for k in range(half)}
-            r_inv = line.inverse(r)
-            for s in involutions:
-                if s in cyc:
-                    continue
-                if line.compose(line.compose(line.inverse(s), r), s) == r_inv:
-                    return GroupKind.dihedral(n)
-    tally = dict(Counter(orders.values()))
-    if n == 12 and tally == _ALT4_ORDERS:
-        return GroupKind.alt4()
-    if n == 24 and tally == _SYM4_ORDERS:
-        return GroupKind.sym4()
-    if n == 60 and tally == _ALT5_ORDERS:
-        return GroupKind.alt5()
+    tally = Counter(map(G.line.element_order, G.elements))
+    for kind in _kinds_of_order(n):
+        if kind.tally == tally:
+            return kind
     return GroupKind.other(n)
 
 
@@ -243,8 +260,8 @@ def orbit_labels(G: Subgroup) -> list[int]:
     over the point permutations of G.generators, in O(p * |generators|).
     """
     line = G.line
-    index = {Q: i for i, Q in enumerate(line.points())}
-    parent = list(range(len(index)))
+    points = line.points()
+    parent = list(range(len(points)))
 
     def find(i):
         while parent[i] != i:
@@ -253,8 +270,9 @@ def orbit_labels(G: Subgroup) -> list[int]:
         return i
 
     for A in G.generators:
-        for Q, i in index.items():
-            ri, rj = find(i), find(index[line.apply(Q, A)])
+        for i, Q in enumerate(points):
+            R = line.apply(Q, A)  # (0:1) has index 0 and (1:t) index t + 1
+            ri, rj = find(i), find(R.t + 1 if R.s else 0)
             if ri != rj:
                 parent[ri] = rj
     return [find(i) for i in range(len(parent))]

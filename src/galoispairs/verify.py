@@ -16,8 +16,8 @@ from .criterion import check_pair_all_basepoints
 from .errors import NotBlockPreserving, UnknownCase
 from .projline import ProjectiveLine, ProjectiveMatrix
 from .subgroups import (GroupKind, Partition, Subgroup, block_action,
-                        generate_closure, intersect, is_faithful_on_blocks,
-                        orbit, recognize)
+                        generate_closure, is_faithful_on_blocks, orbit,
+                        recognize)
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,10 @@ class _Harness:
 
     def pair_items(self, label: str, G1: Subgroup, G2: Subgroup):
         d = self.line.p + 1
+        cert = check_pair_all_basepoints(G1, G2)
         self.add(f"pair.{label}.intersection",
                  "the two groups intersect trivially",
-                 len(intersect(G1, G2)) == 1)
-        cert = check_pair_all_basepoints(G1, G2)
+                 cert.intersection_size == 1)
         self.add(f"pair.{label}.orbits",
                  "both orbits are the full point set for every base point",
                  cert.verdict == "pass")

@@ -120,9 +120,10 @@ def test_failures_name_offending_basepoints():
     assert any("orbit" in f for f in cert.failures)
 
 
-def per_point_certificate(G1, G2) -> PairCertificate:
-    """Oracle for check_pair_all_basepoints: both orbits rebuilt from the
-    element sets at every point, failures kept in first-occurrence order."""
+def per_point_certificate(G1, G2, base, points) -> PairCertificate:
+    """Oracle for check_pair and check_pair_all_basepoints: both orbits
+    rebuilt from the element sets at each of `points`, failures kept in
+    first-occurrence order, orbit data at `base`."""
     line = G1.line
     d, inter_size = len(G1), len(intersect(G1, G2))
     failures = []
@@ -132,7 +133,7 @@ def per_point_certificate(G1, G2) -> PairCertificate:
         failures.append("orders differ")
     if inter_size != 1:
         failures.append("intersection not trivial")
-    for Q in line.points():
+    for Q in points:
         o1, o2 = orbit(G1, Q), orbit(G2, Q)
         if len(o1) != d:
             failures.append(f"orbit of G1 at {Q} has length {len(o1)} != {d}")
@@ -140,7 +141,6 @@ def per_point_certificate(G1, G2) -> PairCertificate:
             failures.append(f"orbit of G2 at {Q} has length {len(o2)} != {len(G2)}")
         if o1 != o2:
             failures.append(f"orbits at {Q} differ")
-    base = line.point(0, 1)
     return PairCertificate(
         p=line.p, g1_generators=G1.generators, g2_generators=G2.generators,
         kind1=recognize(G1), kind2=recognize(G2), degree=d, base_point=base,
@@ -152,9 +152,11 @@ def test_all_basepoints_matches_per_point_orbits_on_reference_pairs():
     for p in (11, 23):
         for label in "abc":
             G1, G2 = case_subgroups(p, label)
+            line = G1.line
             for pair in ((G1, G2), (G2, G1), (G1, G1)):
                 assert (check_pair_all_basepoints(*pair).to_json()
-                        == per_point_certificate(*pair).to_json())
+                        == per_point_certificate(*pair, line.point(0, 1),
+                                                 line.points()).to_json())
 
 
 @settings(max_examples=80, deadline=None)
@@ -166,9 +168,13 @@ def test_all_basepoints_matches_per_point_orbits(data):
     line = G1.line
     a, b, c, d = (data.draw(st.integers(0, p - 1)) for _ in range(4))
     assume((a * d - b * c) % p)
+    Q = data.draw(st.sampled_from(line.points()))
     # conjugate moves the generators along with the elements; intersect
     # takes every element as a generator
     for H1, H2 in ((G1, G2), (G1, conjugate(G1, line.matrix([[a, b], [c, d]]))),
                    (intersect(G1, G2), G2)):
         assert (check_pair_all_basepoints(H1, H2).to_json()
-                == per_point_certificate(H1, H2).to_json())
+                == per_point_certificate(H1, H2, line.point(0, 1),
+                                         line.points()).to_json())
+        assert (check_pair(H1, H2, Q).to_json()
+                == per_point_certificate(H1, H2, Q, [Q]).to_json())

@@ -187,6 +187,19 @@ def test_orbit_product_matches_expansion(p, i):
     assert_orbit_product_matches_expansion(G)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13]), st.integers(0, 29))
+def test_invariant_generator_returns_from_one_scan(p, i):
+    # the top ratio polys[n-1]/polys[n] is constant for most of these
+    # groups, so the scan past it is exercised too
+    G = seeded_random_subgroups(p, 30, 31 * p)[i]
+    assume(len(G) % p)
+    f = invariant_generator(G)
+    assert f.degree == len(G)
+    for M in G.generators:
+        assert is_invariant_under(f, M)
+
+
 def schoolbook_rows(A, B, p):
     """The product of two polynomials in X given as rows of t-coefficients,
     one coefficient product at a time."""
