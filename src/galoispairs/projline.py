@@ -144,16 +144,10 @@ class ProjectiveLine:
 
         A may be any nonsingular (a, b, c, d) 4-tuple with entries in
         [0, p), a ProjectiveMatrix or not, canonical or not: the identity
-        class is every lambda * I, and tau is invariant under scaling.
-
-        The order of a non-identity class depends only on tau = tr^2 / det,
-        by the conjugacy classification of PGL(2, q) (Dickson, Linear
-        Groups, 1901): tau = 4 is parabolic, of order p; tau = 0 has order
-        2; otherwise the order divides p - 1 if tau(tau - 4) is a square
-        mod p (eigenvalues in F_p) and p + 1 if not (eigenvalues in
-        F_{p^2}). The exact order is that bound with every superfluous prime
-        factor stripped, and it is cached per tau, so at most p values are
-        ever stored.
+        class is every lambda * I, and tau = tr^2 / det is invariant under
+        scaling. The order of a non-identity class depends on tau alone
+        (_class_order), so it is cached per tau: at most p values are ever
+        stored, and a cache miss reads four scalars and builds no matrix.
         """
         a, b, c, d = A
         if b == c == 0 and a == d:
@@ -162,10 +156,31 @@ class ProjectiveLine:
         tau = (a + d) ** 2 * pow(a * d - b * c, -1, p) % p
         n = self._orders.get(tau)
         if n is None:
-            n = self._orders[tau] = self._class_order(ProjectiveMatrix(a, b, c, d), tau)
+            n = self._orders[tau] = self._class_order(tau)
         return n
 
-    def _class_order(self, A: ProjectiveMatrix, tau: int) -> int:
+    def _class_order(self, tau: int) -> int:
+        """Order of every non-identity class with tr^2 / det = tau.
+
+        Let mu, nu be the eigenvalues of a representative A (in F_p or
+        F_{p^2}) and lambda = mu / nu, so tau = mu/nu + 2 + nu/mu and
+        s = tau - 2 = lambda + 1/lambda. tau = 4 % p is the parabolic
+        class (lambda = 1, A not scalar), of order p, and tau = 0 is
+        lambda = -1, of order 2. Otherwise mu != nu, A is diagonalizable
+        over F_{p^2}, and A**m is scalar iff mu^m = nu^m iff lambda^m = 1.
+        By the classification of PGL(2, q) (Dickson, Linear Groups, 1901),
+        lambda lies in F_p^* when tau(tau - 4) is a nonzero square and in
+        the norm-1 subgroup of F_{p^2}^* otherwise, so the order divides
+        n = p - 1 or n = p + 1; it is n with every superfluous prime
+        factor stripped.
+
+        Each test lambda^m = 1 is read off the Lucas sequence with Q = 1,
+        V_m = lambda^m + lambda^-m, a polynomial in s over F_p:
+        lambda^m (V_m - 2) = (lambda^m - 1)^2, so V_m = 2 iff lambda^m = 1,
+        in every characteristic. V_m is computed by the ladder
+        V_2k = V_k^2 - 2, V_2k+1 = V_k V_k+1 - s from (V_0, V_1) = (2, s):
+        two scalar products per bit of m.
+        """
         p = self.p
         if tau == 4 % p:
             return p
@@ -175,8 +190,10 @@ class ProjectiveLine:
         # of order 3 = p + 1
         split = p > 2 and pow(tau * (tau - 4), (p - 1) // 2, p) == 1
         n = p - 1 if split else p + 1
+        s = (tau - 2) % p
+        two = 2 % p
         for q in prime_factors(n):
-            while n % q == 0 and self.power(A, n // q) == self.identity:
+            while n % q == 0 and _lucas_v(n // q, s, p) == two:
                 n //= q
         return n
 
@@ -190,6 +207,18 @@ class ProjectiveLine:
             M = self.compose(M, M)
             e >>= 1
         return R
+
+
+def _lucas_v(m: int, s: int, p: int) -> int:
+    """V_m(s) mod p for the Lucas sequence V_0 = 2, V_1 = s,
+    V_k+1 = s V_k - V_k-1, by the doubling ladder over the bits of m."""
+    lo, hi = 2, s  # (V_k, V_k+1), k = the bits of m read so far
+    for bit in bin(m)[2:]:
+        if bit == "1":
+            lo, hi = (lo * hi - s) % p, (hi * hi - 2) % p
+        else:
+            lo, hi = (lo * lo - 2) % p, (lo * hi - s) % p
+    return lo
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,6 @@
-"""Discovery of new certified pairs: scalar-conjugate sweeps, seeded random
-generator search, and deterministic scans for regular cyclic subgroups of
-order p+1.
+"""Discovery of new certified pairs: diagonal conjugates screened by
+conjugation invariants, seeded random generator search, and deterministic
+scans for regular cyclic subgroups of order p+1.
 
 Everything here is reproducible: scans run in a fixed order and random
 sampling is driven by an explicit 64-bit seed. The sampler must consume
@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
-from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
-                        orbit, recognize)
+from .subgroups import (GroupKind, Subgroup, generate_closure, orbit,
+                        recognize)
 
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
@@ -56,28 +56,75 @@ class SearchConfig:
 
 def find_scaling_conjugates(G: Subgroup) -> list[int]:
     """All scalars c in F_p \\ {0, 1} whose diagonal conjugate diag(c,1)
-    intersects G trivially.
+    intersects G trivially, in ascending order; [] is a valid result.
 
     For regular transitive G each such conjugate H certifies a pair: H is
     transitive too (it is conjugate to G), so its orbit of any base point
     is all of P^1(F_p), equal to G's, and check_pair(G, H) passes.
-    Deterministic ascending sweep; an empty list is a valid result.
+
+    c is rejected iff conj_c(M) = N for some M != I and N in G, where
+    conj_c is conjugation by diag(c, 1) on canonical classes
+    (_diagonal_conjugator). conj_c keeps these invariants of (a, b, x, d):
+      a = 1, to (1, b/c, xc, d): d, bx, and which of b, x is zero;
+      a = 0, to (0, 1, xc^2, dc): whether d = 0 and, if d != 0, x/d^2
+      (x != 0 always, as the determinant is -x).
+    So M and N lie in one bucket of equal invariants. Each element also
+    has a scale coordinate u that conj_c multiplies by c: x when a = 1
+    and x != 0, 1/b when a = 1 and x = 0, and d when a = 0 and d != 0.
+    So each pair (M, N) pins c to one scalar, u_N/u_M, which is checked
+    by applying conj_c(M) == N; c = 1 is never a candidate. Two classes
+    need no pair:
+      a non-identity diagonal (1, 0, 0, d) commutes with every diag(c, 1),
+      so then no c is returned;
+      an involution (0, 1, x, 0) goes to (0, 1, xc^2, 0), so c = -1 fixes
+      it, and it pins no other c: a second one, (0, 1, x', 0), would make
+      the diagonal (1, 0, 0, x/x') with it.
+    The cost is O(|G| + sum of squared bucket sizes + p) instead of one
+    conjugate of G per scalar.
     """
     if len(G) < 2:
         raise ValueError("need |G| >= 2")
-    return [c for c in range(2, G.line.p)
-            if len(intersect(G, _diagonal_conjugate(G, c))) == 1]
+    p = G.line.p
+    bad = set()
+    # invariants -> [(M, u, 1/u)]
+    buckets: dict[tuple, list[tuple[ProjectiveMatrix, int, int]]] = {}
+    for M in G.elements:
+        a, b, x, d = M
+        if a:
+            if x:
+                u, u_inv = x, pow(x, -1, p)
+            elif b:
+                u, u_inv = pow(b, -1, p), b
+            elif d != 1:  # a diagonal M != I meets every conjugate
+                return []
+            else:
+                continue  # the identity
+            key = (1, d, b * x % p, b == 0, x == 0)
+        elif d:
+            u, u_inv = d, pow(d, -1, p)
+            key = (0, x * u_inv * u_inv % p)
+        else:
+            bad.add(p - 1)  # the involution (0, 1, x, 0)
+            continue
+        buckets.setdefault(key, []).append((M, u, u_inv))
+    for bucket in buckets.values():
+        for M, _, u_inv in bucket:
+            for N, u, _ in bucket:
+                c = u * u_inv % p
+                if c != 1 and c not in bad and _diagonal_conjugator(p, c)(M) == N:
+                    bad.add(c)
+    return [c for c in range(2, p) if c not in bad]
 
 
-def _diagonal_conjugate(G: Subgroup, c: int) -> Subgroup:
-    """conjugate(G, diag(c, 1)) in closed form.
+def _diagonal_conjugator(p: int, c: int) -> Callable[[ProjectiveMatrix],
+                                                      ProjectiveMatrix]:
+    """conj_c: a canonical class M to the canonical class of
+    diag(c, 1)^-1 M diag(c, 1), in closed form.
 
     Conjugating (a, b, x, d) by diag(c, 1) gives (a, b/c, xc, d). A
     canonical class with a = 1 stays canonical; one with a = 0 has b = 1,
     and rescaling by c makes it canonical again: (0, 1, xc^2, dc).
     """
-    line = G.line
-    p = line.p
     c_inv = pow(c, -1, p)
     c_sq = c * c % p
 
@@ -87,6 +134,13 @@ def _diagonal_conjugate(G: Subgroup, c: int) -> Subgroup:
             return ProjectiveMatrix(a, b * c_inv % p, x * c % p, d)
         return ProjectiveMatrix(0, 1, x * c_sq % p, d * c % p)
 
+    return conj
+
+
+def _diagonal_conjugate(G: Subgroup, c: int) -> Subgroup:
+    """conjugate(G, diag(c, 1)) in closed form (_diagonal_conjugator)."""
+    line = G.line
+    conj = _diagonal_conjugator(line.p, c)
     return Subgroup(line, tuple(conj(line.matrix(A)) for A in G.generators),
                     frozenset(map(conj, G.elements)))
 
@@ -378,21 +432,22 @@ def scaling_pair_search(cfg: SearchConfig) -> PairCertificate | None:
 
     kind1 must equal kind2 (conjugation preserves the type). The base group
     comes from the bundled cases when one matches, otherwise from the
-    seeded sampler; candidates are the p-2 scalars, in ascending order.
+    seeded sampler. Candidates are the p-2 scalars c = 2, ..., p-1 in
+    ascending order, each counting against the limit; only those that
+    find_scaling_conjugates returns are checked, since every other one
+    fails with "intersection not trivial". A trivial base group has no
+    scalar that passes: its conjugates equal it.
     """
     if cfg.kind1 != cfg.kind2:
         raise ValueError("scaling strategy needs kind1 == kind2")
     line = projective_line(cfg.p)
     G = _base_group(cfg, line)
-    if G is None:
+    if G is None or len(G) < 2:
         return None
-    spent = 0
-    for c in range(2, line.p):
-        if spent >= cfg.limit:
+    for c in find_scaling_conjugates(G):
+        if c > cfg.limit + 1:  # the limit counts c = 2, 3, ... in turn
             return None
-        spent += 1
-        H = _diagonal_conjugate(G, c)
-        cert = check_pair_all_basepoints(G, H)
+        cert = check_pair_all_basepoints(G, _diagonal_conjugate(G, c))
         if cert.verdict == "pass":
             return cert
     return None

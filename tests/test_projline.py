@@ -6,6 +6,7 @@ from conftest import exhaustive_projline_checks, iterated_order
 from galoispairs import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
                          SingularMatrix, is_prime, projective_line)
 from galoispairs.cases import prime_table
+from galoispairs.field import prime_factors
 
 
 def scalar_multiples(rows, p):
@@ -116,7 +117,7 @@ def test_element_order_divides_group_order():
             assert n % line.element_order(M) == 0
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23])
 def test_element_order_matches_iteration_on_every_class(p):
     line = projective_line(p)
     for M in line.matrices():
@@ -173,6 +174,40 @@ def test_element_order_matches_iteration_on_random_classes(data):
     line = projective_line(p)
     M = line.matrix([[a, b], [c, d]])
     assert line.element_order(M) == iterated_order(line, M)
+
+
+PRIMES_TO_2000 = [q for q in range(2, 2001) if is_prime(q)]
+
+
+@st.composite
+def classes_up_to_2000(draw):
+    """A prime p <= 2000 and a nonsingular raw 4-tuple mod p: a random
+    matrix, or one of the parabolic (tau = 4) or involution (tau = 0)
+    shapes that random entries almost never reach at large p."""
+    p = draw(st.sampled_from(PRIMES_TO_2000))
+    x, y = (draw(st.integers(1, p - 1)) if p > 2 else 1 for _ in range(2))
+    shape = draw(st.sampled_from(["random", "parabolic", "involution"]))
+    if shape == "parabolic":
+        return p, (x, y, 0, x)
+    if shape == "involution":
+        return p, (0, x, y, 0)
+    a, b, c, d = (draw(st.integers(0, p - 1)) for _ in range(4))
+    assume((a * d - b * c) % p)
+    return p, (a, b, c, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(classes_up_to_2000())
+def test_element_order_is_the_least_period_of_power(case):
+    # n is a period (A^n = I) and no proper divisor n/q is one
+    p, raw = case
+    line = projective_line(p)
+    M = line.matrix(ProjectiveMatrix(*raw))
+    n = line.element_order(raw)
+    assert line.power(M, n) == line.identity
+    for q in prime_factors(n):
+        assert line.power(M, n // q) != line.identity, (p, raw, n, q)
+    assert len(line._orders) <= p
 
 
 def test_enumerate_points():

@@ -12,9 +12,9 @@ from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          NotFound, SearchConfig, case_subgroups, check_pair,
                          check_pair_all_basepoints, conjugate,
                          find_cyclic_regular, find_scaling_conjugates,
-                         generate_closure, intersect, load_case, orbit,
-                         parse_kind, projective_line, random_pair_search,
-                         recognize, reverify, run_search)
+                         generate_closure, intersect, is_prime, load_case,
+                         orbit, parse_kind, projective_line,
+                         random_pair_search, recognize, reverify, run_search)
 from galoispairs.cli import main
 from galoispairs.search import (_base_group, _diagonal_conjugate, _order_pools,
                                 _orders_fit, _sample_matrix, _sample_subgroup,
@@ -71,6 +71,57 @@ def test_scaling_conjugates_deterministic():
 def test_scaling_conjugates_requires_nontrivial_group():
     with pytest.raises(ValueError):
         find_scaling_conjugates(trivial_subgroup(projective_line(11)))
+
+
+def test_scaling_conjugates_match_the_sweep_on_bundled_groups():
+    groups = [G for p in PRIMES for label in LABELS for G in case_subgroups(p, label)]
+    assert len(groups) == 18
+    for G in groups:
+        assert find_scaling_conjugates(G) == brute_force_scaling_sweep(G)
+
+
+@pytest.mark.parametrize("p", [q for q in range(2, 102) if is_prime(q)])
+def test_scaling_conjugates_match_the_sweep_on_singer_cycles(p):
+    G = find_cyclic_regular(p)
+    assert find_scaling_conjugates(G) == brute_force_scaling_sweep(G)
+
+
+def test_scaling_conjugates_match_the_sweep_on_random_subgroups():
+    # a non-identity diagonal (1, 0, 0, d) meets every conjugate; a group
+    # without one but with an involution (0, 1, x, 0) meets the conjugate
+    # by c = p - 1
+    diagonal = involution = 0
+    for p in (q for q in range(2, 24) if is_prime(q)):
+        for G in seeded_random_subgroups(p, 30, seed=11):
+            if len(G) < 2:
+                continue
+            assert find_scaling_conjugates(G) == brute_force_scaling_sweep(G), G.generators
+            if any(M.a and not M.b and not M.c and M.d != 1 for M in G.elements):
+                diagonal += 1
+            elif any(not M.a and not M.d for M in G.elements):
+                involution += 1
+    assert diagonal and involution
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_scaling_conjugates_match_the_sweep_on_groups_fixing_0_1(p):
+    # subgroups of the stabilizer of (0:1): translations (1, k, 0, 1), so
+    # buckets of several (1, b, 0, d), with and without diagonals
+    line = projective_line(p)
+    g = line.field.primitive_element()
+    for gens in ([[1, 1], [0, 1]], [[1, 1], [0, g]]), ([[1, 1], [0, 1]],), ([[1, 1], [0, g]],):
+        G = generate_closure(line, [line.matrix(rows) for rows in gens])
+        assert find_scaling_conjugates(G) == brute_force_scaling_sweep(G), gens
+
+
+def test_scaling_conjugates_match_the_sweep_on_a_singer_cycle_at_401():
+    # this conjugate of the scanned Singer cycle holds the involution
+    # (0, 1, 62, 0), which diag(-1, 1) fixes: c = 400 is the one rejection
+    G0 = find_cyclic_regular(401)
+    G = conjugate(G0, G0.line.matrix([[0, 1], [1, 201]]))
+    found = find_scaling_conjugates(G)
+    assert found == list(range(2, 400))
+    assert found == brute_force_scaling_sweep(G)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
@@ -384,6 +435,72 @@ def test_scaling_fallback_base_group_matches_the_reference(seed, limit):
     cert = scaling_pair_search(cfg)
     if cert is not None:
         assert cert.g1_generators == want.generators
+
+
+def reference_scaling_search(cfg):
+    """Oracle for scaling_pair_search: each scalar c = 2, 3, ... in turn
+    counts against the limit, and its conjugate, built by `conjugate`, is
+    checked at every base point."""
+    line = projective_line(cfg.p)
+    G = _base_group(cfg, line)
+    if G is None:
+        return None
+    for spent, c in enumerate(range(2, cfg.p)):
+        if spent >= cfg.limit:
+            return None
+        cert = check_pair_all_basepoints(G, conjugate(G, line.matrix([[c, 0], [0, 1]])))
+        if cert.verdict == "pass":
+            return cert
+    return None
+
+
+# sampled base groups at primes without a bundled case, where small
+# scalars often fail, and bundled ones
+SCALING_KINDS = ([(p, parse_kind(f"{f}{n}"))
+                  for p in (5, 7, 13, 17) for n in (p + 1, p - 1) for f in "CD"]
+                 + [(11, GroupKind.alt4()), (23, GroupKind.sym4())])
+
+
+# the limit also bounds the sampler's ticks, which a sampled base group
+# needs a few hundred of
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SCALING_KINDS), st.integers(0, 50),
+       st.integers(1, 20) | st.integers(100, 400))
+def test_scaling_search_matches_the_reference_loop(case, seed, limit):
+    p, kind = case
+    cfg = SearchConfig(p, kind, kind, "scaling", seed, limit)
+    got, want = scaling_pair_search(cfg), reference_scaling_search(cfg)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("p,kind", [(23, "S4"), (59, "A5"), (59, "D60")])
+def test_scaling_search_counts_rejected_scalars_against_the_limit(p, kind):
+    # these bundled base groups meet their conjugate at c = 2, so the limit
+    # must count the scalars that find_scaling_conjugates leaves out
+    kind = parse_kind(kind)
+    first = find_scaling_conjugates(_base_group(SearchConfig(p, kind, kind, "scaling"),
+                                                projective_line(p)))[0]
+    assert first > 2
+    found = []
+    for limit in range(1, first + 2):
+        cfg = SearchConfig(p, kind, kind, "scaling", 0, limit)
+        got, want = scaling_pair_search(cfg), reference_scaling_search(cfg)
+        assert (got and got.to_json()) == (want and want.to_json()), limit
+        found.append(got is not None)
+    assert not found[0] and found[-1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_scaling_search_on_a_trivial_base_group_finds_none(capsys, p):
+    kind = GroupKind.cyclic(1)
+    cfg = SearchConfig(p, kind, kind, "scaling", 0, 1000)
+    assert len(_base_group(cfg, projective_line(p))) == 1
+    assert main(["search", "--p", str(p), "--strategy", "scaling",
+                 "--kind1", "C1", "--kind2", "C1"]) == 3
+    assert capsys.readouterr().out == "none\n"
 
 
 # stdout SHA-256 and exit code of `search` commands, recorded at commit
