@@ -12,8 +12,7 @@ from .criterion import (PairCertificate, check_pair, check_pair_all_basepoints,
                         reverify, subgroups_from_dict)
 from .errors import (ClosureCapExceeded, DegenerateInvariant, EvaluationAtPole,
                      GaloisPairsError, IrregularOrbit, ModulusMismatch,
-                     NotBlockPreserving, NotFound, ResultantVanishes,
-                     SingularMatrix, UnknownCase)
+                     NotFound, ResultantVanishes, SingularMatrix, UnknownCase)
 from .field import PrimeField, is_prime
 from .implicitize import implicit_degree
 from .polys import INFINITY, Poly, RationalFunction
@@ -24,9 +23,8 @@ from .quotient import (CurveParametrization, emit_parametrization,
                        parametrization_from_dict)
 from .search import (SearchConfig, find_cyclic_regular, find_scaling_conjugates,
                      random_pair_search, run_search)
-from .subgroups import (GroupKind, Partition, Subgroup, block_action, conjugate,
-                        generate_closure, intersect, is_faithful_on_blocks,
-                        orbit, orbit_labels, parse_kind, recognize)
+from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,
+                        intersect, orbit, orbit_labels, parse_kind, recognize)
 from .verify import VerificationReport, verify_prime
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Bundled reference cases: generator matrices, block partitions, and printed
+"""Bundled reference cases: generator matrices, block systems, and printed
 class lists for characteristics 11, 23 and 59.
 
 Generator letters used throughout the tables and the verification harness:
@@ -8,6 +8,9 @@ Generator letters used throughout the tables and the verification harness:
     x           generator of the cyclic group G2 of order p+1
     f, r        flip and rotation generating the dihedral group G3
     c           the rescaling conjugator defining G4 = c-conjugate of G1
+
+The p=23 block systems O (four 6-point blocks) and T (two 12-point blocks)
+are plain tuples of frozensets of points, indexed as published.
 
 Entries are stored exactly as published (powers of the primitive element
 alpha, signed representatives welcome) and reduced mod p on ingestion.
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 from .errors import UnknownCase
 from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint, projective_line
-from .subgroups import GroupKind, Partition, Subgroup, generate_closure
+from .subgroups import GroupKind, Subgroup, generate_closure
 
 PRIMES = (11, 23, 59)
 LABELS = ("a", "b", "c")
@@ -135,8 +138,8 @@ def _table_23() -> dict:
         "gen": gen,
         "g1_letters": ("s", "t", "h", "m"),
         "base_kind": GroupKind.sym4(),
-        "o_partition": Partition(line, [_pts(line, a, b) for b in o_blocks]),
-        "t_partition": Partition(line, [_pts(line, a, b) for b in t_blocks]),
+        "o_partition": tuple(_pts(line, a, b) for b in o_blocks),
+        "t_partition": tuple(_pts(line, a, b) for b in t_blocks),
         "o_block_images": {"s": (1, 0, 3, 2), "t": (0, 2, 3, 1), "h": (1, 2, 3, 0)},
         "t_block_images": {"f": (1, 0), "r": (0, 1)},
         # the published class for the 12th power is misprinted as
@@ -213,7 +216,6 @@ class ReferenceCase:
     g2_generators: tuple[ProjectiveMatrix, ...]
     expected_kind1: GroupKind
     expected_kind2: GroupKind
-    conjugator: ProjectiveMatrix | None
 
 
 def load_case(p: int, label: str) -> ReferenceCase:
@@ -228,14 +230,14 @@ def load_case(p: int, label: str) -> ReferenceCase:
     n = p + 1
     if label == "a":
         return ReferenceCase(p, label, g1, (gen["x"],), kind1,
-                             GroupKind.cyclic(n), None)
+                             GroupKind.cyclic(n))
     if label == "b":
         return ReferenceCase(p, label, g1, (gen["f"], gen["r"]), kind1,
-                             GroupKind.dihedral(n), None)
+                             GroupKind.dihedral(n))
     conj = gen["c"]
     ci = line.inverse(conj)
     g2 = tuple(line.compose(line.compose(ci, A), conj) for A in g1)
-    return ReferenceCase(p, label, g1, g2, kind1, kind1, conj)
+    return ReferenceCase(p, label, g1, g2, kind1, kind1)
 
 
 @lru_cache(maxsize=None)

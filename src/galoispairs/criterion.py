@@ -42,21 +42,13 @@ class PairCertificate:
     degree: int
     base_point: ProjectivePoint
     intersection_size: int
-    orbit1: frozenset[ProjectivePoint]
-    orbit2: frozenset[ProjectivePoint]
+    orbit_length: int
+    orbit_equal: bool
     failures: tuple[str, ...]
 
     @property
     def verdict(self) -> str:
         return "fail" if self.failures else "pass"
-
-    @property
-    def orbit_length(self) -> int:
-        return len(self.orbit1)
-
-    @property
-    def orbit_equal(self) -> bool:
-        return self.orbit1 == self.orbit2
 
     def to_dict(self) -> dict:
         return {
@@ -115,7 +107,7 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
         if meets1[r1] != 1 or meets2[r2] != 1:
             failures.append(f"orbits at {Q} differ")
     i = base.t + 1 if base.s else 0
-    all_points = line.points()
+    r1, r2 = lab1[i], lab2[i]
     return PairCertificate(
         p=line.p,
         g1_generators=G1.generators,
@@ -125,8 +117,8 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
         degree=d1,
         base_point=base,
         intersection_size=inter_size,
-        orbit1=frozenset(Q for Q, r in zip(all_points, lab1) if r == lab1[i]),
-        orbit2=frozenset(Q for Q, r in zip(all_points, lab2) if r == lab2[i]),
+        orbit_length=size1[r1],
+        orbit_equal=meets1[r1] == 1 and meets2[r2] == 1,
         failures=tuple(failures),
     )
 

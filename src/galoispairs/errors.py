@@ -17,10 +17,6 @@ class ClosureCapExceeded(GaloisPairsError):
     """Subgroup closure grew past the configured cap."""
 
 
-class NotBlockPreserving(GaloisPairsError):
-    """A matrix maps some block of a partition onto a non-block."""
-
-
 class UnknownCase(GaloisPairsError):
     """No bundled reference case for the requested prime/label."""
 

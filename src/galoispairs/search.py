@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
@@ -192,23 +192,18 @@ def _sample_matrix(bits: Callable[[int], int], k: int,
 
 
 def _orders_fit(line: ProjectiveLine, kind: GroupKind,
-                gens: Sequence[ProjectiveMatrix]) -> bool:
-    """False when <gens> cannot be a group of `kind`, judged from element
-    orders alone, before any closure.
+                g: ProjectiveMatrix, h: ProjectiveMatrix) -> bool:
+    """False when <g, h> cannot be a group of `kind`, judged from the
+    orders of four words, before any closure.
 
-    One generator g spans a cyclic group of order ord(g). For a pair
-    (g, h), the orders of g, h, gh, gh^-1, gh^2 and g^2h must all lie in
+    The orders of gh, gh^-1, gh^2 and g^2h must all lie in
     kind.element_orders. Sound: every element of a group of that kind has
-    an order in that set, so a rejected tuple would have failed at the
-    closure cap or at recognize.
+    an order in that set, so a rejected pair would have failed at the
+    closure cap or at recognize. Both callers have already screened the
+    orders of g and h themselves.
     """
     order = line.element_order
-    if len(gens) == 1:
-        return kind.family == "C" and order(gens[0]) == kind.order
     allowed = kind.element_orders
-    g, h = gens
-    if order(g) not in allowed or order(h) not in allowed:
-        return False
     compose = line.compose
 
     def words():
@@ -231,8 +226,8 @@ def _sample_subgroup(bits: Callable[[int], int], k: int, line: ProjectiveLine,
     first screen reads the orders of the raw draws (element orders do not
     depend on the representative) and rejects almost every tick for the
     cost of its draws and one or two order lookups. Only the survivors are
-    put in canonical form, screened by word orders (_orders_fit), closed
-    and recognized.
+    put in canonical form, a pair screened by word orders (_orders_fit),
+    closed and recognized.
     """
     p = line.p
     order = line.element_order
@@ -240,16 +235,15 @@ def _sample_subgroup(bits: Callable[[int], int], k: int, line: ProjectiveLine,
     if kind.family == "C":
         if order(g) != kind.order:
             return None
-        draws = (g,)
+        gens = [line.matrix(ProjectiveMatrix._make(g))]
     else:
         h = _sample_matrix(bits, k, p)
         allowed = kind.element_orders
         if order(g) not in allowed or order(h) not in allowed:
             return None
-        draws = (g, h)
-    gens = [line.matrix(ProjectiveMatrix._make(m)) for m in draws]
-    if not _orders_fit(line, kind, gens):
-        return None
+        gens = [line.matrix(ProjectiveMatrix._make(m)) for m in (g, h)]
+        if not _orders_fit(line, kind, *gens):
+            return None
     try:
         G = generate_closure(line, gens, cap=kind.order)
     except ClosureCapExceeded:
@@ -413,7 +407,7 @@ def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
                     return None
                 spent += 1
                 gens = (pool_a[i], pool_b[j])
-                if not _orders_fit(line, other, gens):
+                if not _orders_fit(line, other, *gens):
                     continue
                 try:
                     G = generate_closure(line, gens, cap=other.order)

@@ -1,4 +1,4 @@
-"""Finite subgroups of PGL(2, F_p): closure, recognition, orbits, blocks."""
+"""Finite subgroups of PGL(2, F_p): closure, recognition, orbits."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ClosureCapExceeded, ModulusMismatch, NotBlockPreserving
+from .errors import ClosureCapExceeded, ModulusMismatch
 from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint
 
 DEFAULT_CLOSURE_CAP = 600
@@ -282,53 +282,3 @@ def _check_point(line: ProjectiveLine, Q: ProjectivePoint) -> ProjectivePoint:
     if not (0 <= Q.s < line.p and 0 <= Q.t < line.p):
         raise ModulusMismatch(f"point {Q} is not reduced mod {line.p}")
     return line.point(Q.s, Q.t)
-
-
-class Partition:
-    """Disjoint blocks of points covering all of P^1(F_p)."""
-
-    __slots__ = ("line", "blocks")
-
-    def __init__(self, line: ProjectiveLine, blocks: Sequence[Iterable[ProjectivePoint]]):
-        self.line = line
-        self.blocks = tuple(frozenset(b) for b in blocks)
-        seen: set[ProjectivePoint] = set()
-        for block in self.blocks:
-            if seen & block:
-                raise ValueError("blocks are not pairwise disjoint")
-            seen |= block
-        if seen != set(line.points()):
-            raise ValueError("blocks do not cover P^1(F_p)")
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-def block_action(line: ProjectiveLine, A: ProjectiveMatrix,
-                 partition: Partition) -> tuple[int, ...]:
-    """Permutation i -> j induced by A on block indices.
-
-    Raises NotBlockPreserving if the image of some block is not a block.
-    """
-    perm = []
-    for i, block in enumerate(partition.blocks):
-        image = frozenset(line.apply(Q, A) for Q in block)
-        for j, target in enumerate(partition.blocks):
-            if image == target:
-                perm.append(j)
-                break
-        else:
-            raise NotBlockPreserving(f"{A} maps block {i} onto a non-block")
-    return tuple(perm)
-
-
-def is_faithful_on_blocks(G: Subgroup, partition: Partition) -> bool:
-    """True iff only the identity induces the identity block permutation."""
-    line = G.line
-    ident_perm = tuple(range(len(partition)))
-    for A in G.elements:
-        if A == line.identity:
-            continue
-        if block_action(line, A, partition) == ident_perm:
-            return False
-    return True

@@ -58,10 +58,12 @@ def randrange_sample_subgroup(rng: random.Random, line: ProjectiveLine,
     cyclic kind and two otherwise, closed under cap |kind| and kept only if
     recognized as `kind`.
 
-    The order screen is left out. It is sound (a tuple it rejects would
-    exceed the cap or be recognized as another kind), so it changes no
-    result, and without it this oracle depends neither on search._orders_fit
-    nor on element orders of non-canonical matrices.
+    Both order screens are left out: the generator orders on the raw draws
+    and the word orders of a pair (search._orders_fit). They are sound (a
+    tuple they reject would exceed the cap or be recognized as another
+    kind), so they change no result, and without them this oracle depends
+    neither on search._orders_fit nor on element orders of non-canonical
+    matrices.
     """
     n_gens = 1 if kind.family == "C" else 2
     gens = [randrange_sample_matrix(rng, line) for _ in range(n_gens)]

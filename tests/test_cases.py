@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from conftest import trivial_subgroup
 from galoispairs import (GroupKind, UnknownCase, case_subgroups, load_case,
-                         recognize, verify_prime)
+                         recognize, verify, verify_prime)
 from galoispairs.cases import LABELS, PRIMES, prime_table
+from galoispairs.verify import _block_perm
 
 
 def iter_cases():
@@ -36,10 +38,7 @@ def test_case_kinds_and_degrees():
         assert recognize(G1) == case.expected_kind1
         assert recognize(G2) == case.expected_kind2
         if case.label == "c":
-            assert case.conjugator is not None
             assert case.expected_kind2 == case.expected_kind1
-        else:
-            assert case.conjugator is None
 
 
 def test_printed_element_lists_live_in_their_groups():
@@ -57,8 +56,44 @@ def test_printed_element_lists_live_in_their_groups():
 
 def test_partition_sizes_as_published():
     tab = prime_table(23)
-    assert [len(b) for b in tab["o_partition"].blocks] == [6, 6, 6, 6]
-    assert [len(b) for b in tab["t_partition"].blocks] == [12, 12]
+    assert [len(b) for b in tab["o_partition"]] == [6, 6, 6, 6]
+    assert [len(b) for b in tab["t_partition"]] == [12, 12]
+
+
+def test_partition_validation():
+    # the block sizes add up to the size of their union, which is the whole
+    # line: the blocks are pairwise disjoint and cover P^1(F_23)
+    tab = prime_table(23)
+    points = set(tab["line"].points())
+    for blocks in (tab["o_partition"], tab["t_partition"]):
+        assert set().union(*blocks) == points
+        assert sum(map(len, blocks)) == len(points)
+
+
+def test_block_perm_printed_images():
+    tab = prime_table(23)
+    line, gen = tab["line"], tab["gen"]
+    O, T = tab["o_partition"], tab["t_partition"]
+    assert _block_perm(line, line.identity, O) == (0, 1, 2, 3)
+    assert _block_perm(line, gen["s"], O) == (1, 0, 3, 2)
+    assert _block_perm(line, gen["r"], T) == (0, 1)
+    assert _block_perm(line, line.matrix([[1, 1], [0, 1]]), O) is None
+
+
+def faithful_on(G, blocks):
+    """Every element of G permutes the blocks, and no two alike."""
+    perms = [_block_perm(G.line, A, blocks) for A in G.elements]
+    return None not in perms and len(set(perms)) == len(perms)
+
+
+def test_faithfulness():
+    tab = prime_table(23)
+    O, T = tab["o_partition"], tab["t_partition"]
+    assert faithful_on(trivial_subgroup(tab["line"]), O)
+    G1 = case_subgroups(23, "a")[0]
+    assert faithful_on(G1, O)
+    G3 = case_subgroups(23, "b")[1]
+    assert not faithful_on(G3, T)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -111,16 +146,12 @@ def test_verify_items_cover_the_headline_claims():
         assert needed in ids59
 
 
-def test_block_check_propagates_unexpected_errors(monkeypatch):
-    from galoispairs import NotBlockPreserving, verify
-
-    def raising(error):
-        def block_action(*args):
-            raise error
-        return block_action
-
-    monkeypatch.setattr(verify, "block_action", raising(NotBlockPreserving("moved")))
-    assert verify._preserves(None, None, None) is False
-    monkeypatch.setattr(verify, "block_action", raising(KeyError("not a block error")))
-    with pytest.raises(KeyError):
-        verify._preserves(None, None, None)
+def test_block_breaking_generator_fails_its_item(monkeypatch):
+    # x, the Singer cycle, does not preserve O: claiming it permutes the
+    # four blocks must give one FAIL item, not an exception
+    tab = dict(prime_table(23))
+    tab["o_block_images"] = {**tab["o_block_images"], "x": (0, 1, 2, 3)}
+    monkeypatch.setattr(verify, "prime_table", lambda p: tab)
+    report = verify_prime(23)
+    assert [i.id for i in report.items if not i.passed] == ["blocks.o.x"]
+    assert not report.passed

@@ -144,8 +144,8 @@ def per_point_certificate(G1, G2, base, points) -> PairCertificate:
     return PairCertificate(
         p=line.p, g1_generators=G1.generators, g2_generators=G2.generators,
         kind1=recognize(G1), kind2=recognize(G2), degree=d, base_point=base,
-        intersection_size=inter_size, orbit1=orbit(G1, base),
-        orbit2=orbit(G2, base), failures=tuple(failures))
+        intersection_size=inter_size, orbit_length=len(orbit(G1, base)),
+        orbit_equal=orbit(G1, base) == orbit(G2, base), failures=tuple(failures))
 
 
 def test_all_basepoints_matches_per_point_orbits_on_reference_pairs():

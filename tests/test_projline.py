@@ -218,7 +218,7 @@ def test_enumerate_points():
     pts = set(line23.points())
     assert len(pts) == 24
     O = prime_table(23)["o_partition"]
-    assert set().union(*O.blocks) == pts
+    assert set().union(*O) == pts
 
 
 def test_matrices_enumeration_is_all_of_pgl():

@@ -4,10 +4,9 @@ import pytest
 
 from conftest import stabilizer, trivial_subgroup
 from galoispairs import (ClosureCapExceeded, GroupKind, ModulusMismatch,
-                         NotBlockPreserving, Partition, block_action,
                          case_subgroups, conjugate, generate_closure,
-                         intersect, is_faithful_on_blocks, orbit, parse_kind,
-                         projective_line, recognize)
+                         intersect, orbit, parse_kind, projective_line,
+                         recognize)
 from galoispairs.cases import prime_table
 
 
@@ -140,7 +139,7 @@ def test_orbit():
     orb = orbit(T, line23.point(1, 0))
     assert len(orb) == 3
     O = tab["o_partition"]
-    assert orb <= O.blocks[1] | O.blocks[2] | O.blocks[3]
+    assert orb <= O[1] | O[2] | O[3]
 
 
 def test_stabilizer():
@@ -173,37 +172,6 @@ def test_regularity_of_order_p_plus_1_groups():
         assert len(orbit(G2, line.points()[0])) == p + 1
         for Q in line.points():
             assert len(stabilizer(G2, Q)) == 1
-
-
-def test_partition_validation():
-    line = projective_line(11)
-    pts = list(line.points())
-    with pytest.raises(ValueError):
-        Partition(line, [pts[:5], pts[4:]])  # overlap
-    with pytest.raises(ValueError):
-        Partition(line, [pts[:5]])  # not covering
-
-
-def test_block_action_printed_images():
-    tab = prime_table(23)
-    line, gen = tab["line"], tab["gen"]
-    O, T = tab["o_partition"], tab["t_partition"]
-    assert block_action(line, line.identity, O) == (0, 1, 2, 3)
-    assert block_action(line, gen["s"], O) == (1, 0, 3, 2)
-    assert block_action(line, gen["r"], T) == (0, 1)
-    with pytest.raises(NotBlockPreserving):
-        block_action(line, line.matrix([[1, 1], [0, 1]]), O)
-
-
-def test_faithfulness():
-    tab = prime_table(23)
-    line = tab["line"]
-    O, T = tab["o_partition"], tab["t_partition"]
-    assert is_faithful_on_blocks(trivial_subgroup(line), O)
-    G1 = case_subgroups(23, "a")[0]
-    assert is_faithful_on_blocks(G1, O)
-    G3 = case_subgroups(23, "b")[1]
-    assert not is_faithful_on_blocks(G3, T)
 
 
 def test_parse_kind():
