@@ -7,13 +7,13 @@ computations for characteristics 11, 23 and 59, searches for new pairs,
 and emits explicit quotient-map parametrizations of the curves.
 """
 
-from .cases import LABELS, PRIMES, ReferenceCase, case_subgroups, load_case
+from .cases import LABELS, PRIMES, case_subgroups
 from .criterion import (PairCertificate, check_pair, check_pair_all_basepoints,
                         reverify, subgroups_from_dict)
 from .errors import (ClosureCapExceeded, DegenerateInvariant, EvaluationAtPole,
                      GaloisPairsError, IrregularOrbit, ModulusMismatch,
                      NotFound, ResultantVanishes, SingularMatrix, UnknownCase)
-from .field import PrimeField, is_prime
+from .field import is_prime, primitive_root
 from .implicitize import implicit_degree
 from .polys import INFINITY, Poly, RationalFunction
 from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,

@@ -1,5 +1,8 @@
-"""Bundled reference cases: generator matrices, block systems, and printed
-class lists for characteristics 11, 23 and 59.
+"""Bundled reference cases for characteristics 11, 23 and 59.
+
+The entry point is case_subgroups(p, label): the closed subgroup pair of
+case (p, label), label "a", "b" or "c". prime_table(p) holds the generator
+matrices, block systems and printed class lists behind it.
 
 Generator letters used throughout the tables and the verification harness:
 
@@ -18,12 +21,11 @@ alpha, signed representatives welcome) and reduced mod p on ingestion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UnknownCase
-from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint, projective_line
-from .subgroups import GroupKind, Subgroup, generate_closure
+from .projline import ProjectiveLine, ProjectivePoint, projective_line
+from .subgroups import Subgroup, generate_closure
 
 PRIMES = (11, 23, 59)
 LABELS = ("a", "b", "c")
@@ -76,7 +78,6 @@ def _table_11() -> dict:
         "line": line,
         "gen": gen,
         "g1_letters": ("s", "t", "h"),
-        "base_kind": GroupKind.alt4(),
         "g1_order2": [M(rows) for rows in
                       ([[0, 2], [1, 0]], [[10, 9], [1, 1]], [[9, 9], [1, 2]])],
         # last entry corrected from the misprinted [[5,4],[1,7]], which is
@@ -137,7 +138,6 @@ def _table_23() -> dict:
         "line": line,
         "gen": gen,
         "g1_letters": ("s", "t", "h", "m"),
-        "base_kind": GroupKind.sym4(),
         "o_partition": tuple(_pts(line, a, b) for b in o_blocks),
         "t_partition": tuple(_pts(line, a, b) for b in t_blocks),
         "o_block_images": {"s": (1, 0, 3, 2), "t": (0, 2, 3, 1), "h": (1, 2, 3, 0)},
@@ -202,48 +202,26 @@ def _table_59() -> dict:
         "line": line,
         "gen": gen,
         "g1_letters": ("s", "t"),
-        "base_kind": GroupKind.alt5(),
     }
 
 
-@dataclass(frozen=True)
-class ReferenceCase:
-    """One of the nine bundled pair configurations."""
-
-    p: int
-    label: str
-    g1_generators: tuple[ProjectiveMatrix, ...]
-    g2_generators: tuple[ProjectiveMatrix, ...]
-    expected_kind1: GroupKind
-    expected_kind2: GroupKind
-
-
-def load_case(p: int, label: str) -> ReferenceCase:
-    """Case (p, label) with label "a" (cyclic), "b" (dihedral), "c" (conjugate)."""
+@lru_cache(maxsize=None)
+def case_subgroups(p: int, label: str) -> tuple[Subgroup, Subgroup]:
+    """Closed subgroup pair (G1, G2) for case (p, label): G1 is generated by
+    the g1 letters, and G2 by x for label "a" (cyclic), by f and r for "b"
+    (dihedral), and by the conjugates c' A c of the G1 generators for "c"."""
     if p not in PRIMES or label not in LABELS:
         raise UnknownCase(f"no reference case ({p}, {label!r})")
     tab = prime_table(p)
     line: ProjectiveLine = tab["line"]
     gen = tab["gen"]
     g1 = tuple(gen[letter] for letter in tab["g1_letters"])
-    kind1 = tab["base_kind"]
-    n = p + 1
     if label == "a":
-        return ReferenceCase(p, label, g1, (gen["x"],), kind1,
-                             GroupKind.cyclic(n))
-    if label == "b":
-        return ReferenceCase(p, label, g1, (gen["f"], gen["r"]), kind1,
-                             GroupKind.dihedral(n))
-    conj = gen["c"]
-    ci = line.inverse(conj)
-    g2 = tuple(line.compose(line.compose(ci, A), conj) for A in g1)
-    return ReferenceCase(p, label, g1, g2, kind1, kind1)
-
-
-@lru_cache(maxsize=None)
-def case_subgroups(p: int, label: str) -> tuple[Subgroup, Subgroup]:
-    """Closed subgroup pair for a reference case."""
-    case = load_case(p, label)
-    line = prime_table(p)["line"]
-    return (generate_closure(line, case.g1_generators),
-            generate_closure(line, case.g2_generators))
+        g2 = (gen["x"],)
+    elif label == "b":
+        g2 = (gen["f"], gen["r"])
+    else:
+        conj = gen["c"]
+        ci = line.inverse(conj)
+        g2 = tuple(line.compose(line.compose(ci, A), conj) for A in g1)
+    return generate_closure(line, g1), generate_closure(line, g2)

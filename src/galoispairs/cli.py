@@ -120,12 +120,16 @@ def _cmd_emit_curve(args) -> int:
     except GaloisPairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    doc = param.to_dict()
+    line = _dump(param.to_dict())
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-    print(_dump(doc))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(line + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_INVALID
+    print(line)
     print(f"implicit_degree={degree}")
     return EXIT_PASS if degree == cert.degree else EXIT_FAIL
 

@@ -1,10 +1,14 @@
-"""The prime field F_p: a validated modulus and its primitive element.
+"""Facts about a prime modulus p: primality, prime factors and the
+primitive root of p.
 
-Field elements are plain Python ints kept in the canonical range [0, p);
-callers compute on them with % p and the built-in pow.
+The prime itself is a plain int, and so are field elements, kept in the
+canonical range [0, p); callers compute on them with % p and the built-in
+pow.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 
 def is_prime(n: int) -> bool:
@@ -38,39 +42,18 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-class PrimeField:
-    """The field F_p for a validated prime p."""
+@lru_cache(maxsize=None)
+def primitive_root(p: int) -> int:
+    """Smallest generator of the multiplicative group of F_p, p an odd prime.
 
-    __slots__ = ("p", "_primitive")
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-        self._primitive: int | None = None
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def primitive_element(self) -> int:
-        """Smallest generator of the multiplicative group.
-
-        Order is certified by checking g**((p-1)/q) != 1 for every prime
-        q dividing p-1.
-        """
-        if self.p < 3:
-            raise ValueError("multiplicative group of F_2 is trivial")
-        if self._primitive is None:
-            n = self.p - 1
-            checks = [n // q for q in prime_factors(n)]
-            g = 2
-            while any(pow(g, e, self.p) == 1 for e in checks):
-                g += 1
-            self._primitive = g
-        return self._primitive
+    Order is certified by checking g**((p-1)/q) != 1 for every prime
+    q dividing p-1.
+    """
+    if p < 3:
+        raise ValueError(f"no primitive root mod {p}: p must be an odd prime")
+    n = p - 1
+    checks = [n // q for q in prime_factors(n)]
+    g = 2
+    while any(pow(g, e, p) == 1 for e in checks):
+        g += 1
+    return g

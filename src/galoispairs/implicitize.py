@@ -61,7 +61,7 @@ def implicit_degree(param: CurveParametrization) -> int:
     if A.gcd(B).gcd(D).degree > 0:
         raise ResultantVanishes("the components A, B, D share a factor")
     at_infinity = tuple(P.lead if P.degree == d else 0 for P in (A, B, D))
-    affine = (tuple(P.eval(t0) for P in (A, B, D)) for t0 in range(A.field.p))
+    affine = (tuple(P.eval(t0) for P in (A, B, D)) for t0 in range(A.p))
     k = d
     for a0, b0, d0 in chain([at_infinity], affine):
         k = gcd(k, _fiber_size(A, B, D, d, a0, b0, d0))

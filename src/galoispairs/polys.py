@@ -26,32 +26,31 @@ def _pack(coeffs, size: int) -> int:
 
 
 class Poly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("p", "coeffs")
 
-    def __init__(self, field, coeffs):
-        p = field.p
-        self.field = field
+    def __init__(self, p: int, coeffs):
+        self.p = p
         self.coeffs = _trim([c % p for c in coeffs])
 
     @classmethod
-    def _raw(cls, field, coeffs: tuple) -> "Poly":
+    def _raw(cls, p: int, coeffs: tuple) -> "Poly":
         out = object.__new__(cls)
-        out.field = field
+        out.p = p
         out.coeffs = coeffs
         return out
 
     @classmethod
-    def zero(cls, field) -> "Poly":
-        return cls._raw(field, ())
+    def zero(cls, p: int) -> "Poly":
+        return cls._raw(p, ())
 
     @classmethod
-    def const(cls, field, c) -> "Poly":
-        c %= field.p
-        return cls._raw(field, (c,) if c else ())
+    def const(cls, p: int, c) -> "Poly":
+        c %= p
+        return cls._raw(p, (c,) if c else ())
 
     @classmethod
-    def x(cls, field) -> "Poly":
-        return cls._raw(field, (0, 1))
+    def x(cls, p: int) -> "Poly":
+        return cls._raw(p, (0, 1))
 
     @property
     def degree(self) -> int:
@@ -69,36 +68,36 @@ class Poly:
         return self.coeffs[-1]
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and other.field == self.field
+        return (isinstance(other, Poly) and other.p == self.p
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.p, self.coeffs))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 
     def __add__(self, other):
-        p = self.field.p
+        p = self.p
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = [(x + y) % p for x, y in zip(a, b)]
         out.extend(a[len(b):])
-        return Poly._raw(self.field, _trim(out))
+        return Poly._raw(p, _trim(out))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        p = self.field.p
-        return Poly._raw(self.field, tuple(-c % p for c in self.coeffs))
+        p = self.p
+        return Poly._raw(p, tuple(-c % p for c in self.coeffs))
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly.zero(self.field)
-        p = self.field.p
+            return Poly.zero(self.p)
+        p = self.p
         # a product coefficient is a sum of at most min(len a, len b) products
         # of residues, so it is below 2**w for w the bit length of
         # min(len a, len b) * (p - 1)**2; slots are w bits rounded up to bytes
@@ -107,24 +106,23 @@ class Poly:
             (len(a) + len(b) - 1) * size, "little")
         from_bytes = int.from_bytes
         # the leading coefficient is a product of two units, so no trim
-        return Poly._raw(self.field, tuple([from_bytes(buf[i:i + size], "little") % p
-                                            for i in range(0, len(buf), size)]))
+        return Poly._raw(p, tuple([from_bytes(buf[i:i + size], "little") % p
+                                   for i in range(0, len(buf), size)]))
 
     def scale(self, c) -> "Poly":
-        p = self.field.p
+        p = self.p
         c %= p
         if not c:
-            return Poly.zero(self.field)
-        return Poly._raw(self.field, tuple(a * c % p for a in self.coeffs))
+            return Poly.zero(p)
+        return Poly._raw(p, tuple(a * c % p for a in self.coeffs))
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        return self.scale(pow(self.lead, -1, self.field.p))
+        return self.scale(pow(self.lead, -1, self.p))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        f = self.field
-        p = f.p
+        p = self.p
         b = other.coeffs
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
@@ -132,7 +130,7 @@ class Poly:
         db = len(b) - 1
         dq = len(rem) - len(b)
         if dq < 0:
-            return Poly.zero(f), self
+            return Poly.zero(p), self
         inv_lead = pow(b[-1], -1, p)
         quo = [0] * (dq + 1)
         for k in range(dq, -1, -1):
@@ -144,7 +142,7 @@ class Poly:
             # rem[k + db] becomes 0 and is never read again
             rem[k:k + db] = [(r - q * c) % p for r, c in zip(rem[k:k + db], b)]
         del rem[db:]
-        return Poly._raw(f, tuple(quo)), Poly._raw(f, _trim(rem))
+        return Poly._raw(p, tuple(quo)), Poly._raw(p, _trim(rem))
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -161,7 +159,7 @@ class Poly:
 
     def eval(self, t):
         """Horner evaluation at a residue mod p."""
-        p = self.field.p
+        p = self.p
         acc = 0
         for c in reversed(self.coeffs):
             acc = (acc * t + c) % p
@@ -180,13 +178,13 @@ class RationalFunction:
         if g.degree > 0:
             num = num // g
             den = den // g
-        u = pow(den.lead, -1, den.field.p)
+        u = pow(den.lead, -1, den.p)
         self.num = num.scale(u)
         self.den = den.scale(u)
 
     @property
-    def field(self):
-        return self.den.field
+    def p(self) -> int:
+        return self.den.p
 
     @property
     def degree(self) -> int:
@@ -209,7 +207,7 @@ class RationalFunction:
 
     def eval_affine(self, t):
         """Value at the point (1:t); INFINITY at a pole."""
-        p = self.field.p
+        p = self.p
         vd = self.den.eval(t)
         if not vd:
             return INFINITY
@@ -222,7 +220,7 @@ class RationalFunction:
             return INFINITY
         if dn < dd:
             return 0
-        return self.num.lead * pow(self.den.lead, -1, self.field.p) % self.field.p
+        return self.num.lead * pow(self.den.lead, -1, self.p) % self.p
 
     def eval_point(self, Q):
         """Value at a projective point (s:t) in canonical form."""

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import SingularMatrix
-from .field import PrimeField, prime_factors
+from .field import is_prime, prime_factors
 
 
 class ProjectivePoint(NamedTuple):
@@ -43,8 +43,9 @@ class ProjectiveLine:
     """P^1(F_p) together with the right action of PGL(2, F_p)."""
 
     def __init__(self, p: int):
-        self.field = PrimeField(p)
-        self.p = self.field.p
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
+        self.p = p
         self._points: tuple[ProjectivePoint, ...] | None = None
         self._orders: dict[int, int] = {}  # tau = tr^2/det -> class order
 

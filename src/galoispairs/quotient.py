@@ -36,18 +36,17 @@ def _orbit_product(G: Subgroup) -> list[Poly]:
     row holds residues mod p from the leaves on, so rows become Poly
     without another reduction.
     """
-    field = G.line.field
-    p = field.p
+    p = G.line.p
     level = [[(-b % p, -d % p), (a, c)] for (a, b, c, d) in G]
     while len(level) > 1:
-        paired = [_mul_rows(field, A, B) for A, B in zip(level[::2], level[1::2])]
+        paired = [_mul_rows(p, A, B) for A, B in zip(level[::2], level[1::2])]
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    return [Poly._raw(field, _trim(list(row))) for row in level[0]]
+    return [Poly._raw(p, _trim(list(row))) for row in level[0]]
 
 
-def _mul_rows(field, A: list, B: list) -> list:
+def _mul_rows(p: int, A: list, B: list) -> list:
     """Product of two polynomials in X, each given as rows of t-coefficients
     (row i multiplies X^i, lowest t-degree first).
 
@@ -64,7 +63,7 @@ def _mul_rows(field, A: list, B: list) -> list:
         for row in rows:
             out.extend(row)
             out.extend([0] * (s - len(row)))
-        return Poly._raw(field, _trim(out))
+        return Poly._raw(p, _trim(out))
 
     prod = (pack(A) * pack(B)).coeffs
     return [prod[i:i + s] for i in range(0, (len(A) + len(B) - 1) * s, s)]
@@ -83,13 +82,12 @@ def invariant_generator(G: Subgroup) -> RationalFunction:
     cannot all be constants in F_p. DegenerateInvariant marks a broken
     orbit product.
     """
-    line = G.line
-    field = line.field
+    p = G.line.p
     n = len(G)
-    if n % line.p == 0:
+    if n % p == 0:
         raise ValueError("group order must be coprime to p")
     if n == 1:
-        return RationalFunction(Poly.x(field), Poly.const(field, 1))
+        return RationalFunction(Poly.x(p), Poly.const(p, 1))
     polys = _orbit_product(G)
     top = polys[n]
     for i in range(n - 1, -1, -1):
@@ -158,12 +156,12 @@ class CurveParametrization:
 
 
 def parametrization_from_dict(doc: dict) -> CurveParametrization:
-    field = projective_line(int(doc["p"])).field
+    p = projective_line(int(doc["p"])).p
     return CurveParametrization(
-        p=field.p,
-        A=Poly(field, doc["A"]),
-        B=Poly(field, doc["B"]),
-        D=Poly(field, doc["D"]),
+        p=p,
+        A=Poly(p, doc["A"]),
+        B=Poly(p, doc["B"]),
+        D=Poly(p, doc["D"]),
         degree=int(doc["degree"]),
     )
 

@@ -448,14 +448,13 @@ def scaling_pair_search(cfg: SearchConfig) -> PairCertificate | None:
 
 
 def _base_group(cfg: SearchConfig, line: ProjectiveLine) -> Subgroup | None:
-    from .cases import PRIMES, case_subgroups, load_case
+    from .cases import LABELS, PRIMES, case_subgroups
 
     if cfg.p in PRIMES:
-        for label in ("a", "b", "c"):
-            case = load_case(cfg.p, label)
-            for which, kind in ((0, case.expected_kind1), (1, case.expected_kind2)):
-                if kind == cfg.kind1:
-                    return case_subgroups(cfg.p, label)[which]
+        for label in LABELS:
+            for G in case_subgroups(cfg.p, label):
+                if recognize(G) == cfg.kind1:
+                    return G
     if cfg.kind1 == GroupKind.cyclic(line.p + 1):
         return find_cyclic_regular(line)
     bits = random.Random(cfg.seed).getrandbits

@@ -138,10 +138,6 @@ class Subgroup:
     def __repr__(self):
         return f"Subgroup(p={self.line.p}, order={len(self.elements)})"
 
-    @property
-    def p(self) -> int:
-        return self.line.p
-
 
 def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix],
                      cap: int | None = None) -> Subgroup:

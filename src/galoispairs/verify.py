@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from .cases import LABELS, PRIMES, _pt, _pts, case_subgroups, prime_table
 from .criterion import check_pair_all_basepoints
 from .errors import UnknownCase
+from .field import primitive_root
 from .projline import ProjectiveLine, ProjectiveMatrix
 from .subgroups import GroupKind, Subgroup, generate_closure, orbit, recognize
 
@@ -135,7 +136,7 @@ class _Harness:
 def _verify_11(h: _Harness):
     line, gen, tab = h.line, h.gen, h.tab
     h.add("alpha", "2 generates the multiplicative group",
-          line.field.primitive_element() == tab["alpha"])
+          primitive_root(line.p) == tab["alpha"])
     for letter, n in (("s", 2), ("t", 2), ("h", 3), ("x", 12), ("f", 2), ("r", 6)):
         h.order_item(letter, n)
     h.relation("g1.commute", "s t", "t s")
@@ -179,7 +180,7 @@ def _verify_23(h: _Harness):
     line, gen, tab = h.line, h.gen, h.tab
     alpha = tab["alpha"]
     h.add("alpha", "5 generates the multiplicative group",
-          line.field.primitive_element() == alpha)
+          primitive_root(line.p) == alpha)
     for letter, n in (("s", 2), ("m", 2), ("t", 3), ("h", 4), ("x", 24),
                       ("f", 2), ("r", 12)):
         h.order_item(letter, n)
@@ -274,7 +275,7 @@ def _verify_23(h: _Harness):
 def _verify_59(h: _Harness):
     line, tab = h.line, h.tab
     h.add("alpha", "2 generates the multiplicative group",
-          line.field.primitive_element() == tab["alpha"])
+          primitive_root(line.p) == tab["alpha"])
     for letter, n in (("s", 2), ("t", 3), ("x", 60), ("f", 2), ("r", 30)):
         h.order_item(letter, n)
     G1, G2 = case_subgroups(59, "a")

@@ -11,6 +11,19 @@ from galoispairs import (ClosureCapExceeded, GroupKind, Poly, ProjectiveLine,
                          ProjectiveMatrix, ProjectivePoint, RationalFunction,
                          Subgroup, generate_closure, projective_line, recognize)
 
+# the (kind1, kind2) the paper states for each bundled case (p, label)
+CASE_KINDS = {
+    (11, "a"): (GroupKind.alt4(), GroupKind.cyclic(12)),
+    (11, "b"): (GroupKind.alt4(), GroupKind.dihedral(12)),
+    (11, "c"): (GroupKind.alt4(), GroupKind.alt4()),
+    (23, "a"): (GroupKind.sym4(), GroupKind.cyclic(24)),
+    (23, "b"): (GroupKind.sym4(), GroupKind.dihedral(24)),
+    (23, "c"): (GroupKind.sym4(), GroupKind.sym4()),
+    (59, "a"): (GroupKind.alt5(), GroupKind.cyclic(60)),
+    (59, "b"): (GroupKind.alt5(), GroupKind.dihedral(60)),
+    (59, "c"): (GroupKind.alt5(), GroupKind.alt5()),
+}
+
 
 def iterated_order(line: ProjectiveLine, A: ProjectiveMatrix) -> int:
     """Oracle for ProjectiveLine.element_order: compose A with itself until
@@ -92,29 +105,29 @@ def compose_frac(P: Poly, m: int, abcd: tuple) -> Poly:
     the matrix [[a,b],[c,d]] moves the affine coordinate t of (1:t)
     to (b + d t)/(a + c t).
     """
-    f = P.field
+    p = P.p
     if m < P.degree:
         raise ValueError("clearing exponent below degree")
     a, b, c, d = abcd
-    num = Poly(f, [b, d])
-    den = Poly(f, [a, c])
-    den_pows = [Poly.const(f, 1)]
+    num = Poly(p, [b, d])
+    den = Poly(p, [a, c])
+    den_pows = [Poly.const(p, 1)]
     for _ in range(m):
         den_pows.append(den_pows[-1] * den)
     coeffs = list(P.coeffs) + [0] * (m + 1 - len(P.coeffs))
-    acc = Poly.const(f, coeffs[m])
+    acc = Poly.const(p, coeffs[m])
     for k in range(m - 1, -1, -1):
-        acc = acc * num + Poly.const(f, coeffs[k]) * den_pows[m - k]
+        acc = acc * num + Poly.const(p, coeffs[k]) * den_pows[m - k]
     return acc
 
 
-def vanishing_poly(field, roots) -> Poly:
+def vanishing_poly(p: int, roots) -> Poly:
     """Oracle for the denominator check of quotient.moebius_adjust: the
     monic polynomial with the given simple roots, one linear factor at a
     time."""
-    out = Poly.const(field, 1)
+    out = Poly.const(p, 1)
     for t in roots:
-        out = out * Poly(field, [-t, 1])
+        out = out * Poly(p, [-t, 1])
     return out
 
 
@@ -129,11 +142,9 @@ def is_invariant_under(f: RationalFunction, M: ProjectiveMatrix) -> bool:
 def expanded_orbit_product(G: Subgroup) -> list[Poly]:
     """Oracle for quotient._orbit_product: prod_{g in G} (D_g X - N_g)
     expanded one linear factor at a time, O(|G|^3) coefficient operations."""
-    line = G.line
-    field = line.field
     # cleared product prod (D_g X - N_g) with N_g = b + d t, D_g = a + c t:
     # coeffs[i] is the t-polynomial multiplying X^i
-    p = line.p
+    p = G.line.p
     coeffs = [[1]]
     for (a, b, c, d) in sorted(G.elements):
         nb, nd = -b % p, -d % p
@@ -154,7 +165,7 @@ def expanded_orbit_product(G: Subgroup) -> list[Poly]:
                     row[k + 1] = (row[k + 1] + v * c) % p
             new.append(row)
         coeffs = new
-    return [Poly(field, row) for row in coeffs]
+    return [Poly(p, row) for row in coeffs]
 
 
 def canonical_matrix_array(p: int) -> np.ndarray:

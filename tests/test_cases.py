@@ -2,43 +2,27 @@ import json
 
 import pytest
 
-from conftest import trivial_subgroup
-from galoispairs import (GroupKind, UnknownCase, case_subgroups, load_case,
-                         recognize, verify, verify_prime)
+from conftest import CASE_KINDS, trivial_subgroup
+from galoispairs import UnknownCase, case_subgroups, recognize, verify, verify_prime
 from galoispairs.cases import LABELS, PRIMES, prime_table
 from galoispairs.verify import _block_perm
 
 
-def iter_cases():
-    for p in PRIMES:
-        for label in LABELS:
-            yield load_case(p, label)
-
-
-def test_load_case_rejects_unknown():
+def test_case_subgroups_rejects_unknown():
     with pytest.raises(UnknownCase):
-        load_case(13, "a")
+        case_subgroups(13, "a")
     with pytest.raises(UnknownCase):
-        load_case(11, "d")
+        case_subgroups(11, "d")
     with pytest.raises(UnknownCase):
         prime_table(7)
 
 
-def test_nine_cases_enumerate():
-    cases = list(iter_cases())
-    assert len(cases) == 9
-    assert {(c.p, c.label) for c in cases} == {(p, l) for p in PRIMES
-                                               for l in LABELS}
-
-
 def test_case_kinds_and_degrees():
-    for case in iter_cases():
-        G1, G2 = case_subgroups(case.p, case.label)
-        assert len(G1) == len(G2) == case.p + 1
-        assert recognize(G1) == case.expected_kind1
-        assert recognize(G2) == case.expected_kind2
-        if case.label == "c":
-            assert case.expected_kind2 == case.expected_kind1
+    assert set(CASE_KINDS) == {(p, label) for p in PRIMES for label in LABELS}
+    for (p, label), kinds in CASE_KINDS.items():
+        G1, G2 = case_subgroups(p, label)
+        assert len(G1) == len(G2) == p + 1
+        assert (recognize(G1), recognize(G2)) == kinds
 
 
 def test_printed_element_lists_live_in_their_groups():

@@ -32,6 +32,21 @@ def test_emit_curve_passes_with_the_implicit_degree(tmp_path, capsys, case_11a):
     assert capsys.readouterr().out.splitlines()[-1] == "implicit_degree=12"
 
 
+def test_emit_curve_out_writes_the_stdout_json_line(tmp_path, capsys, case_11a):
+    out = tmp_path / "curve.json"
+    argv = ["emit-curve", pair_document(tmp_path, *case_11a), "--out", str(out)]
+    assert main(argv) == EXIT_PASS
+    assert out.read_text() == capsys.readouterr().out.splitlines()[0] + "\n"
+
+
+def test_emit_curve_out_to_an_unwritable_path_is_invalid_input(tmp_path, capsys,
+                                                                case_11a):
+    out = tmp_path / "missing" / "c.json"
+    argv = ["emit-curve", pair_document(tmp_path, *case_11a), "--out", str(out)]
+    assert main(argv) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_emit_curve_rejects_a_failing_pair(tmp_path, capsys, case_11a):
     G1, _ = case_11a
     assert main(["emit-curve", pair_document(tmp_path, G1, G1)]) == EXIT_INVALID

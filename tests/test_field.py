@@ -1,14 +1,17 @@
 import pytest
 
-from galoispairs import PrimeField, is_prime
+from galoispairs import ProjectiveLine, is_prime, primitive_root
 
 
 def test_primality_validated_at_construction():
     for bad in (0, 1, 4, 9, 57, 91):
         with pytest.raises(ValueError):
-            PrimeField(bad)
+            ProjectiveLine(bad)
     for good in (2, 3, 11, 23, 59, 101):
-        assert PrimeField(good).p == good
+        assert ProjectiveLine(good).p == good
+    # 2 is an accepted modulus, but the unit group of F_2 is trivial
+    with pytest.raises(ValueError):
+        primitive_root(2)
 
 
 def test_is_prime_small():
@@ -18,25 +21,22 @@ def test_is_prime_small():
 
 @pytest.mark.parametrize("p,expected", [(11, 2), (23, 5), (59, 2)])
 def test_primitive_elements_match_reference(p, expected):
-    assert PrimeField(p).primitive_element() == expected
+    assert primitive_root(p) == expected
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 23, 59])
+@pytest.mark.parametrize("p", [p for p in range(3, 200) if is_prime(p)])
 def test_primitive_element_generates_all_units(p):
-    F = PrimeField(p)
-    g = F.primitive_element()
-    powers = {pow(g, e, p) for e in range(1, p)}
-    assert powers == set(range(1, p))
-    # smallest such generator
-    for smaller in range(2, g):
-        assert {pow(smaller, e, p) for e in range(1, p)} != set(range(1, p))
+    # brute force: the least g whose powers are all the units
+    units = set(range(1, p))
+    least = next(g for g in range(2, p) if {pow(g, e, p) for e in range(1, p)} == units)
+    assert primitive_root(p) == least
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 23, 59])
 def test_inverse_involution_and_fermat_exhaustive(p):
     # every nonzero residue mod an accepted modulus is a unit of order
     # dividing p - 1
-    assert PrimeField(p).p == p
+    assert ProjectiveLine(p).p == p
     for a in range(1, p):
         assert pow(pow(a, -1, p), -1, p) == a
         assert a * pow(a, -1, p) % p == 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galoispairs import (CurveParametrization, Poly, PrimeField,
+from galoispairs import (CurveParametrization, Poly,
                          ResultantVanishes, case_subgroups, check_pair,
                          emit_parametrization, implicit_degree)
 
@@ -22,16 +22,16 @@ def parametrization(p, A, B, D):
 
 def compose(P, h):
     """P(h(t)) by Horner's rule."""
-    out = Poly.zero(h.field)
+    out = Poly.zero(h.p)
     for c in reversed(P.coeffs):
-        out = out * h + Poly.const(h.field, c)
+        out = out * h + Poly.const(h.p, c)
     return out
 
 
 def test_implicit_degree_line():
-    F = PrimeField(11)
-    param = CurveParametrization(11, Poly(F, [0, 1]), Poly(F, [1]),
-                                 Poly(F, [1]), 1)
+    p = 11
+    param = CurveParametrization(p, Poly(p, [0, 1]), Poly(p, [1]),
+                                 Poly(p, [1]), 1)
     assert implicit_degree(param) == 1
 
 
@@ -74,86 +74,86 @@ def test_resultant_oracle_at_11(label):
 
 
 def test_resultant_vanishes_on_shared_factor():
-    F = PrimeField(11)
-    t = Poly(F, [0, 1])
-    param = CurveParametrization(11, t * Poly(F, [1, 1]), t * Poly(F, [2, 1]),
+    p = 11
+    t = Poly(p, [0, 1])
+    param = CurveParametrization(11, t * Poly(p, [1, 1]), t * Poly(p, [2, 1]),
                                  t, 2)
     with pytest.raises(ResultantVanishes):
         implicit_degree(param)
 
 
 def test_point_image_raises():
-    F = PrimeField(11)
-    A = Poly(F, [3, 4, 6, 8])
+    p = 11
+    A = Poly(p, [3, 4, 6, 8])
     with pytest.raises(ResultantVanishes):
-        implicit_degree(parametrization(11, A, Poly.zero(F), Poly.zero(F)))
+        implicit_degree(parametrization(p, A, Poly.zero(p), Poly.zero(p)))
 
 
 def test_map_onto_the_line_at_infinity():
-    F = PrimeField(11)
-    A, B = Poly(F, [1, 2, 3]), Poly(F, [5, 0, 1, 4])
+    p = 11
+    A, B = Poly(p, [1, 2, 3]), Poly(p, [5, 0, 1, 4])
     assert A.gcd(B).degree == 0
-    assert implicit_degree(parametrization(11, A, B, Poly.zero(F))) == 1
+    assert implicit_degree(parametrization(p, A, B, Poly.zero(p))) == 1
 
 
 def test_fiber_at_infinity_counts():
     # D = 10 A + 4: the image is a line, and the affine fibers alone read 3
-    F = PrimeField(11)
-    A = Poly(F, [3, 4, 6, 8])
-    param = parametrization(11, A, A + Poly.const(F, 1), A.scale(10) + Poly.const(F, 4))
+    p = 11
+    A = Poly(p, [3, 4, 6, 8])
+    param = parametrization(p, A, A + Poly.const(p, 1), A.scale(10) + Poly.const(p, 4))
     assert implicit_degree(param) == 1
 
 
 def test_point_at_infinity_is_sampled():
     # a birational quartic at p = 5 whose five affine fibers all have size 2
-    F = PrimeField(5)
-    param = parametrization(5, Poly(F, [3, 4, 4]), Poly(F, [2, 4, 0, 0, 3]),
-                            Poly(F, [2, 0, 3, 3, 1]))
+    p = 5
+    param = parametrization(p, Poly(p, [3, 4, 4]), Poly(p, [2, 4, 0, 0, 3]),
+                            Poly(p, [2, 0, 3, 3, 1]))
     assert implicit_degree(param) == 4
 
 
 def test_fiber_sizes_combine_by_gcd():
     # a quintic composed with t^2 + 2t + 3 at p = 5: no rational fiber has
     # the map degree 2, but the fiber sizes 4 and 6 are both multiples of it
-    F = PrimeField(5)
-    h = Poly(F, [3, 2, 1])
-    base = parametrization(5, Poly(F, [1, 4]), Poly(F, [0, 0, 4, 1]),
-                           Poly(F, [4, 0, 2, 2, 2, 3]))
-    composed = parametrization(5, *(compose(P, h) for P in (base.A, base.B, base.D)))
+    p = 5
+    h = Poly(p, [3, 2, 1])
+    base = parametrization(p, Poly(p, [1, 4]), Poly(p, [0, 0, 4, 1]),
+                           Poly(p, [4, 0, 2, 2, 2, 3]))
+    composed = parametrization(p, *(compose(P, h) for P in (base.A, base.B, base.D)))
     assert implicit_degree(composed) == implicit_degree(base) == 5
 
 
 def test_quadratic_image_of_degree_two_map():
     # t -> (t^2 : t^2 + t + 1 : 1): a conic parametrized birationally
-    F = PrimeField(11)
-    param = CurveParametrization(11, Poly(F, [0, 0, 1]), Poly(F, [1, 1, 1]),
-                                 Poly(F, [1]), 2)
+    p = 11
+    param = CurveParametrization(p, Poly(p, [0, 0, 1]), Poly(p, [1, 1, 1]),
+                                 Poly(p, [1]), 2)
     assert implicit_degree(param) == 2
 
 
 PRIMES = st.sampled_from([5, 7, 11, 13, 101])
 
 
-def polys(F, max_degree, min_degree=-1):
-    """Polynomials over F of degree in [min_degree, max_degree]."""
-    lower = st.lists(st.integers(0, F.p - 1), min_size=max(min_degree, 0),
+def polys(p, max_degree, min_degree=-1):
+    """Polynomials over F_p of degree in [min_degree, max_degree]."""
+    lower = st.lists(st.integers(0, p - 1), min_size=max(min_degree, 0),
                      max_size=max_degree)
-    lead = st.integers(1 if min_degree >= 0 else 0, F.p - 1)
-    return st.builds(lambda cs, c: Poly(F, cs + [c]), lower, lead)
+    lead = st.integers(1 if min_degree >= 0 else 0, p - 1)
+    return st.builds(lambda cs, c: Poly(p, cs + [c]), lower, lead)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_implicit_degree_invariant_under_reparametrization(data):
-    F = PrimeField(data.draw(PRIMES))
-    A, B, D = (data.draw(polys(F, 4)) for _ in range(3))
-    h = data.draw(polys(F, 3, min_degree=2))
+    p = data.draw(PRIMES)
+    A, B, D = (data.draw(polys(p, 4)) for _ in range(3))
+    h = data.draw(polys(p, 3, min_degree=2))
     d = max(A.degree, B.degree, D.degree)
     assume(d >= 1)
     # the exactness bound of the fiber count, for both maps
-    assume(F.p + 1 > h.degree * (d - 1) * (d - 2))
-    base = parametrization(F.p, A, B, D)
-    composed = parametrization(F.p, *(compose(P, h) for P in (A, B, D)))
+    assume(p + 1 > h.degree * (d - 1) * (d - 2))
+    base = parametrization(p, A, B, D)
+    composed = parametrization(p, *(compose(P, h) for P in (A, B, D)))
     try:
         want = implicit_degree(base)
     except ResultantVanishes:
@@ -168,11 +168,11 @@ def test_implicit_degree_invariant_under_reparametrization(data):
 def test_implicit_degree_of_a_line_is_coordinate_free(data):
     # (A : A + c D : D) is (A : c D : D) after the change y -> y - x, and
     # both are non-constant maps onto a line unless A and D share a factor
-    F = PrimeField(data.draw(PRIMES))
-    A, D = data.draw(polys(F, 6)), data.draw(polys(F, 6))
-    c = data.draw(st.integers(0, F.p - 1))
-    line = parametrization(F.p, A, D.scale(c), D)
-    sheared = parametrization(F.p, A, A + D.scale(c), D)
+    p = data.draw(PRIMES)
+    A, D = data.draw(polys(p, 6)), data.draw(polys(p, 6))
+    c = data.draw(st.integers(0, p - 1))
+    line = parametrization(p, A, D.scale(c), D)
+    sheared = parametrization(p, A, A + D.scale(c), D)
     try:
         want = implicit_degree(line)
     except ResultantVanishes:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galoispairs import (INFINITY, Poly, PrimeField, RationalFunction,
+from galoispairs import (INFINITY, Poly, RationalFunction,
                          is_prime, projective_line)
 from conftest import compose_frac, vanishing_poly
 
@@ -21,62 +21,62 @@ def schoolbook_mul(a, b, p):
     return out
 
 
-def random_poly(rng, F, max_deg):
-    return Poly(F, [rng.randrange(F.p) for _ in range(rng.randrange(max_deg + 1))])
+def random_poly(rng, p, max_deg):
+    return Poly(p, [rng.randrange(p) for _ in range(rng.randrange(max_deg + 1))])
 
 
 def test_construction_trims_and_reduces():
-    F = PrimeField(11)
-    assert Poly(F, [12, 22, 0, 0]).coeffs == (1,)
-    assert Poly(F, [0, 0]).is_zero
-    assert Poly(F, []).degree == -1
-    assert Poly(F, [-1]).coeffs == (10,)
+    p = 11
+    assert Poly(p, [12, 22, 0, 0]).coeffs == (1,)
+    assert Poly(p, [0, 0]).is_zero
+    assert Poly(p, []).degree == -1
+    assert Poly(p, [-1]).coeffs == (10,)
+    assert Poly(11, [1]) != Poly(13, [1])
 
 
 def test_mul_matches_schoolbook_small_and_large_modulus():
     rng = random.Random(5)
     big = next(n for n in range(2 ** 25 + 1, 2 ** 25 + 200) if is_prime(n))
     for p in (11, big):
-        F = PrimeField(p)
         for _ in range(30):
-            a = random_poly(rng, F, 9)
-            b = random_poly(rng, F, 9)
+            a = random_poly(rng, p, 9)
+            b = random_poly(rng, p, 9)
             want = schoolbook_mul(list(a.coeffs), list(b.coeffs), p)
             assert list((a * b).coeffs) == want
 
 
 # 2 and 3 pack into one- or two-byte slots, 679093949 and 2**31 - 1 into
 # slots of eight bytes or more
-MUL_FIELDS = [PrimeField(p) for p in (2, 3, 11, 679093949, 2 ** 31 - 1)]
+MUL_PRIMES = [2, 3, 11, 679093949, 2 ** 31 - 1]
 
 
 @st.composite
 def mul_operands(draw):
-    F = draw(st.sampled_from(MUL_FIELDS))
+    p = draw(st.sampled_from(MUL_PRIMES))
 
     def coeffs():
         n = draw(st.integers(0, 200))
         if draw(st.booleans()):
             # every product coefficient at its largest, so every slot is full
-            return [F.p - 1] * n
-        return draw(st.lists(st.integers(0, F.p - 1), min_size=n, max_size=n))
+            return [p - 1] * n
+        return draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
 
-    return F, coeffs(), coeffs()
+    return p, coeffs(), coeffs()
 
 
 @settings(max_examples=150, deadline=None)
 @given(mul_operands())
 def test_mul_matches_schoolbook(operands):
-    F, a, b = operands
-    assert list((Poly(F, a) * Poly(F, b)).coeffs) == schoolbook_mul(a, b, F.p)
+    p, a, b = operands
+    assert list((Poly(p, a) * Poly(p, b)).coeffs) == schoolbook_mul(a, b, p)
 
 
 def test_divmod_property():
     rng = random.Random(6)
-    F = PrimeField(23)
+    p = 23
     for _ in range(60):
-        f = random_poly(rng, F, 9)
-        g = random_poly(rng, F, 5)
+        f = random_poly(rng, p, 9)
+        g = random_poly(rng, p, 5)
         if g.is_zero:
             continue
         q, r = f.divmod(g)
@@ -86,13 +86,13 @@ def test_divmod_property():
 
 def test_gcd_contains_common_factor():
     rng = random.Random(7)
-    F = PrimeField(23)
+    p = 23
     for _ in range(40):
-        h = random_poly(rng, F, 4)
+        h = random_poly(rng, p, 4)
         if h.degree < 1:
             continue
-        f = random_poly(rng, F, 4) * h
-        g = random_poly(rng, F, 4) * h
+        f = random_poly(rng, p, 4) * h
+        g = random_poly(rng, p, 4) * h
         if f.is_zero or g.is_zero:
             continue
         d = f.gcd(g)
@@ -103,41 +103,41 @@ def test_gcd_contains_common_factor():
 
 
 def test_eval_horner_vs_naive():
-    F = PrimeField(59)
-    f = Poly(F, [3, 0, 7, 1, 12])
+    p = 59
+    f = Poly(p, [3, 0, 7, 1, 12])
     for t in range(59):
         naive = sum(c * t ** k for k, c in enumerate(f.coeffs)) % 59
         assert f.eval(t) == naive
 
 
 def derivative(P):
-    return Poly(P.field, [k * c for k, c in enumerate(P.coeffs)][1:])
+    return Poly(P.p, [k * c for k, c in enumerate(P.coeffs)][1:])
 
 
 def test_derivative():
-    F = PrimeField(11)
-    f = Poly(F, [5, 4, 3, 2])  # 5 + 4t + 3t^2 + 2t^3
+    p = 11
+    f = Poly(p, [5, 4, 3, 2])  # 5 + 4t + 3t^2 + 2t^3
     assert list(derivative(f).coeffs) == [4, 6, 6]
     # in characteristic p, (t^p)' = 0
-    tp = Poly(F, [0] * 11 + [1])
+    tp = Poly(p, [0] * 11 + [1])
     assert derivative(tp).is_zero
 
 
 def test_compose_frac():
-    F = PrimeField(11)
-    t = Poly.x(F)
+    p = 11
+    t = Poly.x(p)
     # the identity matrix clears to P itself
-    f = Poly(F, [3, 1, 4])
+    f = Poly(p, [3, 1, 4])
     assert compose_frac(f, 2, (1, 0, 0, 1)) == f
     # P(t) = t under [[a,b],[c,d]] gives b + d t at clearing exponent 1
-    assert compose_frac(t, 1, (2, 3, 5, 7)) == Poly(F, [3, 7])
+    assert compose_frac(t, 1, (2, 3, 5, 7)) == Poly(p, [3, 7])
     # clearing exponent above the degree multiplies by powers of (a + c t)
-    assert compose_frac(t, 2, (2, 3, 5, 7)) == Poly(F, [3, 7]) * Poly(F, [2, 5])
+    assert compose_frac(t, 2, (2, 3, 5, 7)) == Poly(p, [3, 7]) * Poly(p, [2, 5])
 
 
 def test_vanishing_poly():
-    F = PrimeField(11)
-    v = vanishing_poly(F, [1, 2, 3])
+    p = 11
+    v = vanishing_poly(p, [1, 2, 3])
     assert v.lead == 1 and v.degree == 3
     for t in (1, 2, 3):
         assert v.eval(t) == 0
@@ -145,23 +145,23 @@ def test_vanishing_poly():
 
 
 def test_rational_function_reduction_and_monic_denominator():
-    F = PrimeField(11)
-    num = Poly(F, [-1, 0, 1])   # t^2 - 1
-    den = Poly(F, [-1, 1])      # t - 1
+    p = 11
+    num = Poly(p, [-1, 0, 1])   # t^2 - 1
+    den = Poly(p, [-1, 1])      # t - 1
     f = RationalFunction(num, den)
-    assert f.num == Poly(F, [1, 1]) and f.den == Poly(F, [1])
-    g = RationalFunction(Poly(F, [1]), Poly(F, [0, 3]))
+    assert f.num == Poly(p, [1, 1]) and f.den == Poly(p, [1])
+    g = RationalFunction(Poly(p, [1]), Poly(p, [0, 3]))
     assert g.den.lead == 1  # denominator scaled monic
 
 
 def test_rational_function_evaluation():
-    F = PrimeField(11)
-    f = RationalFunction(Poly(F, [0, 1]), Poly(F, [10, 1]))  # t / (t - 1)
+    p = 11
+    f = RationalFunction(Poly(p, [0, 1]), Poly(p, [10, 1]))  # t / (t - 1)
     assert f.eval_affine(0) == 0
     assert f.eval_affine(1) is INFINITY
     assert f.eval_affine(2) == 2
     assert f.eval_infinity() == 1
-    h = RationalFunction(Poly(F, [0, 0, 1]), Poly(F, [1]))  # t^2
+    h = RationalFunction(Poly(p, [0, 0, 1]), Poly(p, [1]))  # t^2
     assert h.eval_infinity() is INFINITY
     line = projective_line(11)
     assert h.eval_point(line.point(0, 1)) is INFINITY
@@ -169,8 +169,8 @@ def test_rational_function_evaluation():
 
 
 def test_rational_function_degree():
-    F = PrimeField(11)
-    f = RationalFunction(Poly(F, [0, 0, 1]), Poly(F, [1, 1]))
+    p = 11
+    f = RationalFunction(Poly(p, [0, 0, 1]), Poly(p, [1, 1]))
     assert f.degree == 2
     assert f.reciprocal().degree == 2
     assert f.shift_value(3).degree == 2
@@ -182,9 +182,9 @@ PROPERTY_PRIMES = (11, 679093949)
 
 @st.composite
 def polys_over(draw, count):
-    F = PrimeField(draw(st.sampled_from(PROPERTY_PRIMES)))
-    coeffs = st.lists(st.integers(0, F.p - 1), max_size=30)
-    return [Poly(F, draw(coeffs)) for _ in range(count)]
+    p = draw(st.sampled_from(PROPERTY_PRIMES))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=30)
+    return [Poly(p, draw(coeffs)) for _ in range(count)]
 
 
 @settings(max_examples=80, deadline=None)

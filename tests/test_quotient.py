@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from conftest import (expanded_orbit_product, is_invariant_under,
                       seeded_random_subgroups, trivial_subgroup, vanishing_poly)
 from galoispairs import (INFINITY, LABELS, PRIMES, EvaluationAtPole,
-                         IrregularOrbit, Poly, PrimeField, RationalFunction,
+                         IrregularOrbit, Poly, RationalFunction,
                          case_subgroups, check_pair, conjugate,
                          emit_parametrization, generate_closure,
                          invariant_generator, moebius_adjust, orbit,
@@ -29,8 +29,8 @@ def negation_group(p=11):
 def test_trivial_group_invariant_is_identity_map():
     line = projective_line(11)
     f = invariant_generator(trivial_subgroup(line))
-    assert f.num == Poly.x(line.field)
-    assert f.den == Poly(line.field, [1])
+    assert f.num == Poly.x(line.p)
+    assert f.den == Poly(line.p, [1])
 
 
 def test_order_two_invariant():
@@ -67,8 +67,8 @@ def test_moebius_adjust_trivial():
     G = trivial_subgroup(line)
     f = invariant_generator(G)
     h = moebius_adjust(f, G, line.point(1, 0))
-    assert h.num == Poly(line.field, [1])
-    assert h.den == Poly(line.field, [0, 1])  # h = 1/t
+    assert h.num == Poly(line.p, [1])
+    assert h.den == Poly(line.p, [0, 1])  # h = 1/t
 
 
 def test_moebius_adjust_full_orbit():
@@ -77,7 +77,7 @@ def test_moebius_adjust_full_orbit():
     h = moebius_adjust(invariant_generator(G1), G1, line.point(0, 1))
     assert h.den.degree == 11  # infinity lies in the orbit
     assert h.num.degree == 12
-    assert h.den == vanishing_poly(line.field, range(11))
+    assert h.den == vanishing_poly(line.p, range(11))
     # poles are exactly the orbit: every affine point is a simple root
     for t in range(11):
         assert h.eval_affine(t) is INFINITY
@@ -90,7 +90,7 @@ def test_moebius_adjust_partial_orbit_poles():
     h = moebius_adjust(invariant_generator(G), G, Q)
     assert h.degree == 2
     pts = orbit(G, Q)
-    assert h.den == vanishing_poly(line.field, sorted(P.t for P in pts))
+    assert h.den == vanishing_poly(line.p, sorted(P.t for P in pts))
     for P in line.points():
         assert (h.eval_point(P) is INFINITY) == (P in pts)
 
@@ -112,7 +112,7 @@ def test_moebius_adjust_rejects_a_denominator_with_the_wrong_roots():
     H = conjugate(G, line.matrix([[0, 1], [1, 1]]))
     Q = line.point(1, 3)
     f = invariant_generator(H)
-    assert moebius_adjust(f, H, Q).den == vanishing_poly(line.field, [3, 10])
+    assert moebius_adjust(f, H, Q).den == vanishing_poly(line.p, [3, 10])
     with pytest.raises(EvaluationAtPole):
         moebius_adjust(f, G, Q)
 
@@ -227,6 +227,5 @@ def row_operands(draw):
 @given(row_operands())
 def test_row_product_matches_schoolbook(operands):
     p, A, B = operands
-    F = PrimeField(p)
-    got = [Poly(F, row) for row in _mul_rows(F, A, B)]
-    assert got == [Poly(F, row) for row in schoolbook_rows(A, B, p)]
+    got = [Poly(p, row) for row in _mul_rows(p, A, B)]
+    assert got == [Poly(p, row) for row in schoolbook_rows(A, B, p)]

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (randrange_matrix_entries, randrange_sample_subgroup,
+from conftest import (CASE_KINDS, randrange_matrix_entries, randrange_sample_subgroup,
                       scanned_elements_of_order, seeded_random_subgroups,
                       stabilizer, trivial_subgroup)
 from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          NotFound, SearchConfig, case_subgroups, check_pair,
                          check_pair_all_basepoints, conjugate,
                          find_cyclic_regular, find_scaling_conjugates,
-                         generate_closure, intersect, is_prime, load_case,
-                         orbit, parse_kind, projective_line,
+                         generate_closure, intersect, is_prime,
+                         orbit, parse_kind, primitive_root, projective_line,
                          random_pair_search, recognize, reverify, run_search)
 from galoispairs.cli import main
 from galoispairs.search import (_base_group, _diagonal_conjugate, _order_pools,
@@ -108,7 +108,7 @@ def test_scaling_conjugates_match_the_sweep_on_groups_fixing_0_1(p):
     # subgroups of the stabilizer of (0:1): translations (1, k, 0, 1), so
     # buckets of several (1, b, 0, d), with and without diagonals
     line = projective_line(p)
-    g = line.field.primitive_element()
+    g = primitive_root(p)
     for gens in ([[1, 1], [0, 1]], [[1, 1], [0, g]]), ([[1, 1], [0, 1]],), ([[1, 1], [0, g]],):
         G = generate_closure(line, [line.matrix(rows) for rows in gens])
         assert find_scaling_conjugates(G) == brute_force_scaling_sweep(G), gens
@@ -285,14 +285,13 @@ def test_order_screen_rejects_only_impossible_kinds(case):
 
 
 def test_order_screen_admits_the_bundled_generators():
-    for case in (load_case(p, label) for p in PRIMES for label in LABELS):
-        groups = case_subgroups(case.p, case.label)
-        for G, kind in zip(groups, (case.expected_kind1, case.expected_kind2)):
+    for (p, label), kinds in CASE_KINDS.items():
+        for G, kind in zip(case_subgroups(p, label), kinds):
             line = G.line
             gens = G.generators
             for g in gens:
                 for h in gens:
-                    assert _orders_fit(line, kind, g, h), (case.p, case.label, kind)
+                    assert _orders_fit(line, kind, g, h), (p, label, kind)
 
 
 # 4294967311 is the least prime above 2**32: getrandbits(33) consumes two
@@ -432,6 +431,17 @@ def test_scaling_fallback_base_group_matches_the_reference(seed, limit):
     cert = scaling_pair_search(cfg)
     if cert is not None:
         assert cert.g1_generators == want.generators
+
+
+def test_base_group_is_the_first_bundled_group_of_its_kind():
+    # kind1 of a, kind2 of a and kind2 of b cover the three kinds bundled at
+    # each prime; the first bundled group of each kind is the one returned
+    for p in PRIMES:
+        (G1, C), (_, D) = case_subgroups(p, "a"), case_subgroups(p, "b")
+        kinds = CASE_KINDS[p, "a"] + CASE_KINDS[p, "b"][1:]
+        for want, kind in zip((G1, C, D), kinds):
+            cfg = SearchConfig(p, kind, kind, "scaling")
+            assert _base_group(cfg, projective_line(p)).generators == want.generators
 
 
 def reference_scaling_search(cfg):
