@@ -1,16 +1,23 @@
-"""Command-line front end.
+"""Command-line front end of galoispairs, an exact engine for finite
+subgroups of PGL(2, F_p): verify the bundled reference computations, check
+and search subgroup pairs, and emit plane-curve parametrizations.
 
-Commands: verify-paper, check-pair, search, emit-curve. Exit codes are
-stable: 0 success/pass, 1 checked-and-failed, 2 invalid input, 3 search
-exhausted. All JSON on stdout is emitted with sorted keys so equal runs
-are byte-identical.
+Exit codes are stable: 0 success/pass or -h/--help (usage on stdout), 1
+checked-and-failed, 2 invalid input (a bad command line prints `usage:` and
+`error:` lines on stderr), 3 search exhausted. All JSON on stdout is emitted
+with sorted keys so equal runs are byte-identical. Argv grammar: `--p 11` or
+`--p=11`; any unique prefix of a long option (`--all`; `--s` is ambiguous in
+search); the last repeat wins; a token that starts with `-` is an option
+unless it is a negative number or holds a space (`--seed -1` is fine,
+`--kind1 --kind2` is not); every token after the first `--` is a value.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from .cases import LABELS, PRIMES
 from .criterion import check_pair, check_pair_all_basepoints, subgroups_from_dict
@@ -134,54 +141,127 @@ def _cmd_emit_curve(args) -> int:
     return EXIT_PASS if degree == cert.degree else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="galois-pairs",
-        description="Exact engine for finite subgroups of PGL(2, F_p): "
-                    "verify the bundled reference computations, check and "
-                    "search subgroup pairs, and emit plane-curve "
-                    "parametrizations.")
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = object()
+# command -> (handler, positionals {name: help}, options {name: (type, default[,
+# help])}); a type is int, str, bool (a flag) or a tuple of choices
+COMMANDS = {
+    "verify-paper": (_cmd_verify_paper, {}, {
+        "--p": (int, REQUIRED, f"characteristic, one of {PRIMES}"),
+        "--case": (LABELS, None, "restrict the pair propositions to one case"),
+        "--json": (bool, False, "emit the JSON report")}),
+    "check-pair": (_cmd_check_pair, {"input": "path to the pair document"}, {
+        "--all-basepoints": (bool, False,
+                             "quantify the orbit conditions over every base point")}),
+    "search": (_cmd_search, {}, {
+        "--p": (int, REQUIRED), "--kind1": (str, REQUIRED, "A4, S4, A5, C<n> or D<n>"),
+        "--kind2": (str, REQUIRED), "--strategy": (STRATEGIES, "random"),
+        "--seed": (int, 0), "--limit": (int, 1000)}),
+    "emit-curve": (_cmd_emit_curve, {"input": "pair document or certificate JSON path"}, {
+        "--out": (str, None, "also write the curve JSON here")}),
+}
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # values, not options
 
-    vp = sub.add_parser("verify-paper",
-                        help="re-run the bundled reference computations")
-    vp.add_argument("--p", type=int, required=True,
-                    help=f"characteristic, one of {PRIMES}")
-    vp.add_argument("--case", choices=LABELS, default=None,
-                    help="restrict the pair propositions to one case")
-    vp.add_argument("--json", action="store_true", help="emit the JSON report")
-    vp.set_defaults(func=_cmd_verify_paper)
 
-    cp = sub.add_parser("check-pair", help="evaluate the pair criterion on a "
-                                           "JSON pair document")
-    cp.add_argument("input", help="path to the pair document")
-    cp.add_argument("--all-basepoints", action="store_true",
-                    help="quantify the orbit conditions over every base point")
-    cp.set_defaults(func=_cmd_check_pair)
+class UsageError(Exception):
+    """Raised by parse_args with args (command or None, message); a message
+    of None asks for help."""
 
-    se = sub.add_parser("search", help="search for a new certified pair")
-    se.add_argument("--p", type=int, required=True)
-    se.add_argument("--kind1", required=True, help="A4, S4, A5, C<n> or D<n>")
-    se.add_argument("--kind2", required=True)
-    se.add_argument("--strategy", choices=STRATEGIES, default="random")
-    se.add_argument("--seed", type=int, default=0)
-    se.add_argument("--limit", type=int, default=1000)
-    se.set_defaults(func=_cmd_search)
 
-    ec = sub.add_parser("emit-curve", help="emit a plane-curve parametrization "
-                                           "for a passing pair")
-    ec.add_argument("input", help="pair document or certificate JSON path")
-    ec.add_argument("--out", default=None, help="also write the curve JSON here")
-    ec.set_defaults(func=_cmd_emit_curve)
-    return parser
+def _usage(command, full=False) -> str:
+    """The usage line of `command` (of each if None); full adds the help."""
+    lines, notes = [], [__doc__] * (command is None)
+    for name in [command] if command else COMMANDS:
+        _, positionals, options = COMMANDS[name]
+        words, notes = ["galois-pairs", name], notes + [f"{name}:"]
+        for opt, (kind, default, *text) in options.items():
+            meta = "{%s}" % ",".join(kind) if isinstance(kind, tuple) else opt[2:].upper()
+            word = opt if kind is bool else f"{opt} {meta}"
+            words.append(word if default is REQUIRED else f"[{word}]")
+            notes += [f"  {opt:<17} {t}" for t in text]
+        lines.append(" ".join(words + list(positionals)))
+        notes += [f"  {pos:<17} {t}" for pos, t in positionals.items()]
+    return "\n".join(["usage: " + "\n       ".join(lines), *full * notes])
+
+
+def _read(tok, names, command):
+    """What `tok` is among option `names`: None for a value, else (the
+    option, None if unknown; the value attached to it, or None)."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    head, eq, tail = tok.partition("=")
+    if head in names:
+        return head, tail if eq else None
+    if tok[:2] == "-h":  # -hX attaches X to -h, and -hh is -h -h
+        return "-h", tok[2:] if tok[2:].strip("h") else None
+    hits = [(n, tail if eq else None) for n in names
+            if n.startswith(head) and tok[1] == "-"]  # no prefixes of short options
+    if len(hits) > 1:
+        raise UsageError(command, f"ambiguous option {tok}: {', '.join(dict(hits))}")
+    if hits:
+        return hits[0]
+    return None if _NEGATIVE.match(tok) or " " in tok else (None, None)
+
+
+def parse_args(argv, command=None, extras=()) -> SimpleNamespace:
+    """Read argv against COMMANDS: the command's values and func, or
+    UsageError. Each token is read before any is acted on, so an ambiguous
+    prefix beats an earlier -h. The tokens after the command are read by a
+    second call, against that command's options."""
+    func, positionals, options = COMMANDS.get(command, (None, {"command": ""}, {}))
+    argv, extras, pending = list(argv), list(extras), list(positionals)
+    values = {opt: spec[1] for opt, spec in options.items()}
+    cut = argv.index("--") if "--" in argv else len(argv)  # the rest are values
+    reads = [_read(tok, (*_HELP, *options), command) for tok in argv[:cut]]
+    j = 0
+    while j < len(argv):
+        name, text = (reads[j] if j < cut else None) or ("", None)  # "": a value
+        if name == "" and pending == ["command"]:
+            if j == cut or argv[j] not in COMMANDS:
+                raise UsageError(None, f"invalid command {argv[j]!r}")
+            return parse_args(argv[j + 1:], argv[j], extras)
+        if name == "" and pending and j + (j == cut) < len(argv):
+            j += j == cut  # a positional takes the `--` before or after it
+            values[pending.pop(0)] = argv[j]
+            j += j + 1 == cut
+        elif not name:  # a value no positional takes, or an unknown option
+            extras.append(argv[j])
+        elif name in _HELP or options[name][0] is bool:
+            if text is not None or name in _HELP:  # no message: a help request
+                raise UsageError(command, None if text is None else f"{name} takes no value")
+            values[name] = True
+        else:
+            if text is None:
+                if j + 1 == cut or reads[j + 1]:
+                    raise UsageError(command, f"{name} expects a value")
+                j, text = j + 1, argv[j + 1]
+            kind = options[name][0]
+            try:
+                values[name] = int(text) if kind is int else text
+            except ValueError:
+                raise UsageError(command, f"{name}: {text!r} is not an int") from None
+            if isinstance(kind, tuple) and text not in kind:
+                raise UsageError(command, f"{name}: {text!r} is not one of {kind}")
+        j += 1
+    missing = [opt for opt, value in values.items() if value is REQUIRED] + pending
+    if missing:
+        raise UsageError(command, f"missing {', '.join(missing)}")
+    if extras:
+        raise UsageError(command, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, func=func, **{
+        opt.lstrip("-").replace("-", "_"): value for opt, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code not in (0, None) else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        command, message = exc.args
+        if message is None:
+            print(_usage(command, full=True))
+            return EXIT_PASS
+        print(f"{_usage(command)}\nerror: {message}", file=sys.stderr)
+        return EXIT_INVALID
     return args.func(args)
 
 

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import random
 from functools import lru_cache
 
 import numpy as np
 
-from galoispairs import (ClosureCapExceeded, GroupKind, Poly, ProjectiveLine,
-                         ProjectiveMatrix, ProjectivePoint, RationalFunction,
-                         Subgroup, generate_closure, projective_line, recognize)
+from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind, Poly,
+                         ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
+                         RationalFunction, Subgroup, generate_closure,
+                         projective_line, recognize)
+from galoispairs.cli import (_cmd_check_pair, _cmd_emit_curve, _cmd_search,
+                             _cmd_verify_paper)
+from galoispairs.search import STRATEGIES
 
 # the (kind1, kind2) the paper states for each bundled case (p, label)
 CASE_KINDS = {
@@ -269,3 +276,57 @@ def seeded_random_subgroups(p: int, count: int, seed: int,
         except ClosureCapExceeded:
             continue
     return tuple(out)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Oracle for cli.parse_args: the argparse tree the CLI was built on."""
+    parser = argparse.ArgumentParser(
+        prog="galois-pairs",
+        description="Exact engine for finite subgroups of PGL(2, F_p): "
+                    "verify the bundled reference computations, check and "
+                    "search subgroup pairs, and emit plane-curve "
+                    "parametrizations.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    vp = sub.add_parser("verify-paper",
+                        help="re-run the bundled reference computations")
+    vp.add_argument("--p", type=int, required=True,
+                    help=f"characteristic, one of {PRIMES}")
+    vp.add_argument("--case", choices=LABELS, default=None,
+                    help="restrict the pair propositions to one case")
+    vp.add_argument("--json", action="store_true", help="emit the JSON report")
+    vp.set_defaults(func=_cmd_verify_paper)
+
+    cp = sub.add_parser("check-pair", help="evaluate the pair criterion on a "
+                                           "JSON pair document")
+    cp.add_argument("input", help="path to the pair document")
+    cp.add_argument("--all-basepoints", action="store_true",
+                    help="quantify the orbit conditions over every base point")
+    cp.set_defaults(func=_cmd_check_pair)
+
+    se = sub.add_parser("search", help="search for a new certified pair")
+    se.add_argument("--p", type=int, required=True)
+    se.add_argument("--kind1", required=True, help="A4, S4, A5, C<n> or D<n>")
+    se.add_argument("--kind2", required=True)
+    se.add_argument("--strategy", choices=STRATEGIES, default="random")
+    se.add_argument("--seed", type=int, default=0)
+    se.add_argument("--limit", type=int, default=1000)
+    se.set_defaults(func=_cmd_search)
+
+    ec = sub.add_parser("emit-curve", help="emit a plane-curve parametrization "
+                                           "for a passing pair")
+    ec.add_argument("input", help="pair document or certificate JSON path")
+    ec.add_argument("--out", default=None, help="also write the curve JSON here")
+    ec.set_defaults(func=_cmd_emit_curve)
+    return parser
+
+
+def argparse_reading(argv: list[str]):
+    """What build_parser() makes of argv: "help" for a help request (exit 0),
+    "error" for a rejected command line (exit 2), else the parsed values."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return "help" if exc.code in (0, None) else "error"

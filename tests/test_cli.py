@@ -5,12 +5,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
+import contextlib
+import io
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import argparse_reading
 import galoispairs
 from galoispairs import (case_subgroups, check_pair, conjugate,
                          find_cyclic_regular, projective_line)
-from galoispairs.cli import EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID, EXIT_PASS, main
+from galoispairs.cli import (COMMANDS, EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID,
+                             EXIT_PASS, UsageError, main, parse_args)
 
 
 def pair_document(tmp_path, G1, G2):
@@ -167,12 +174,169 @@ def test_paper_output_is_pinned(job, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_DIGESTS[job]
 
 
-def test_cli_import_leaves_numpy_out():
-    # numpy is a test extra: the package itself runs on the standard library
+def run_python(*args):
+    """A fresh interpreter that imports this package: (exit code, out, err)."""
     src = str(Path(galoispairs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, galoispairs.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out == "False\n"
+    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_cli_import_leaves_numpy_out():
+    # numpy is a test extra: the package itself runs on the standard library;
+    # argparse and gettext (which argparse imports) are the parser it replaced
+    code = ("import sys, galoispairs.cli; "
+            "print([m for m in ('numpy', 'argparse', 'gettext') if m in sys.modules])")
+    assert run_python("-c", code)[:2] == (0, "[]\n")
+
+
+def run_main(argv):
+    """main(argv) with its stdout and stderr captured: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+# the argv alphabet of the parity property, one branch per sort of token so
+# that each sort turns up often: commands, every option name and each of its
+# prefixes, `--`, help requests, ints, choices, paths and junk
+OPTION_NAMES = sorted({"--help", *(opt for _, _, opts in COMMANDS.values() for opt in opts)})
+OPTION_WORDS = ["-h", *sorted({opt[:k] for opt in OPTION_NAMES
+                               for k in range(3, len(opt) + 1)})]
+VALUES = ["11", "23", "-1", "+5", " 7", "1_0", "1.5", "-1.5", "a", "b", "z", "random",
+          "scaling", "greedy", "A4", "C12", "pair.json", "dir/p q.json", "", "-", "-x",
+          "--x", "-p", "a b", "--p 5", "=", "-1x", "--=x"]
+TOKENS = st.one_of(
+    st.sampled_from(list(COMMANDS)), st.sampled_from(OPTION_WORDS), st.just("--"),
+    st.sampled_from(["-h", "--help", "--he", "-hh"]), st.integers(-99, 99).map(str),
+    st.sampled_from(VALUES),
+    # no `--` among VALUES: argparse before 3.13 stores [] for an attached
+    # `--` (`--out=--`), so test_attached_double_dash_is_the_value pins it
+    st.builds("{}={}".format, st.sampled_from(OPTION_WORDS), st.sampled_from(VALUES)))
+CHUNKS = st.one_of(TOKENS.map(lambda tok: [tok]),
+                   st.tuples(st.sampled_from(OPTION_WORDS), TOKENS).map(list))
+SEARCH = ["search", "--p", "11", "--kind1", "A4", "--kind2", "C12"]
+# a command line each command accepts, to insert chunks into
+VALID = [["verify-paper", "--p", "11"], ["check-pair", "pair.json"], SEARCH,
+         ["emit-curve", "pair.json"]]
+
+
+def spliced(argv, inserts):
+    """argv with each (at, chunk) of inserts put in at position at mod (len + 1)."""
+    argv = list(argv)
+    for at, chunk in inserts:
+        argv[at % (len(argv) + 1):at % (len(argv) + 1)] = chunk
+    return argv
+
+
+ARGVS = st.one_of(
+    st.lists(CHUNKS, max_size=5).map(lambda chunks: sum(chunks, [])),
+    st.builds(lambda cmd, chunks: sum(chunks, [cmd]), st.sampled_from(list(COMMANDS)),
+              st.lists(CHUNKS, max_size=5)),
+    st.builds(spliced, st.sampled_from(VALID),
+              st.lists(st.tuples(st.integers(1, 20), CHUNKS), max_size=3)))
+
+
+def assert_reads_as_argparse(argv):
+    """parse_args accepts argv with the same values as build_parser(), or
+    rejects it, or asks for help, as that did; main then prints the usage."""
+    want = argparse_reading(argv)
+    try:
+        got = vars(parse_args(argv))
+    except UsageError as exc:
+        got = "help" if exc.args[1] is None else "error"
+    assert got == want
+    if want != "help" and want != "error":
+        return
+    rc, out, err = run_main(argv)  # a help or error never runs a command
+    if want == "help":
+        assert (rc, err) == (EXIT_PASS, "") and out.startswith("usage: galois-pairs")
+    else:
+        assert (rc, out) == (EXIT_INVALID, "")
+        assert err.startswith("usage: galois-pairs") and "\nerror: " in err
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ARGVS)
+def test_parse_args_reads_argv_as_argparse_did(argv):
+    assert_reads_as_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    SEARCH + ["--seed=7", "--lim", "5", "--st=scaling"],  # `=` and unique prefixes
+    ["check-pair", "--all", "p.json"],
+    SEARCH + ["--s", "1"],                            # --seed or --strategy
+    SEARCH + ["--seed", "1", "--seed", "2"],          # the last repeat wins
+    SEARCH + ["--seed", "-1"],                        # a negative number is a value
+    SEARCH + ["--kind1", "--kind2"],                  # an option is not
+    ["check-pair", "--", "-x.json"],                  # after `--` all are values
+    ["check-pair", "p.json", "--"],
+    ["check-pair", "--", "--", "p.json"],
+    ["verify-paper", "--p", "11", "--"],
+    ["--", "check-pair", "p.json"],
+    ["verify-paper", "--p", " 11 "],                  # int() reads the value
+    ["verify-paper", "--p", "1_1"],
+    ["verify-paper", "--p", "11.0"],
+    ["verify-paper", "--p", "11", "--case", "d"],     # choices
+    SEARCH + ["--strategy", "greedy"],
+    ["--he"], ["search", "-hh"], ["-h", "prove"], ["prove", "-h"],
+    ["search", "-h", "--s"],                          # ambiguity is found first
+])
+def test_parse_args_reads_the_listed_cases_as_argparse_did(argv):
+    assert_reads_as_argparse(argv)
+
+
+def test_attached_double_dash_is_the_value():
+    # argparse 3.13 reads `--out=--` as the value "--"; earlier versions
+    # stored an empty list, which no handler expects
+    ns = parse_args(["emit-curve", "f.json", "--out=--"])
+    assert (ns.input, ns.out) == ("f.json", "--")
+    assert run_main(["verify-paper", "--p=--"])[0] == EXIT_INVALID
+
+
+@pytest.mark.parametrize("argv", [["-hx"], ["search", "-hx"], ["search", "-h=h"]])
+def test_h_with_other_letters_attached_is_an_error(argv):
+    # argparse versions disagree here: 3.13 reads -hx as help and -h=h as an
+    # error, earlier versions the other way round
+    rc, out, err = run_main(argv)
+    assert (rc, out) == (EXIT_INVALID, "") and "error: -h takes no value" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], EXIT_INVALID),                                 # no command
+    (["prove"], EXIT_INVALID),                          # unknown command
+    (["verify-paper"], EXIT_INVALID),                   # missing required option
+    (["search", "--p", "x", "--kind1", "A4", "--kind2", "C12"], EXIT_INVALID),
+    (SEARCH + ["--strategy", "greedy"], EXIT_INVALID),  # not a strategy
+    (["verify-paper", "--p", "11", "extra"], EXIT_INVALID),
+    (["verify-paper", "--p", "13"], EXIT_INVALID),      # no bundled case at 13
+    (["check-pair", "{missing}"], EXIT_INVALID),
+    (["search", "--p", "12", "--kind1", "A4", "--kind2", "C12"], EXIT_INVALID),
+    (SEARCH + ["--limit", "0"], EXIT_INVALID),
+    (["emit-curve", "{malformed}"], EXIT_INVALID),
+    (["--help"], EXIT_PASS),
+    (["search", "--help"], EXIT_PASS),
+])
+def test_exit_code_contract(argv, code, tmp_path):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text('{"p": 11, "g1": ')
+    argv = [a.format(missing=tmp_path / "missing.json", malformed=malformed)
+            for a in argv]
+    rc, out, err = run_main(argv)
+    assert rc == code
+    if code == EXIT_INVALID:
+        assert out == "" and "error: " in err
+    else:
+        assert err == "" and out.startswith("usage: galois-pairs")
+
+
+def test_console_entry_point_exit_codes():
+    # through `python -m galoispairs`, so entrypoint's sys.exit carries the code
+    rc, out, err = run_python("-m", "galoispairs", "search", "--p", "x", "--kind1", "A4",
+                              "--kind2", "C12")
+    assert (rc, out) == (EXIT_INVALID, "") and "error: --p: 'x' is not an int" in err
+    rc, out, err = run_python("-m", "galoispairs", "--help")
+    assert (rc, err) == (EXIT_PASS, "") and "galois-pairs verify-paper --p P" in out
