@@ -167,7 +167,13 @@ class Poly:
 
 
 class RationalFunction:
-    """Quotient of polynomials, reduced, with monic denominator."""
+    """Quotient of polynomials, reduced, with monic denominator.
+
+    The constructor divides out the gcd. shift_value and reciprocal start
+    from a reduced fraction and stay reduced, since
+    gcd(num - c den, den) = gcd(num, den) = 1, so they only make the
+    denominator monic (_coprime) and run no gcd.
+    """
 
     __slots__ = ("num", "den")
 
@@ -181,6 +187,17 @@ class RationalFunction:
         u = pow(den.lead, -1, den.p)
         self.num = num.scale(u)
         self.den = den.scale(u)
+
+    @classmethod
+    def _coprime(cls, num: Poly, den: Poly) -> "RationalFunction":
+        """num/den for coprime num and den, with no gcd."""
+        if den.is_zero:
+            raise ZeroDivisionError("zero denominator")
+        out = object.__new__(cls)
+        u = pow(den.lead, -1, den.p)
+        out.num = num.scale(u)
+        out.den = den.scale(u)
+        return out
 
     @property
     def p(self) -> int:
@@ -199,11 +216,11 @@ class RationalFunction:
         return f"RationalFunction({self.num!r} / {self.den!r})"
 
     def reciprocal(self) -> "RationalFunction":
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._coprime(self.den, self.num)
 
     def shift_value(self, c) -> "RationalFunction":
         """self - c (c a finite field element)."""
-        return RationalFunction(self.num - self.den.scale(c), self.den)
+        return RationalFunction._coprime(self.num - self.den.scale(c), self.den)
 
     def eval_affine(self, t):
         """Value at the point (1:t); INFINITY at a pole."""

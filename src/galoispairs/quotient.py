@@ -9,10 +9,15 @@ coefficient has degree at most |G|, so every non-constant coefficient has
 degree exactly |G|; they are not all constant, since t is a root of the
 product. The product is expanded by a balanced product tree
 (von zur Gathen and Gerhard, Modern Computer Algebra, 10.1), each node one
-univariate Poly product by Kronecker substitution. A Moebius adjustment
-1/(f - f(Q)) then moves the orbit of the base point to the polar set,
-giving two maps over one common denominator and the projective
-parametrization (A : B : D).
+univariate Poly product by Kronecker substitution. The coefficient of
+X^(deg - j) in a product depends only on the top j + 1 X-rows of each
+factor, so a tree whose nodes keep only their top r rows gives the top r
+rows of the product exactly. The first ratio tried, minus the orbit
+trace, needs only the top two rows and is the invariant for every bundled
+group; the full product is expanded only when that ratio is constant.
+A Moebius adjustment 1/(f - f(Q)) then moves the orbit of the base point
+to the polar set, giving two maps over one common denominator and the
+projective parametrization (A : B : D).
 """
 
 from __future__ import annotations
@@ -27,23 +32,30 @@ from .projline import ProjectivePoint, projective_line
 from .subgroups import Subgroup, generate_closure, orbit
 
 
-def _orbit_product(G: Subgroup) -> list[Poly]:
+def _orbit_product(G: Subgroup, rows: int | None = None) -> list[Poly]:
     """The rows of prod_{g in G} (D_g X - N_g), N_g = b + d t, D_g = a + c t:
-    row i is the t-polynomial multiplying X^i, so there are |G| + 1 rows.
+    row i is the t-polynomial multiplying X^i, so there are |G| + 1 rows;
+    with `rows`, only the top `rows` of them.
 
     Balanced product tree: the linear factors are multiplied pairwise,
     level by level, an odd one out carried up to the next level. Every
     row holds residues mod p from the leaves on, so rows become Poly
-    without another reduction.
+    without another reduction. With `rows`, each node keeps its top rows
+    only, which is exact: the top row of every node is prod D_g, never
+    zero since (a, c) is the first column of a nonsingular matrix, and the
+    coefficient of X^(deg - j) in a product reads the top j + 1 rows of
+    each factor.
     """
     p = G.line.p
+    r = rows or len(G) + 1
     level = [[(-b % p, -d % p), (a, c)] for (a, b, c, d) in G]
     while len(level) > 1:
-        paired = [_mul_rows(p, A, B) for A, B in zip(level[::2], level[1::2])]
+        paired = [_mul_rows(p, A[-r:], B[-r:])[-r:]
+                  for A, B in zip(level[::2], level[1::2])]
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
-    return [Poly._raw(p, _trim(list(row))) for row in level[0]]
+    return [Poly._raw(p, _trim(list(row))) for row in level[0][-r:]]
 
 
 def _mul_rows(p: int, A: list, B: list) -> list:
@@ -75,12 +87,14 @@ def invariant_generator(G: Subgroup) -> RationalFunction:
     first ratio polys[i]/polys[|G|] of orbit-product rows, from the top,
     that is not constant.
 
-    One scan always finds it. Every ratio is G-invariant, so by Artin's
-    theorem a non-constant one has degree divisible by |G|, and every row
-    has t-degree at most |G|. The ratios are the coefficients of
-    prod_g (X - g(t)), which has the root X = t from the identity, so they
-    cannot all be constants in F_p. DegenerateInvariant marks a broken
-    orbit product.
+    The top ratio, minus the orbit trace, is read off a product tree that
+    keeps two rows per node; only when it is constant is the full product
+    expanded and scanned. One scan always finds it. Every ratio is
+    G-invariant, so by Artin's theorem a non-constant one has degree
+    divisible by |G|, and every row has t-degree at most |G|. The ratios
+    are the coefficients of prod_g (X - g(t)), which has the root X = t
+    from the identity, so they cannot all be constants in F_p.
+    DegenerateInvariant marks a broken orbit product.
     """
     p = G.line.p
     n = len(G)
@@ -88,9 +102,12 @@ def invariant_generator(G: Subgroup) -> RationalFunction:
         raise ValueError("group order must be coprime to p")
     if n == 1:
         return RationalFunction(Poly.x(p), Poly.const(p, 1))
+    f = RationalFunction(*_orbit_product(G, 2))
+    if f.degree == n:
+        return f
     polys = _orbit_product(G)
     top = polys[n]
-    for i in range(n - 1, -1, -1):
+    for i in range(n - 2, -1, -1):
         if polys[i].degree < 0:
             continue
         f = RationalFunction(polys[i], top)
@@ -121,7 +138,7 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
         value = f.eval_point(Q)
         if value is INFINITY:
             raise EvaluationAtPole(f"pole of both f and 1/f at {Q}")
-    h = RationalFunction(f.den, f.shift_value(value).num)
+    h = f.shift_value(value).reciprocal()
     affine = [P.t for P in pts if P.s == 1]
     n = len(affine)
     ok = h.den.degree == n and not any(h.den.eval(t) for t in affine)
@@ -149,9 +166,9 @@ class CurveParametrization:
         return {
             "p": self.p,
             "degree": self.degree,
-            "A": [int(c) for c in self.A.coeffs],
-            "B": [int(c) for c in self.B.coeffs],
-            "D": [int(c) for c in self.D.coeffs],
+            "A": list(self.A.coeffs),
+            "B": list(self.B.coeffs),
+            "D": list(self.D.coeffs),
         }
 
 

@@ -319,18 +319,67 @@ def test_h_with_other_letters_attached_is_an_error(argv):
     (["emit-curve", "{malformed}"], EXIT_INVALID),
     (["--help"], EXIT_PASS),
     (["search", "--help"], EXIT_PASS),
+    (["check-pair", "{float_entry}"], EXIT_INVALID),    # bad document entries
+    (["emit-curve", "{float_entry}"], EXIT_INVALID),
+    (["check-pair", "{string_entry}"], EXIT_INVALID),
+    (["emit-curve", "{null_entry}"], EXIT_INVALID),
+    (["check-pair", "{late_float_entry}"], EXIT_INVALID),
+    (["emit-curve", "{short_base_point}"], EXIT_INVALID),
+    (["check-pair", "{zero_base_point}"], EXIT_INVALID),
 ])
 def test_exit_code_contract(argv, code, tmp_path):
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text('{"p": 11, "g1": ')
-    argv = [a.format(missing=tmp_path / "missing.json", malformed=malformed)
-            for a in argv]
+    files = {"missing": tmp_path / "missing.json"}
+    for name, text in BAD_DOCUMENTS.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text)
+    argv = [a.format(**files) for a in argv]
     rc, out, err = run_main(argv)
     assert rc == code
     if code == EXIT_INVALID:
         assert out == "" and "error: " in err
     else:
         assert err == "" and out.startswith("usage: galois-pairs")
+
+
+GOOD_GENERATOR = "[[1, 1], [0, 1]]"
+BAD_DOCUMENTS = {
+    "malformed": '{"p": 11, "g1": ',
+    "float_entry": f'{{"p": 11, "g1": [[[1.5, 0], [0, 1]]], "g2": [{GOOD_GENERATOR}]}}',
+    "string_entry": f'{{"p": 11, "g1": [{GOOD_GENERATOR}], "g2": [[["1", 0], [0, 1]]]}}',
+    "null_entry": f'{{"p": 11, "g1": {{"generators": [[[null, 0], [0, 1]]]}}, '
+                  f'"g2": [{GOOD_GENERATOR}]}}',
+    # an int leads the matrix, so no pow() sees the float and it reached the
+    # orbit labels unchecked
+    "late_float_entry": f'{{"p": 11, "g1": [{GOOD_GENERATOR}, [[1, 0.0], [0, 1]]], '
+                        f'"g2": [{GOOD_GENERATOR}]}}',
+    "short_base_point": f'{{"p": 11, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}], '
+                        '"base_point": [1]}',
+    "zero_base_point": f'{{"p": 11, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}], '
+                       '"base_point": [0, 22]}',
+    "bool_base_point": f'{{"p": 11, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}], '
+                       '"base_point": [true, 1]}',
+}
+
+
+MATRIX_ENTRIES = "must be [[a, b], [c, d]]; entries must be integers"
+POINT_ENTRIES = "base_point must be [s, t]; entries must be integers"
+
+
+@pytest.mark.parametrize("name, message", [
+    ("float_entry", f"g1 generator 1 {MATRIX_ENTRIES}"),
+    ("string_entry", f"g2 generator 1 {MATRIX_ENTRIES}"),
+    ("null_entry", f"g1 generator 1 {MATRIX_ENTRIES}"),
+    ("late_float_entry", f"g1 generator 2 {MATRIX_ENTRIES}"),
+    ("short_base_point", POINT_ENTRIES),
+    ("zero_base_point", "base_point (0:0) is not a projective point"),
+    ("bool_base_point", POINT_ENTRIES),
+])
+@pytest.mark.parametrize("command", ["check-pair", "emit-curve"])
+def test_bad_document_entries_are_named(command, name, message, tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(BAD_DOCUMENTS[name])
+    rc, out, err = run_main([command, str(path)])
+    assert (rc, out, err) == (EXIT_INVALID, "", f"error: {path}: {message}\n")
 
 
 def test_console_entry_point_exit_codes():

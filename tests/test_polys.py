@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galoispairs import (INFINITY, Poly, RationalFunction,
@@ -225,3 +225,29 @@ def test_gcd_divides_both_and_is_monic(abc):
     # greatest: a common factor c multiplies the gcd
     if not c.is_zero:
         assert (a * c).gcd(b * c) == (g * c).monic()
+
+
+@st.composite
+def reduced_fractions(draw):
+    # small fields and short rows: shared factors, constants and the zero
+    # function are all common draws
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    coeffs = st.lists(st.integers(0, p - 1), max_size=6)
+    num, den = Poly(p, draw(coeffs)), Poly(p, draw(coeffs))
+    assume(not den.is_zero)
+    return RationalFunction(num, den), draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduced_fractions())
+def test_shift_and_reciprocal_match_the_reducing_constructor(fc):
+    # both skip the gcd: a reduced fraction stays reduced under either
+    f, c = fc
+    shifted = f.shift_value(c)
+    assert shifted == RationalFunction(f.num - f.den.scale(c), f.den)
+    for g in (f, shifted):
+        if g.num.is_zero:
+            with pytest.raises(ZeroDivisionError):
+                g.reciprocal()
+        else:
+            assert g.reciprocal() == RationalFunction(g.den, g.num)

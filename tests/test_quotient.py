@@ -162,13 +162,23 @@ def test_curve_json_round_trip():
         assert is_invariant_under(h1, M)
 
 
+def truncated_expansion(G, rows=None):
+    """The oracle for _orbit_product(G, rows): the top rows of the
+    O(|G|^3) expansion."""
+    expanded = expanded_orbit_product(G)
+    return expanded[-rows:] if rows else expanded
+
+
 def assert_orbit_product_matches_expansion(G):
     rows = _orbit_product(G)
     assert len(rows) == len(G) + 1
-    assert rows == expanded_orbit_product(G)
+    expanded = expanded_orbit_product(G)
+    assert rows == expanded
+    for r in (1, 2, 3, len(G) + 1):
+        assert _orbit_product(G, r) == expanded[-r:]
     f = invariant_generator.__wrapped__(G)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quotient, "_orbit_product", expanded_orbit_product)
+        mp.setattr(quotient, "_orbit_product", truncated_expansion)
         assert invariant_generator.__wrapped__(G) == f
 
 
@@ -177,6 +187,8 @@ def test_orbit_product_matches_expansion_on_bundled_groups():
     assert len(groups) == 18
     for G in groups:
         assert_orbit_product_matches_expansion(G)
+        # the top ratio is the invariant: no bundled group needs the full product
+        assert RationalFunction(*_orbit_product(G, 2)).degree == len(G)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,11 +199,21 @@ def test_orbit_product_matches_expansion(p, i):
     assert_orbit_product_matches_expansion(G)
 
 
+def test_seeded_groups_reach_the_full_product_fallback():
+    # the property above runs the full-product scan of invariant_generator
+    # on these groups, whose top ratio is constant
+    for p in (5, 7, 11, 13, 23):
+        groups = [G for G in seeded_random_subgroups(p, 30, 17 * p)
+                  if len(G) % p and len(G) > 1]
+        assert any(RationalFunction(*_orbit_product(G, 2)).degree < len(G)
+                   for G in groups), p
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(0, 29))
 def test_invariant_generator_returns_from_one_scan(p, i):
     # the top ratio polys[n-1]/polys[n] is constant for most of these
-    # groups, so the scan past it is exercised too
+    # groups, so the full-product scan past it is exercised too
     G = seeded_random_subgroups(p, 30, 31 * p)[i]
     assume(len(G) % p)
     f = invariant_generator(G)
