@@ -68,39 +68,10 @@ def _load_pair_document(path: str):
             raise ValueError(f"{path}: missing required field {key!r}")
     if not (isinstance(doc["p"], int) and is_prime(doc["p"])):
         raise ValueError(f"{path}: field 'p' must be a prime integer")
-    _check_entries(path, doc)
     try:
         return subgroups_from_dict(doc)
-    except GaloisPairsError as exc:
+    except (ValueError, GaloisPairsError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def _is_int_pair(value) -> bool:
-    return (isinstance(value, list) and len(value) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in value))
-
-
-def _check_entries(path: str, doc: dict) -> None:
-    """Every generator must be [[a, b], [c, d]] and the base point [s, t],
-    with integer entries: subgroups_from_dict and the closure after it
-    take them as they are."""
-    for key in ("g1", "g2"):
-        entry = doc[key]
-        gens = entry.get("generators") if isinstance(entry, dict) else entry
-        if not (isinstance(gens, list) and gens):
-            raise ValueError(f"{path}: {key} must hold a non-empty list of generators")
-        for i, rows in enumerate(gens, 1):
-            if not (isinstance(rows, list) and len(rows) == 2
-                    and all(map(_is_int_pair, rows))):
-                raise ValueError(f"{path}: {key} generator {i} must be "
-                                 "[[a, b], [c, d]]; entries must be integers")
-    if "base_point" in doc:
-        Q = doc["base_point"]
-        if not _is_int_pair(Q):
-            raise ValueError(f"{path}: base_point must be [s, t]; "
-                             "entries must be integers")
-        if not any(x % doc["p"] for x in Q):
-            raise ValueError(f"{path}: base_point (0:0) is not a projective point")
 
 
 def _cmd_check_pair(args) -> int:

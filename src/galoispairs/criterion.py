@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import ModulusMismatch
 from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
@@ -25,7 +24,6 @@ from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
 DEFAULT_BASE_POINT = ProjectivePoint(0, 1)
 
 
-@dataclass(frozen=True)
 class PairCertificate:
     """Machine-checkable evidence for one subgroup pair.
 
@@ -34,17 +32,26 @@ class PairCertificate:
     regular (length d) and equal.
     """
 
-    p: int
-    g1_generators: tuple[ProjectiveMatrix, ...]
-    g2_generators: tuple[ProjectiveMatrix, ...]
-    kind1: GroupKind
-    kind2: GroupKind
-    degree: int
-    base_point: ProjectivePoint
-    intersection_size: int
-    orbit_length: int
-    orbit_equal: bool
-    failures: tuple[str, ...]
+    __slots__ = ("p", "g1_generators", "g2_generators", "kind1", "kind2", "degree",
+                 "base_point", "intersection_size", "orbit_length", "orbit_equal",
+                 "failures")
+
+    def __init__(self, p: int, g1_generators: tuple[ProjectiveMatrix, ...],
+                 g2_generators: tuple[ProjectiveMatrix, ...], kind1: GroupKind,
+                 kind2: GroupKind, degree: int, base_point: ProjectivePoint,
+                 intersection_size: int, orbit_length: int, orbit_equal: bool,
+                 failures: tuple[str, ...]):
+        self.p = p
+        self.g1_generators = g1_generators
+        self.g2_generators = g2_generators
+        self.kind1 = kind1
+        self.kind2 = kind2
+        self.degree = degree
+        self.base_point = base_point
+        self.intersection_size = intersection_size
+        self.orbit_length = orbit_length
+        self.orbit_equal = orbit_equal
+        self.failures = failures
 
     @property
     def verdict(self) -> str:
@@ -142,22 +149,41 @@ def check_pair_all_basepoints(G1: Subgroup, G2: Subgroup) -> PairCertificate:
     return _certificate(G1, G2, base, line.points())
 
 
+def _is_int_pair(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in value))
+
+
 def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]:
     """Rebuild (G1, G2, base point) from certificate or pair-document JSON.
 
     Accepts both shapes: {"g1": [[..]..], ...} (certificate) and
-    {"g1": {"generators": [...]}, ...} (pair input document).
+    {"g1": {"generators": [...]}, ...} (pair input document). Every
+    generator must be [[a, b], [c, d]] and the base point [s, t], with
+    integer entries; a ValueError naming the entry says which is not,
+    before any group is closed.
     """
     line = projective_line(int(doc["p"]))
-
-    def gens_of(entry):
-        raw = entry["generators"] if isinstance(entry, dict) else entry
-        return [line.matrix(rows) for rows in raw]
-
-    G1 = generate_closure(line, gens_of(doc["g1"]))
-    G2 = generate_closure(line, gens_of(doc["g2"]))
-    s, t = doc.get("base_point", [DEFAULT_BASE_POINT.s, DEFAULT_BASE_POINT.t])
-    return G1, G2, line.point(s, t)
+    gens = {}
+    for key in ("g1", "g2"):
+        entry = doc[key]
+        raw = entry.get("generators") if isinstance(entry, dict) else entry
+        if not (isinstance(raw, (list, tuple)) and raw):
+            raise ValueError(f"{key} must hold a non-empty list of generators")
+        for i, rows in enumerate(raw, 1):
+            if not (isinstance(rows, (list, tuple)) and len(rows) == 2
+                    and all(map(_is_int_pair, rows))):
+                raise ValueError(f"{key} generator {i} must be "
+                                 "[[a, b], [c, d]]; entries must be integers")
+        gens[key] = raw
+    Q = doc.get("base_point", DEFAULT_BASE_POINT)
+    if not _is_int_pair(Q):
+        raise ValueError("base_point must be [s, t]; entries must be integers")
+    if not (Q[0] % line.p or Q[1] % line.p):
+        raise ValueError("base_point (0:0) is not a projective point")
+    G1 = generate_closure(line, [line.matrix(rows) for rows in gens["g1"]])
+    G2 = generate_closure(line, [line.matrix(rows) for rows in gens["g2"]])
+    return G1, G2, line.point(*Q)
 
 
 def reverify(cert_dict: dict, all_basepoints: bool = False) -> PairCertificate:

@@ -22,7 +22,6 @@ projective parametrization (A : B : D).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .criterion import PairCertificate
@@ -152,15 +151,17 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
     return h
 
 
-@dataclass(frozen=True)
 class CurveParametrization:
     """Projective map (A(t) : B(t) : D(t)) of max component degree `degree`."""
 
-    p: int
-    A: Poly
-    B: Poly
-    D: Poly
-    degree: int
+    __slots__ = ("p", "A", "B", "D", "degree")
+
+    def __init__(self, p: int, A: Poly, B: Poly, D: Poly, degree: int):
+        self.p = p
+        self.A = A
+        self.B = B
+        self.D = D
+        self.degree = degree
 
     def to_dict(self) -> dict:
         return {

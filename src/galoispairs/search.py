@@ -19,7 +19,6 @@ is slower under CPython 3.11 on x86-64: decoding 102,400 words took
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .criterion import PairCertificate, check_pair_all_basepoints
@@ -31,27 +30,28 @@ from .subgroups import (GroupKind, Subgroup, generate_closure, orbit,
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
 
-@dataclass(frozen=True)
 class SearchConfig:
     """Validated search parameters; limit counts candidate generator tuples."""
 
-    p: int
-    kind1: GroupKind
-    kind2: GroupKind
-    strategy: str = "random"
-    seed: int = 0
-    limit: int = 1000
+    __slots__ = ("p", "kind1", "kind2", "strategy", "seed", "limit")
 
-    def __post_init__(self):
-        if self.limit < 1:
+    def __init__(self, p: int, kind1: GroupKind, kind2: GroupKind,
+                 strategy: str = "random", seed: int = 0, limit: int = 1000):
+        if limit < 1:
             raise ValueError("limit must be >= 1")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.kind1.order != self.kind2.order:
+        if strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {strategy!r}")
+        if kind1.order != kind2.order:
             raise ValueError(
-                f"kinds must share one group order, got {self.kind1} vs {self.kind2}")
-        if not 0 <= self.seed < 2 ** 64:
+                f"kinds must share one group order, got {kind1} vs {kind2}")
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        self.p = p
+        self.kind1 = kind1
+        self.kind2 = kind2
+        self.strategy = strategy
+        self.seed = seed
+        self.limit = limit
 
 
 def find_scaling_conjugates(G: Subgroup) -> list[int]:

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -15,12 +14,53 @@ from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint
 DEFAULT_CLOSURE_CAP = 600
 
 
-@dataclass(frozen=True)
 class GroupKind:
-    """Isomorphism type tag: C_n, D_n (order convention), A4, S4, A5, other."""
+    """Isomorphism type tag: C_n, D_n (order convention), A4, S4, A5, other.
 
-    family: str  # "C" | "D" | "A4" | "S4" | "A5" | "other"
-    order: int
+    Immutable, compared and hashed by (family, order). It and the package's
+    other records are plain classes, not dataclasses: importing
+    `dataclasses` cost about 10 ms of every CLI process.
+
+    tally maps each element order to the number of elements of that order
+    in a group of this kind, and is None for other; element_orders is
+    every order an element of such a group can have: the keys of its
+    tally, and for other every divisor of its order (Lagrange).
+    """
+
+    __slots__ = ("family", "order", "tally", "element_orders")
+
+    def __init__(self, family: str, order: int):
+        # "C" | "D" | "A4" | "S4" | "A5" | "other"
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "order", order)
+
+    def __getattr__(self, name):
+        # the first read of tally or element_orders takes it from the
+        # (family, order) cache and keeps it in its slot: the random search
+        # reads element_orders on every tick, where a property costs about
+        # four times a slot read
+        if name == "tally":
+            value = _tally(self.family, self.order)
+        elif name == "element_orders":
+            value = _element_orders(self.family, self.order)
+        else:
+            raise AttributeError(f"'GroupKind' object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupKind")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable GroupKind")
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupKind:
+            return NotImplemented
+        return self.family == other.family and self.order == other.order
+
+    def __hash__(self):
+        return hash((self.family, self.order))
 
     @classmethod
     def cyclic(cls, n: int) -> "GroupKind":
@@ -48,45 +88,45 @@ class GroupKind:
     def other(cls, n: int) -> "GroupKind":
         return cls("other", n)
 
-    @cached_property
-    def tally(self) -> Mapping[int, int] | None:
-        """Element order -> number of elements of that order, in a group of
-        this kind; None for other.
-
-        C_n has phi(k) elements of each order k dividing n, D_n adds n/2
-        involutions to the tally of its rotations C_{n/2}, and A4, S4 and A5
-        count their conjugacy classes.
-        """
-        n = self.order
-        if self.family == "C":
-            tally = Counter(n // gcd(j, n) for j in range(n))
-        elif self.family == "D":
-            tally = Counter(GroupKind.cyclic(n // 2).tally)
-            tally[2] += n // 2
-        elif self.family == "A4":
-            tally = {1: 1, 2: 3, 3: 8}
-        elif self.family == "S4":
-            tally = {1: 1, 2: 9, 3: 8, 4: 6}
-        elif self.family == "A5":
-            tally = {1: 1, 2: 15, 3: 20, 5: 24}
-        else:
-            return None
-        return MappingProxyType(dict(tally))
-
-    @cached_property
-    def element_orders(self) -> frozenset[int]:
-        """Every order an element of a group of this kind can have: the keys
-        of its tally, and for other every divisor of its order (Lagrange)."""
-        if self.tally is None:
-            return frozenset(k for k in range(1, self.order + 1) if self.order % k == 0)
-        return frozenset(self.tally)
-
     def __str__(self):
         if self.family in ("C", "D"):
             return f"{self.family}{self.order}"
         if self.family == "other":
             return f"Other({self.order})"
         return self.family
+
+
+@lru_cache(maxsize=None)
+def _tally(family: str, n: int) -> Mapping[int, int] | None:
+    """GroupKind(family, n).tally.
+
+    C_n has phi(k) elements of each order k dividing n, D_n adds n/2
+    involutions to the tally of its rotations C_{n/2}, and A4, S4 and A5
+    count their conjugacy classes.
+    """
+    if family == "C":
+        tally = Counter(n // gcd(j, n) for j in range(n))
+    elif family == "D":
+        tally = Counter(_tally("C", n // 2))
+        tally[2] += n // 2
+    elif family == "A4":
+        tally = {1: 1, 2: 3, 3: 8}
+    elif family == "S4":
+        tally = {1: 1, 2: 9, 3: 8, 4: 6}
+    elif family == "A5":
+        tally = {1: 1, 2: 15, 3: 20, 5: 24}
+    else:
+        return None
+    return MappingProxyType(dict(tally))
+
+
+@lru_cache(maxsize=None)
+def _element_orders(family: str, n: int) -> frozenset[int]:
+    """GroupKind(family, n).element_orders."""
+    tally = _tally(family, n)
+    if tally is None:
+        return frozenset(k for k in range(1, n + 1) if n % k == 0)
+    return frozenset(tally)
 
 
 def parse_kind(text: str) -> GroupKind:
@@ -181,8 +221,7 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
 @lru_cache(maxsize=None)
 def _kinds_of_order(n: int) -> tuple[GroupKind, ...]:
     """The named kinds of order n (every family but other), in recognition
-    order; shared instances, so each tally is computed once per (family,
-    order)."""
+    order; cached, so recognize builds no kind but other."""
     kinds = [GroupKind.cyclic(n)]
     if n >= 4 and n % 2 == 0:
         kinds.append(GroupKind.dihedral(n))

@@ -9,7 +9,6 @@ left to right, with a trailing apostrophe marking the class inverse.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .cases import LABELS, PRIMES, _pt, _pts, case_subgroups, prime_table
 from .criterion import check_pair_all_basepoints
@@ -19,17 +18,21 @@ from .projline import ProjectiveLine, ProjectiveMatrix
 from .subgroups import GroupKind, Subgroup, generate_closure, orbit, recognize
 
 
-@dataclass(frozen=True)
 class CheckItem:
-    id: str
-    claim: str
-    passed: bool
+    __slots__ = ("id", "claim", "passed")
+
+    def __init__(self, id: str, claim: str, passed: bool):
+        self.id = id
+        self.claim = claim
+        self.passed = passed
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    p: int
-    items: tuple[CheckItem, ...]
+    __slots__ = ("p", "items")
+
+    def __init__(self, p: int, items: tuple[CheckItem, ...]):
+        self.p = p
+        self.items = items
 
     @property
     def passed(self) -> bool:

@@ -103,6 +103,43 @@ def test_subgroups_from_dict_accepts_both_shapes():
     assert (Q.s, Q.t) == (1, 3)
 
 
+MATRIX_ENTRIES = "must be [[a, b], [c, d]]; entries must be integers"
+GOOD = [[[1, 1], [0, 1]]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    # an int leads the matrix, so no pow() sees the float
+    ({"p": 11, "g1": [[[1, 0], [0, 1]], [[1, 0.0], [0, 1]]], "g2": [[[1, 1], [0, 1]]]},
+     f"g1 generator 2 {MATRIX_ENTRIES}"),
+    ({"p": 11, "g1": GOOD, "g2": {"generators": [[[1, 1, 0], [0, 1]]]}},
+     f"g2 generator 1 {MATRIX_ENTRIES}"),
+    ({"p": 11, "g1": GOOD, "g2": [[[1, 1], [0, 1], [0, 1]]]},
+     f"g2 generator 1 {MATRIX_ENTRIES}"),
+    ({"p": 11, "g1": {"generators": []}, "g2": GOOD},
+     "g1 must hold a non-empty list of generators"),
+    ({"p": 11, "g1": GOOD, "g2": GOOD, "base_point": [1, True]},
+     "base_point must be [s, t]; entries must be integers"),
+    ({"p": 11, "g1": GOOD, "g2": GOOD, "base_point": [11, -22]},
+     "base_point (0:0) is not a projective point"),
+])
+def test_reverify_names_a_bad_entry(doc, message):
+    for call in (reverify, subgroups_from_dict):
+        with pytest.raises(ValueError) as info:
+            call(doc)
+        assert str(info.value) == message
+
+
+def test_subgroups_from_dict_takes_tuples_as_lists():
+    G1, G2 = case_subgroups(11, "a")
+    doc = check_pair(G1, G2, projective_line(11).point(1, 3)).to_dict()
+    as_tuples = {"p": 11, "base_point": tuple(doc["base_point"]),
+                 **{key: tuple(tuple(map(tuple, rows)) for rows in doc[key])
+                    for key in ("g1", "g2")}}
+    assert ([H.elements for H in subgroups_from_dict(as_tuples)[:2]]
+            == [G1.elements, G2.elements])
+    assert reverify(as_tuples).to_json() == reverify(doc).to_json()
+
+
 def test_modulus_mismatch():
     G1, _ = case_subgroups(11, "a")
     H1, _ = case_subgroups(23, "a")
