@@ -19,8 +19,7 @@ from .polys import INFINITY, Poly, RationalFunction
 from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
                        projective_line)
 from .quotient import (CurveParametrization, emit_parametrization,
-                       invariant_generator, moebius_adjust,
-                       parametrization_from_dict)
+                       invariant_generator, moebius_adjust)
 from .search import (SearchConfig, find_cyclic_regular, find_scaling_conjugates,
                      random_pair_search, run_search)
 from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,

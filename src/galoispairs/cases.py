@@ -205,7 +205,6 @@ def _table_59() -> dict:
     }
 
 
-@lru_cache(maxsize=None)
 def case_subgroups(p: int, label: str) -> tuple[Subgroup, Subgroup]:
     """Closed subgroup pair (G1, G2) for case (p, label): G1 is generated by
     the g1 letters, and G2 by x for label "a" (cyclic), by f and r for "b"

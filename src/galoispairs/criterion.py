@@ -17,6 +17,7 @@ import json
 from collections import Counter
 
 from .errors import ModulusMismatch
+from .field import is_prime
 from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
                         orbit_labels, recognize)
@@ -158,12 +159,22 @@ def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]
     """Rebuild (G1, G2, base point) from certificate or pair-document JSON.
 
     Accepts both shapes: {"g1": [[..]..], ...} (certificate) and
-    {"g1": {"generators": [...]}, ...} (pair input document). Every
-    generator must be [[a, b], [c, d]] and the base point [s, t], with
-    integer entries; a ValueError naming the entry says which is not,
-    before any group is closed.
+    {"g1": {"generators": [...]}, ...} (pair input document). The CLI and
+    reverify share these checks, made in this order before any group is
+    closed; the first that fails raises a ValueError naming it:
+    the document is an object; it has the fields p, g1 and g2; p is a
+    prime int; g1, then g2, holds a non-empty list of generators, each
+    [[a, b], [c, d]] with int entries; the base point, if given, is [s, t]
+    with int entries, not both divisible by p.
     """
-    line = projective_line(int(doc["p"]))
+    if not isinstance(doc, dict):
+        raise ValueError("top-level value must be an object")
+    for key in ("p", "g1", "g2"):
+        if key not in doc:
+            raise ValueError(f"missing required field {key!r}")
+    if not (isinstance(doc["p"], int) and is_prime(doc["p"])):
+        raise ValueError("field 'p' must be a prime integer")
+    line = projective_line(doc["p"])
     gens = {}
     for key in ("g1", "g2"):
         entry = doc[key]

@@ -8,8 +8,6 @@ pow.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division test; adequate for moduli below 2**31."""
@@ -42,7 +40,6 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def primitive_root(p: int) -> int:
     """Smallest generator of the multiplicative group of F_p, p an odd prime.
 

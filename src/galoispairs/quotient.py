@@ -22,8 +22,6 @@ projective parametrization (A : B : D).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .criterion import PairCertificate
 from .errors import DegenerateInvariant, EvaluationAtPole, IrregularOrbit
 from .polys import INFINITY, Poly, RationalFunction, _trim
@@ -80,7 +78,6 @@ def _mul_rows(p: int, A: list, B: list) -> list:
     return [prod[i:i + s] for i in range(0, (len(A) + len(B) - 1) * s, s)]
 
 
-@lru_cache(maxsize=128)
 def invariant_generator(G: Subgroup) -> RationalFunction:
     """A rational function of degree |G| fixed by every element of G: the
     first ratio polys[i]/polys[|G|] of orbit-product rows, from the top,
@@ -173,17 +170,6 @@ class CurveParametrization:
         }
 
 
-def parametrization_from_dict(doc: dict) -> CurveParametrization:
-    p = projective_line(int(doc["p"])).p
-    return CurveParametrization(
-        p=p,
-        A=Poly(p, doc["A"]),
-        B=Poly(p, doc["B"]),
-        D=Poly(p, doc["D"]),
-        degree=int(doc["degree"]),
-    )
-
-
 def emit_parametrization(cert: PairCertificate) -> CurveParametrization:
     """Degree-d plane parametrization witnessing a passing certificate.
 
@@ -192,7 +178,7 @@ def emit_parametrization(cert: PairCertificate) -> CurveParametrization:
     common polar set.
     """
     if cert.verdict != "pass":
-        raise ValueError("certificate must pass before a curve is emitted")
+        raise ValueError("pair fails the criterion: " + "; ".join(cert.failures))
     line = projective_line(cert.p)
     G1 = generate_closure(line, cert.g1_generators)
     G2 = generate_closure(line, cert.g2_generators)

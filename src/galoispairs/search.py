@@ -23,6 +23,7 @@ from typing import Callable, Iterable
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
+from .field import is_prime
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, orbit,
                         recognize)
@@ -31,12 +32,15 @@ STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
 
 class SearchConfig:
-    """Validated search parameters; limit counts candidate generator tuples."""
+    """Validated search parameters: p must be prime, and limit counts
+    candidate generator tuples."""
 
     __slots__ = ("p", "kind1", "kind2", "strategy", "seed", "limit")
 
     def __init__(self, p: int, kind1: GroupKind, kind2: GroupKind,
                  strategy: str = "random", seed: int = 0, limit: int = 1000):
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if strategy not in STRATEGIES:

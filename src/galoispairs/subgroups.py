@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from math import gcd
+from math import isqrt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -33,20 +33,10 @@ class GroupKind:
         # "C" | "D" | "A4" | "S4" | "A5" | "other"
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "order", order)
-
-    def __getattr__(self, name):
-        # the first read of tally or element_orders takes it from the
-        # (family, order) cache and keeps it in its slot: the random search
-        # reads element_orders on every tick, where a property costs about
-        # four times a slot read
-        if name == "tally":
-            value = _tally(self.family, self.order)
-        elif name == "element_orders":
-            value = _element_orders(self.family, self.order)
-        else:
-            raise AttributeError(f"'GroupKind' object has no attribute {name!r}")
-        object.__setattr__(self, name, value)
-        return value
+        # slots, not properties: the random search reads element_orders on
+        # every tick, where a property costs about four times a slot read
+        object.__setattr__(self, "tally", _tally(family, order))
+        object.__setattr__(self, "element_orders", _element_orders(family, order))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupKind")
@@ -100,12 +90,17 @@ class GroupKind:
 def _tally(family: str, n: int) -> Mapping[int, int] | None:
     """GroupKind(family, n).tally.
 
-    C_n has phi(k) elements of each order k dividing n, D_n adds n/2
+    C_n has phi(k) elements of each order k dividing n: the k elements
+    whose order divides k, less those of the smaller orders dividing k, so
+    the cost is O(divisors^2 + sqrt(n)), not O(n). D_n adds n/2
     involutions to the tally of its rotations C_{n/2}, and A4, S4 and A5
     count their conjugacy classes.
     """
     if family == "C":
-        tally = Counter(n // gcd(j, n) for j in range(n))
+        tally = {}
+        for k in sorted({d for i in range(1, isqrt(n) + 1) if n % i == 0
+                         for d in (i, n // i)}):
+            tally[k] = k - sum(c for j, c in tally.items() if k % j == 0)
     elif family == "D":
         tally = Counter(_tally("C", n // 2))
         tally[2] += n // 2
@@ -122,11 +117,9 @@ def _tally(family: str, n: int) -> Mapping[int, int] | None:
 
 @lru_cache(maxsize=None)
 def _element_orders(family: str, n: int) -> frozenset[int]:
-    """GroupKind(family, n).element_orders."""
-    tally = _tally(family, n)
-    if tally is None:
-        return frozenset(k for k in range(1, n + 1) if n % k == 0)
-    return frozenset(tally)
+    """GroupKind(family, n).element_orders: for other, the divisors of n,
+    which are the keys of the C_n tally."""
+    return frozenset(_tally(family, n) or _tally("C", n))
 
 
 def parse_kind(text: str) -> GroupKind:

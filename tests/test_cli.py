@@ -57,7 +57,8 @@ def test_emit_curve_out_to_an_unwritable_path_is_invalid_input(tmp_path, capsys,
 def test_emit_curve_rejects_a_failing_pair(tmp_path, capsys, case_11a):
     G1, _ = case_11a
     assert main(["emit-curve", pair_document(tmp_path, G1, G1)]) == EXIT_INVALID
-    assert "fails the criterion" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: pair fails the criterion: "
+                                       "groups not different; intersection not trivial\n")
 
 
 def test_check_pair_exit_codes(tmp_path, capsys, case_11a):
@@ -65,6 +66,18 @@ def test_check_pair_exit_codes(tmp_path, capsys, case_11a):
     assert main(["check-pair", pair_document(tmp_path, G1, G2)]) == EXIT_PASS
     assert capsys.readouterr().out.strip() == check_pair(G1, G2).to_json()
     assert main(["check-pair", pair_document(tmp_path, G1, G1)]) == EXIT_FAIL
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--p", "12", "--kind1", "A4", "--kind2", "C12"], "p=12 is not prime"),
+    (["--p", "12", "--kind1", "Q8", "--kind2", "C12"], "unrecognized group kind 'Q8'"),
+    (["--p", "11", "--kind1", "A4", "--kind2", "C60"],
+     "kinds must share one group order, got A4 vs C60"),
+    (["--p", "11", "--kind1", "A4", "--kind2", "D12", "--strategy", "exhaustive-cyclic"],
+     "exhaustive-cyclic needs one kind equal to C12 at p=11"),
+])
+def test_search_rejects_bad_input_with_one_line(args, message):
+    assert run_main(["search", *args]) == (EXIT_INVALID, "", f"error: {message}\n")
 
 
 def test_exhausted_search_prints_none(capsys):
@@ -363,6 +376,10 @@ BAD_DOCUMENTS = {
                        '"base_point": [0, 22]}',
     "bool_base_point": f'{{"p": 11, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}], '
                        '"base_point": [true, 1]}',
+    "top_level_list": f'[{{"p": 11, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}]}}]',
+    "missing_field": f'{{"p": 11, "g1": [{GOOD_GENERATOR}]}}',
+    "float_p": f'{{"p": 11.9, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}]}}',
+    "composite_p": f'{{"p": 12, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}]}}',
 }
 
 
@@ -378,6 +395,10 @@ POINT_ENTRIES = "base_point must be [s, t]; entries must be integers"
     ("short_base_point", POINT_ENTRIES),
     ("zero_base_point", "base_point (0:0) is not a projective point"),
     ("bool_base_point", POINT_ENTRIES),
+    ("top_level_list", "top-level value must be an object"),
+    ("missing_field", "missing required field 'g2'"),
+    ("float_p", "field 'p' must be a prime integer"),
+    ("composite_p", "field 'p' must be a prime integer"),
 ])
 @pytest.mark.parametrize("command", ["check-pair", "emit-curve"])
 def test_bad_document_entries_are_named(command, name, message, tmp_path):

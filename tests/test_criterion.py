@@ -121,6 +121,12 @@ GOOD = [[[1, 1], [0, 1]]]
      "base_point must be [s, t]; entries must be integers"),
     ({"p": 11, "g1": GOOD, "g2": GOOD, "base_point": [11, -22]},
      "base_point (0:0) is not a projective point"),
+    # the document-level checks, shared with the CLI
+    ([{"p": 11, "g1": GOOD, "g2": GOOD}], "top-level value must be an object"),
+    ({}, "missing required field 'p'"),
+    ({"p": 11, "g1": GOOD}, "missing required field 'g2'"),
+    *[({"p": p, "g1": GOOD, "g2": GOOD}, "field 'p' must be a prime integer")
+      for p in (11.9, "11", True, 12)],
 ])
 def test_reverify_names_a_bad_entry(doc, message):
     for call in (reverify, subgroups_from_dict):

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from galoispairs import (CurveParametrization, GroupKind, PairCertificate, Poly,
                          ProjectiveMatrix, ProjectivePoint, SearchConfig,
-                         VerificationReport)
+                         VerificationReport, is_prime)
 from galoispairs.search import STRATEGIES
 from galoispairs.verify import CheckItem
 
@@ -133,6 +133,8 @@ class TwinSearchConfig:
     limit: int = 1000
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"p={self.p} is not prime")
         if self.limit < 1:
             raise ValueError("limit must be >= 1")
         if self.strategy not in STRATEGIES:
@@ -266,7 +268,8 @@ def outcome(cls, *args, **kwargs):
 
 
 @settings(max_examples=300, deadline=None)
-@given(PRIMES, st.sampled_from([(12, 12), (12, 24), (60, 60), (60, 24)]),
+@given(st.one_of(PRIMES, st.integers(-5, 60)),
+       st.sampled_from([(12, 12), (12, 24), (60, 60), (60, 24)]),
        st.sampled_from(STRATEGIES + ("greedy", "")),
        st.one_of(st.integers(-3, 3), st.integers(2 ** 64 - 2, 2 ** 64 + 1),
                  st.integers(0, 2 ** 64 - 1)),
