@@ -73,7 +73,6 @@ def _table_11() -> dict:
         "c": M([[a, 0], [0, 1]]),
     }
     return {
-        "p": 11,
         "alpha": a,
         "line": line,
         "gen": gen,
@@ -133,7 +132,6 @@ def _table_23() -> dict:
         (ZERO, 8, 6, 7, 10, 2, 1, 14, 19, 12, 20, 5),
     )
     return {
-        "p": 23,
         "alpha": a,
         "line": line,
         "gen": gen,
@@ -197,7 +195,6 @@ def _table_59() -> dict:
         "c": M([[1, a**30], [0, -(a**15)]]),
     }
     return {
-        "p": 59,
         "alpha": a,
         "line": line,
         "gen": gen,

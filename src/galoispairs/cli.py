@@ -4,7 +4,9 @@ and search subgroup pairs, and emit plane-curve parametrizations.
 
 Exit codes are stable: 0 success/pass or -h/--help (usage on stdout), 1
 checked-and-failed, 2 invalid input (a bad command line prints `usage:` and
-`error:` lines on stderr), 3 search exhausted. All JSON on stdout is emitted
+`error:` lines on stderr), 3 search exhausted. A handler raises ValueError or
+UnknownCase on invalid input, and `main` prints its one `error:` line and
+returns 2; any other exception propagates. All JSON on stdout is emitted
 with sorted keys so equal runs are byte-identical. Argv grammar: `--p 11` or
 `--p=11`; any unique prefix of a long option (`--all`; `--s` is ambiguous in
 search); the last repeat wins; a token that starts with `-` is an option
@@ -34,16 +36,8 @@ EXIT_INVALID = 2
 EXIT_EXHAUSTED = 3
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
 def _cmd_verify_paper(args) -> int:
-    try:
-        report = verify_prime(args.p, args.case)
-    except UnknownCase as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = verify_prime(args.p, args.case)
     if args.json:
         print(report.to_json())
     else:
@@ -67,11 +61,7 @@ def _load_pair_document(path: str):
 
 
 def _cmd_check_pair(args) -> int:
-    try:
-        G1, G2, Q = _load_pair_document(args.input)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    G1, G2, Q = _load_pair_document(args.input)
     if args.all_basepoints:
         cert = check_pair_all_basepoints(G1, G2)
     else:
@@ -81,16 +71,12 @@ def _cmd_check_pair(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    try:
-        kind1 = parse_kind(args.kind1)
-        kind2 = parse_kind(args.kind2)
-        cfg = SearchConfig(p=args.p, kind1=kind1, kind2=kind2,
-                           strategy=args.strategy, seed=args.seed,
-                           limit=args.limit)
-        cert = run_search(cfg)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    kind1 = parse_kind(args.kind1)
+    kind2 = parse_kind(args.kind2)
+    cfg = SearchConfig(p=args.p, kind1=kind1, kind2=kind2,
+                       strategy=args.strategy, seed=args.seed,
+                       limit=args.limit)
+    cert = run_search(cfg)
     if cert is None:
         print("none")
         return EXIT_EXHAUSTED
@@ -99,31 +85,21 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_emit_curve(args) -> int:
-    try:
-        G1, G2, Q = _load_pair_document(args.input)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    G1, G2, Q = _load_pair_document(args.input)
     cert = check_pair(G1, G2, Q)
-    try:
-        param = emit_parametrization(cert)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    param = emit_parametrization(cert)
     try:
         degree = implicit_degree(param)
     except GaloisPairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    line = _dump(param.to_dict())
+    line = json.dumps(param.to_dict(), sort_keys=True)
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(line + "\n")
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return EXIT_INVALID
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     print(line)
     print(f"implicit_degree={degree}")
     return EXIT_PASS if degree == cert.degree else EXIT_FAIL
@@ -250,7 +226,11 @@ def main(argv=None) -> int:
             return EXIT_PASS
         print(f"{_usage(command)}\nerror: {message}", file=sys.stderr)
         return EXIT_INVALID
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, UnknownCase) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 def entrypoint():

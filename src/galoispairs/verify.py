@@ -80,30 +80,48 @@ def _block_perm(line: ProjectiveLine, A: ProjectiveMatrix,
 
 
 class _Harness:
+    """The items of one prime, in an order that the verify-paper digests pin;
+    G1 pairs with G2 in case "a", with G3 in "b" and with G4 in "c"."""
+
     def __init__(self, p: int):
         self.tab = prime_table(p)
         self.line: ProjectiveLine = self.tab["line"]
         self.gen: dict = self.tab["gen"]
         self.items: list[CheckItem] = []
+        self.G1, self.G2 = case_subgroups(p, "a")
+        self.G3 = case_subgroups(p, "b")[1]
+        self.G4 = case_subgroups(p, "c")[1]
 
     def add(self, item_id: str, claim: str, ok: bool):
         self.items.append(CheckItem(item_id, claim, bool(ok)))
 
-    def order_item(self, letter: str, n: int):
-        ok = self.line.element_order(self.gen[letter]) == n
-        self.add(f"order.{letter}", f"{letter} has order {n}", ok)
+    def lemma_items(self, orders):
+        """The primitive root, then the order of each (letter, n)."""
+        alpha = self.tab["alpha"]
+        self.add("alpha", f"{alpha} generates the multiplicative group",
+                 primitive_root(self.line.p) == alpha)
+        for letter, n in orders:
+            ok = self.line.element_order(self.gen[letter]) == n
+            self.add(f"order.{letter}", f"{letter} has order {n}", ok)
 
     def relation(self, item_id: str, lhs: str, rhs: str):
         ok = word(self.line, self.gen, lhs) == word(self.line, self.gen, rhs)
         self.add(item_id, f"{lhs} ~ {rhs}", ok)
 
-    def printed_class(self, item_id: str, lhs: str, printed: ProjectiveMatrix):
-        ok = word(self.line, self.gen, lhs) == printed
-        self.add(item_id, f"{lhs} ~ {printed}", ok)
+    def printed_products(self):
+        for i, (lhs, printed) in enumerate(self.tab["printed_products"]):
+            self.add(f"products.{i}", f"{lhs} ~ {printed}",
+                     word(self.line, self.gen, lhs) == printed)
 
     def power_class(self, letter: str, e: int, printed: ProjectiveMatrix):
         ok = self.line.power(self.gen[letter], e) == printed
         self.add(f"{letter}.power{e}", f"{letter}^{e} ~ {printed}", ok)
+
+    def x_powers(self):
+        for e, printed in sorted(self.tab["x_power_classes"].items()):
+            self.power_class("x", e, printed)
+            self.add(f"x.power{e}.outside_g1", f"the class of x^{e} is not in g1",
+                     self.line.power(self.gen["x"], e) not in self.G1)
 
     def group_items(self, name: str, G: Subgroup, kind: GroupKind):
         self.add(f"{name}.kind",
@@ -114,6 +132,10 @@ class _Harness:
                  f"{name} acts transitively on the {self.line.p + 1} rational points",
                  orbit(G, self.line.points()[0]) == full)
 
+    def g4_kind(self):
+        self.add("g4.kind", "g4 has the same type as g1",
+                 recognize(self.G4) == recognize(self.G1))
+
     def element_list(self, item_id: str, G: Subgroup, order: int,
                      printed: list[ProjectiveMatrix]):
         actual = {A for A in G.elements if self.line.element_order(A) == order}
@@ -122,9 +144,9 @@ class _Harness:
                  f"order-{order} elements",
                  actual == set(printed))
 
-    def pair_items(self, label: str, G1: Subgroup, G2: Subgroup):
+    def pair_items(self, label: str, G2: Subgroup):
         d = self.line.p + 1
-        cert = check_pair_all_basepoints(G1, G2)
+        cert = check_pair_all_basepoints(self.G1, G2)
         self.add(f"pair.{label}.intersection",
                  "the two groups intersect trivially",
                  cert.intersection_size == 1)
@@ -138,55 +160,41 @@ class _Harness:
 
 def _verify_11(h: _Harness):
     line, gen, tab = h.line, h.gen, h.tab
-    h.add("alpha", "2 generates the multiplicative group",
-          primitive_root(line.p) == tab["alpha"])
-    for letter, n in (("s", 2), ("t", 2), ("h", 3), ("x", 12), ("f", 2), ("r", 6)):
-        h.order_item(letter, n)
+    h.lemma_items((("s", 2), ("t", 2), ("h", 3), ("x", 12), ("f", 2), ("r", 6)))
     h.relation("g1.commute", "s t", "t s")
     h.relation("g1.conj_s", "h' s h", "t")
     h.relation("g1.conj_t", "h' t h", "s t")
 
-    G1, G2 = case_subgroups(11, "a")
-    _, G3 = case_subgroups(11, "b")
-    _, G4 = case_subgroups(11, "c")
-    h.group_items("g1", G1, GroupKind.alt4())
-    h.element_list("g1.order2_list", G1, 2, tab["g1_order2"])
-    h.element_list("g1.order3_list", G1, 3, tab["g1_order3"])
-    h.group_items("g2", G2, GroupKind.cyclic(12))
-    for e, printed in sorted(tab["x_power_classes"].items()):
-        h.power_class("x", e, printed)
-        h.add(f"x.power{e}.outside_g1", f"the class of x^{e} is not in g1",
-              line.power(gen["x"], e) not in G1)
+    h.group_items("g1", h.G1, GroupKind.alt4())
+    h.element_list("g1.order2_list", h.G1, 2, tab["g1_order2"])
+    h.element_list("g1.order3_list", h.G1, 3, tab["g1_order3"])
+    h.group_items("g2", h.G2, GroupKind.cyclic(12))
+    h.x_powers()
     h.relation("g3.dihedral", "f' r f", "r'")
-    h.group_items("g3", G3, GroupKind.dihedral(12))
+    h.group_items("g3", h.G3, GroupKind.dihedral(12))
     for e, printed in sorted(tab["r_power_classes"].items()):
         h.power_class("r", e, printed)
     h.add("r.power2.outside_g1", "the class of r^2 is not in g1",
-          line.power(gen["r"], 2) not in G1)
-    for i, (w, printed) in enumerate(tab["printed_products"]):
-        h.printed_class(f"products.{i}", w, printed)
+          line.power(gen["r"], 2) not in h.G1)
+    h.printed_products()
     for i, (lhs, rhs) in enumerate((("s r r r", "r r r s"),
                                     ("t r r r", "r r r t"),
                                     ("s t r r r", "r r r s t"))):
         h.add(f"products.differ.{i}", f"{lhs} and {rhs} are different classes",
               word(line, gen, lhs) != word(line, gen, rhs))
-    h.element_list("g4.order2_list", G4, 2, tab["g4_order2"])
-    h.element_list("g4.order3_list", G4, 3, tab["g4_order3"])
-    h.add("g4.kind", "g4 has the same type as g1",
-          recognize(G4) == recognize(G1))
-    h.pair_items("a", G1, G2)
-    h.pair_items("b", G1, G3)
-    h.pair_items("c", G1, G4)
+    h.element_list("g4.order2_list", h.G4, 2, tab["g4_order2"])
+    h.element_list("g4.order3_list", h.G4, 3, tab["g4_order3"])
+    h.g4_kind()
+    h.pair_items("a", h.G2)
+    h.pair_items("b", h.G3)
+    h.pair_items("c", h.G4)
 
 
 def _verify_23(h: _Harness):
     line, gen, tab = h.line, h.gen, h.tab
     alpha = tab["alpha"]
-    h.add("alpha", "5 generates the multiplicative group",
-          primitive_root(line.p) == alpha)
-    for letter, n in (("s", 2), ("m", 2), ("t", 3), ("h", 4), ("x", 24),
-                      ("f", 2), ("r", 12)):
-        h.order_item(letter, n)
+    h.lemma_items((("s", 2), ("m", 2), ("t", 3), ("h", 4), ("x", 24),
+                   ("f", 2), ("r", 12)))
     h.relation("g1.m_is_h2", "m", "h h")
     h.relation("g1.commute", "s m", "m s")
     h.relation("g1.conj_ts", "t' s t", "m")
@@ -200,10 +208,7 @@ def _verify_23(h: _Harness):
     h.add("g1.sub_kind", "⟨s,m,t⟩ has order 12 and type A4",
           len(sub) == 12 and recognize(sub) == GroupKind.alt4())
 
-    G1, G2 = case_subgroups(23, "a")
-    _, G3 = case_subgroups(23, "b")
-    _, G4 = case_subgroups(23, "c")
-    h.group_items("g1", G1, GroupKind.sym4())
+    h.group_items("g1", h.G1, GroupKind.sym4())
 
     O = tab["o_partition"]
     T = tab["t_partition"]
@@ -214,15 +219,12 @@ def _verify_23(h: _Harness):
               f"{letter} permutes the four blocks as {perm}",
               _block_perm(line, gen[letter], O) == perm)
     # faithful: every element permutes the blocks, no two alike
-    perms = [_block_perm(line, A, O) for A in G1.elements]
+    perms = [_block_perm(line, A, O) for A in h.G1.elements]
     h.add("blocks.o.faithful", "g1 acts faithfully on the four blocks",
           None not in perms and len(set(perms)) == len(perms))
 
-    h.group_items("g2", G2, GroupKind.cyclic(24))
-    for e, printed in sorted(tab["x_power_classes"].items()):
-        h.power_class("x", e, printed)
-        h.add(f"x.power{e}.outside_g1", f"the class of x^{e} is not in g1",
-              line.power(gen["x"], e) not in G1)
+    h.group_items("g2", h.G2, GroupKind.cyclic(24))
+    h.x_powers()
     for e, at, image, block in tab["x_point_images"]:
         P = _pt(line, alpha, at)
         img = line.apply(P, line.power(gen["x"], e))
@@ -230,10 +232,10 @@ def _verify_23(h: _Harness):
         h.add(f"x.power{e}.at.{at}",
               f"x^{e} sends {P} to {expected}, which lies in block {block + 1}",
               img == expected and img in O[block])
-    h.pair_items("a", G1, G2)
+    h.pair_items("a", h.G2)
 
     h.relation("g3.dihedral", "f' r f", "r'")
-    h.group_items("g3", G3, GroupKind.dihedral(24))
+    h.group_items("g3", h.G3, GroupKind.dihedral(24))
     h.add("blocks.t.sizes", "the two blocks each contain 12 points",
           [len(b) for b in T] == [12, 12])
     for letter, perm in sorted(tab["t_block_images"].items()):
@@ -241,7 +243,7 @@ def _verify_23(h: _Harness):
               f"{letter} permutes the two blocks as {perm}",
               _block_perm(line, gen[letter], T) == perm)
     h.add("blocks.t.preserved", "every element of g3 permutes the two blocks",
-          all(_block_perm(line, A, T) is not None for A in G3.elements))
+          all(_block_perm(line, A, T) is not None for A in h.G3.elements))
 
     cells = tab["o_t_intersections"]
     for (i, j), tokens in sorted(cells.items()):
@@ -255,7 +257,7 @@ def _verify_23(h: _Harness):
           "the unique single-point cell is O2 ∩ T1, at (1:alpha^9)",
           singletons == [(1, 0)] and
           O[1] & T[0] == {_pt(line, alpha, 9)})
-    h.pair_items("b", G1, G3)
+    h.pair_items("b", h.G3)
 
     conj_blocks = [_pts(line, alpha, toks) for toks in tab["conjugated_o_blocks"]]
     for j, expected in enumerate(conj_blocks):
@@ -268,31 +270,21 @@ def _verify_23(h: _Harness):
     h.add("conj_blocks.unique_empty",
           "O_i misses the conjugated O_j only for (i, j) = (2, 1)",
           empty == [(1, 0)])
-    for i, (w, printed) in enumerate(tab["printed_products"]):
-        h.printed_class(f"products.{i}", w, printed)
-    h.add("g4.kind", "g4 has the same type as g1",
-          recognize(G4) == recognize(G1))
-    h.pair_items("c", G1, G4)
+    h.printed_products()
+    h.g4_kind()
+    h.pair_items("c", h.G4)
 
 
 def _verify_59(h: _Harness):
-    line, tab = h.line, h.tab
-    h.add("alpha", "2 generates the multiplicative group",
-          primitive_root(line.p) == tab["alpha"])
-    for letter, n in (("s", 2), ("t", 3), ("x", 60), ("f", 2), ("r", 30)):
-        h.order_item(letter, n)
-    G1, G2 = case_subgroups(59, "a")
-    _, G3 = case_subgroups(59, "b")
-    _, G4 = case_subgroups(59, "c")
-    h.group_items("g1", G1, GroupKind.alt5())
-    h.group_items("g2", G2, GroupKind.cyclic(60))
-    h.pair_items("a", G1, G2)
+    h.lemma_items((("s", 2), ("t", 3), ("x", 60), ("f", 2), ("r", 30)))
+    h.group_items("g1", h.G1, GroupKind.alt5())
+    h.group_items("g2", h.G2, GroupKind.cyclic(60))
+    h.pair_items("a", h.G2)
     h.relation("g3.dihedral", "f' r f", "r'")
-    h.group_items("g3", G3, GroupKind.dihedral(60))
-    h.pair_items("b", G1, G3)
-    h.add("g4.kind", "g4 has the same type as g1",
-          recognize(G4) == recognize(G1))
-    h.pair_items("c", G1, G4)
+    h.group_items("g3", h.G3, GroupKind.dihedral(60))
+    h.pair_items("b", h.G3)
+    h.g4_kind()
+    h.pair_items("c", h.G4)
 
 
 def verify_prime(p: int, case: str | None = None) -> VerificationReport:

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -14,10 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import argparse_reading
 import galoispairs
-from galoispairs import (case_subgroups, check_pair, conjugate,
+from galoispairs import (case_subgroups, check_pair, cli, conjugate,
                          find_cyclic_regular, projective_line)
 from galoispairs.cli import (COMMANDS, EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID,
                              EXIT_PASS, UsageError, main, parse_args)
+from galoispairs.errors import ResultantVanishes
 
 
 def pair_document(tmp_path, G1, G2):
@@ -51,7 +53,28 @@ def test_emit_curve_out_to_an_unwritable_path_is_invalid_input(tmp_path, capsys,
     out = tmp_path / "missing" / "c.json"
     argv = ["emit-curve", pair_document(tmp_path, *case_11a), "--out", str(out)]
     assert main(argv) == EXIT_INVALID
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr() == (
+        "", f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
+
+
+def test_emit_curve_implicit_degree_error_is_a_failure(tmp_path, monkeypatch,
+                                                       case_11a):
+    # the handler's own catch exits 1; main's catch of invalid input (exit 2)
+    # never sees the error
+    def vanishes(param):
+        raise ResultantVanishes("the components share a factor")
+    monkeypatch.setattr(cli, "implicit_degree", vanishes)
+    rc, out, err = run_main(["emit-curve", pair_document(tmp_path, *case_11a)])
+    assert (rc, out, err) == (EXIT_FAIL, "", "error: the components share a factor\n")
+
+
+def test_main_lets_other_exceptions_propagate(tmp_path, monkeypatch, case_11a):
+    # main turns only ValueError and UnknownCase into exit 2: a bug surfaces
+    def broken(*args):
+        raise RuntimeError("not invalid input")
+    monkeypatch.setattr(cli, "check_pair", broken)
+    with pytest.raises(RuntimeError, match="not invalid input"):
+        main(["check-pair", pair_document(tmp_path, *case_11a)])
 
 
 def test_emit_curve_rejects_a_failing_pair(tmp_path, capsys, case_11a):
@@ -344,6 +367,7 @@ def test_h_with_other_letters_attached_is_an_error(argv):
     (["check-pair", "{late_float_entry}"], EXIT_INVALID),
     (["emit-curve", "{short_base_point}"], EXIT_INVALID),
     (["check-pair", "{zero_base_point}"], EXIT_INVALID),
+    (["check-pair", "{malformed}"], EXIT_INVALID),
 ])
 def test_exit_code_contract(argv, code, tmp_path):
     files = {"missing": tmp_path / "missing.json"}
@@ -351,10 +375,20 @@ def test_exit_code_contract(argv, code, tmp_path):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)
     argv = [a.format(**files) for a in argv]
+    missing, malformed = files["missing"], files["malformed"]
+    whole_stderr = {  # three of the lines that main's catch prints, pinned whole
+        ("verify-paper", "--p", "13"): "error: no reference data for p=13\n",
+        ("check-pair", str(missing)): f"error: cannot read {missing}: [Errno "
+                                      f"{errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+                                      f"'{missing}'\n",
+        ("check-pair", str(malformed)): f"error: {malformed}: invalid JSON at line 1, "
+                                        "column 17\n",
+    }
     rc, out, err = run_main(argv)
     assert rc == code
     if code == EXIT_INVALID:
         assert out == "" and "error: " in err
+        assert err == whole_stderr.get(tuple(argv), err)
     else:
         assert err == "" and out.startswith("usage: galois-pairs")
 
