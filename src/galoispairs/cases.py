@@ -2,7 +2,9 @@
 
 The entry point is case_subgroups(p, label): the closed subgroup pair of
 case (p, label), label "a", "b" or "c". prime_table(p) holds the generator
-matrices, block systems and printed class lists behind it.
+matrices, block systems and printed class lists behind it, and under
+"groups" the four groups G1, G2, G3, G4, each built once per process:
+G4 is G1 conjugated by c, so it needs no closure of its own.
 
 Generator letters used throughout the tables and the verification harness:
 
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 from .errors import UnknownCase
 from .projline import ProjectiveLine, ProjectivePoint, projective_line
-from .subgroups import Subgroup, generate_closure
+from .subgroups import Subgroup, conjugate, generate_closure
 
 PRIMES = (11, 23, 59)
 LABELS = ("a", "b", "c")
@@ -49,14 +51,18 @@ def _pts(line, alpha, tokens) -> frozenset[ProjectivePoint]:
 
 @lru_cache(maxsize=None)
 def prime_table(p: int) -> dict:
-    """All per-prime reference material keyed by role."""
-    if p == 11:
-        return _table_11()
-    if p == 23:
-        return _table_23()
-    if p == 59:
-        return _table_59()
-    raise UnknownCase(f"no reference data for p={p}")
+    """All per-prime reference material keyed by role; "groups" holds the
+    closures G1 of the g1 letters, G2 of x and G3 of f and r, and G4, the
+    conjugate of G1 by c."""
+    if p not in PRIMES:
+        raise UnknownCase(f"no reference data for p={p}")
+    tab = {11: _table_11, 23: _table_23, 59: _table_59}[p]()
+    line, gen = tab["line"], tab["gen"]
+    G1 = generate_closure(line, [gen[letter] for letter in tab["g1_letters"]])
+    tab["groups"] = (G1, generate_closure(line, [gen["x"]]),
+                     generate_closure(line, [gen["f"], gen["r"]]),
+                     conjugate(G1, gen["c"]))
+    return tab
 
 
 def _table_11() -> dict:
@@ -203,21 +209,10 @@ def _table_59() -> dict:
 
 
 def case_subgroups(p: int, label: str) -> tuple[Subgroup, Subgroup]:
-    """Closed subgroup pair (G1, G2) for case (p, label): G1 is generated by
-    the g1 letters, and G2 by x for label "a" (cyclic), by f and r for "b"
-    (dihedral), and by the conjugates c' A c of the G1 generators for "c"."""
+    """Closed subgroup pair (G1, G2) for case (p, label) from the table's
+    "groups": G1 with G2 = <x> for label "a" (cyclic), with G3 = <f, r>
+    for "b" (dihedral), and with G4, G1 conjugated by c, for "c"."""
     if p not in PRIMES or label not in LABELS:
         raise UnknownCase(f"no reference case ({p}, {label!r})")
-    tab = prime_table(p)
-    line: ProjectiveLine = tab["line"]
-    gen = tab["gen"]
-    g1 = tuple(gen[letter] for letter in tab["g1_letters"])
-    if label == "a":
-        g2 = (gen["x"],)
-    elif label == "b":
-        g2 = (gen["f"], gen["r"])
-    else:
-        conj = gen["c"]
-        ci = line.inverse(conj)
-        g2 = tuple(line.compose(line.compose(ci, A), conj) for A in g1)
-    return generate_closure(line, g1), generate_closure(line, g2)
+    groups = prime_table(p)["groups"]
+    return groups[0], groups[1 + LABELS.index(label)]

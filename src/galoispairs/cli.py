@@ -47,10 +47,12 @@ def _cmd_verify_paper(args) -> int:
 
 def _load_pair_document(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # JSON's encoding (RFC 8259)
             doc = json.load(fh)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc

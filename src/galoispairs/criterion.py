@@ -17,7 +17,6 @@ import json
 from collections import Counter
 
 from .errors import ModulusMismatch
-from .field import is_prime
 from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
                         orbit_labels, recognize)
@@ -172,9 +171,12 @@ def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]
     for key in ("p", "g1", "g2"):
         if key not in doc:
             raise ValueError(f"missing required field {key!r}")
-    if not (isinstance(doc["p"], int) and is_prime(doc["p"])):
-        raise ValueError("field 'p' must be a prime integer")
-    line = projective_line(doc["p"])
+    try:
+        if not isinstance(doc["p"], int):
+            raise ValueError
+        line = projective_line(doc["p"])  # raises ValueError unless p is prime
+    except ValueError:
+        raise ValueError("field 'p' must be a prime integer") from None
     gens = {}
     for key in ("g1", "g2"):
         entry = doc[key]

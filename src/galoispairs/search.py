@@ -23,7 +23,6 @@ from typing import Callable, Iterable
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
-from .field import is_prime
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, orbit,
                         recognize)
@@ -39,8 +38,10 @@ class SearchConfig:
 
     def __init__(self, p: int, kind1: GroupKind, kind2: GroupKind,
                  strategy: str = "random", seed: int = 0, limit: int = 1000):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
+        try:
+            projective_line(p)  # raises ValueError unless p is prime
+        except ValueError:
+            raise ValueError(f"p={p} is not prime") from None
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if strategy not in STRATEGIES:
@@ -452,13 +453,12 @@ def scaling_pair_search(cfg: SearchConfig) -> PairCertificate | None:
 
 
 def _base_group(cfg: SearchConfig, line: ProjectiveLine) -> Subgroup | None:
-    from .cases import LABELS, PRIMES, case_subgroups
+    from .cases import PRIMES, prime_table
 
     if cfg.p in PRIMES:
-        for label in LABELS:
-            for G in case_subgroups(cfg.p, label):
-                if recognize(G) == cfg.kind1:
-                    return G
+        for G in prime_table(cfg.p)["groups"]:
+            if recognize(G) == cfg.kind1:
+                return G
     if cfg.kind1 == GroupKind.cyclic(line.p + 1):
         return find_cyclic_regular(line)
     bits = random.Random(cfg.seed).getrandbits

@@ -1,9 +1,11 @@
 import json
+from collections import Counter
 
 import pytest
 
 from conftest import CASE_KINDS, trivial_subgroup
-from galoispairs import UnknownCase, case_subgroups, recognize, verify, verify_prime
+from galoispairs import (UnknownCase, case_subgroups, cases, conjugate,
+                         generate_closure, recognize, verify, verify_prime)
 from galoispairs.cases import LABELS, PRIMES, prime_table
 from galoispairs.verify import _block_perm
 
@@ -23,6 +25,40 @@ def test_case_kinds_and_degrees():
         G1, G2 = case_subgroups(p, label)
         assert len(G1) == len(G2) == p + 1
         assert (recognize(G1), recognize(G2)) == kinds
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_g4_is_g1_conjugated_by_c(p):
+    # the oracle composes c' A c for each generator A of G1, in order
+    tab = prime_table(p)
+    line, c = tab["line"], tab["gen"]["c"]
+    G1, G4 = case_subgroups(p, "c")
+    want = tuple(line.compose(line.compose(line.inverse(c), A), c)
+                 for A in G1.generators)
+    assert G4.generators == want
+    assert G4.elements == generate_closure(line, want).elements
+
+
+@pytest.mark.parametrize("p, closures", [(11, 3), (23, 4), (59, 3)])
+def test_verify_prime_builds_each_group_once(p, closures, monkeypatch):
+    # G1, G2 and G3 are closed once and G4 is conjugated from G1; at p=23
+    # verify closes <s, m, t> as well
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for mod in (cases, verify):
+        monkeypatch.setattr(mod, "generate_closure",
+                            counted("generate_closure", generate_closure))
+    monkeypatch.setattr(cases, "conjugate", counted("conjugate", conjugate),
+                        raising=False)
+    prime_table.cache_clear()
+    assert verify_prime(p).passed
+    assert calls == {"generate_closure": closures, "conjugate": 1}
 
 
 def test_printed_element_lists_live_in_their_groups():

@@ -368,21 +368,26 @@ def test_h_with_other_letters_attached_is_an_error(argv):
     (["emit-curve", "{short_base_point}"], EXIT_INVALID),
     (["check-pair", "{zero_base_point}"], EXIT_INVALID),
     (["check-pair", "{malformed}"], EXIT_INVALID),
+    (["check-pair", "{not_utf8}"], EXIT_INVALID),       # read as UTF-8
 ])
 def test_exit_code_contract(argv, code, tmp_path):
     files = {"missing": tmp_path / "missing.json"}
     for name, text in BAD_DOCUMENTS.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(text)
+    not_utf8 = files["not_utf8"] = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff{"p": 11}')
     argv = [a.format(**files) for a in argv]
     missing, malformed = files["missing"], files["malformed"]
-    whole_stderr = {  # three of the lines that main's catch prints, pinned whole
+    whole_stderr = {  # four of the lines that main's catch prints, pinned whole
         ("verify-paper", "--p", "13"): "error: no reference data for p=13\n",
         ("check-pair", str(missing)): f"error: cannot read {missing}: [Errno "
                                       f"{errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
                                       f"'{missing}'\n",
         ("check-pair", str(malformed)): f"error: {malformed}: invalid JSON at line 1, "
                                         "column 17\n",
+        ("check-pair", str(not_utf8)): f"error: {not_utf8}: 'utf-8' codec can't decode "
+                                       "byte 0xff in position 0: invalid start byte\n",
     }
     rc, out, err = run_main(argv)
     assert rc == code

@@ -3,8 +3,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import exhaustive_projline_checks, iterated_order
-from galoispairs import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
-                         SingularMatrix, is_prime, projective_line)
+from galoispairs import (GroupKind, ProjectiveLine, ProjectiveMatrix,
+                         ProjectivePoint, SearchConfig, SingularMatrix, is_prime,
+                         projective_line, run_search, subgroups_from_dict)
+from galoispairs import criterion, projline, search
 from galoispairs.cases import prime_table
 from galoispairs.field import prime_factors
 
@@ -233,3 +235,22 @@ def test_right_action_law_exhaustive_small():
     # full law over every pair of classes and every point
     stats = exhaustive_projline_checks(5)
     assert stats["pairs"] == 120 ** 2
+
+
+def test_building_the_line_is_the_one_primality_test(monkeypatch):
+    # subgroups_from_dict and SearchConfig learn that p is prime by building
+    # its line, so a prime whose line is not cached yet is tested once; the
+    # counter also stands in for any is_prime that criterion or search bind
+    calls = []
+    for mod in (projline, criterion, search):
+        monkeypatch.setattr(mod, "is_prime", lambda n: calls.append(n) or is_prime(n),
+                            raising=False)
+    T = [[1, 1], [0, 1]]
+    projective_line.cache_clear()
+    subgroups_from_dict({"p": 13, "g1": [T], "g2": [T]})
+    assert calls == [13]
+    projective_line.cache_clear()
+    calls.clear()
+    C14 = GroupKind.cyclic(14)
+    run_search(SearchConfig(13, C14, C14, "exhaustive-cyclic"))
+    assert calls == [13]
