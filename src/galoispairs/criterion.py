@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from .errors import ModulusMismatch
 from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
                         orbit_labels, recognize)
@@ -85,8 +84,6 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
     Each group's orbit partition is built once, so the orbit conditions
     cost O(p) beyond the two partitions, at one point or at all of them.
     """
-    if G1.line.p != G2.line.p:
-        raise ModulusMismatch(f"p={G1.line.p} vs p={G2.line.p}")
     line = G1.line
     inter_size = len(intersect(G1, G2))
     d1, d2 = len(G1), len(G2)

@@ -12,7 +12,7 @@ nonzero entry in reading order (a, b, c, d) equals 1.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import SingularMatrix
 from .field import is_prime, prime_factors
@@ -103,19 +103,6 @@ class ProjectiveLine:
             pts.extend(ProjectivePoint(1, t) for t in range(self.p))
             self._points = tuple(pts)
         return self._points
-
-    def matrices(self) -> Iterator[ProjectiveMatrix]:
-        """All canonical classes in lexicographic (a, b, c, d) order."""
-        p = self.p
-        for c in range(1, p):
-            for d in range(p):
-                yield ProjectiveMatrix(0, 1, c, d)
-        for b in range(p):
-            for c in range(p):
-                bad = b * c % p
-                for d in range(p):
-                    if d != bad:
-                        yield ProjectiveMatrix(1, b, c, d)
 
     # -- operations -----------------------------------------------------
 

@@ -19,7 +19,8 @@ is slower under CPython 3.11 on x86-64: decoding 102,400 words took
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import ClosureCapExceeded, NotFound
@@ -153,18 +154,24 @@ def _diagonal_conjugate(G: Subgroup, c: int) -> Subgroup:
 def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
     """First cyclic subgroup of order p+1 in scan order; it acts regularly.
 
-    Scans canonical matrices lexicographically for an element of order p+1;
-    transitivity is asserted, never assumed.
+    Scans the classes (0, 1, c, d) lexicographically for an element of order
+    p+1; transitivity is asserted, never assumed. They are the first block
+    of lexicographic canonical order, and the first class of order p+1 lies
+    in it: a non-identity class has the order of its tau = tr^2/det
+    (ProjectiveLine.element_order), the block's tau = -d^2/c takes every
+    nonzero value (d = 1, c = -1/tau), and tau = 0 has order 2 < p+1.
     """
     if isinstance(line, int):
         line = projective_line(line)
     target = line.p + 1
     full = frozenset(line.points())
-    for M in line.matrices():
-        if line.element_order(M) == target:
-            G = generate_closure(line, [M], cap=target)
-            if orbit(G, line.points()[0]) == full:
-                return G
+    for c in range(1, line.p):
+        for d in range(line.p):
+            M = ProjectiveMatrix(0, 1, c, d)
+            if line.element_order(M) == target:
+                G = generate_closure(line, [M], cap=target)
+                if orbit(G, line.points()[0]) == full:
+                    return G
     raise NotFound(f"no regular cyclic subgroup of order {target} found (p={line.p})")
 
 
@@ -204,8 +211,8 @@ def _orders_fit(line: ProjectiveLine, kind: GroupKind,
     The orders of gh, gh^-1, gh^2 and g^2h must all lie in
     kind.element_orders. Sound: every element of a group of that kind has
     an order in that set, so a rejected pair would have failed at the
-    closure cap or at recognize. Both callers have already screened the
-    orders of g and h themselves.
+    closure cap or at recognize. Its one caller, _group_of_kind, is handed
+    g and h of screened orders.
     """
     order = line.element_order
     allowed = kind.element_orders
@@ -231,8 +238,7 @@ def _sample_subgroup(bits: Callable[[int], int], k: int, line: ProjectiveLine,
     first screen reads the orders of the raw draws (element orders do not
     depend on the representative) and rejects almost every tick for the
     cost of its draws and one or two order lookups. Only the survivors are
-    put in canonical form, a pair screened by word orders (_orders_fit),
-    closed and recognized.
+    put in canonical form and handed to _group_of_kind.
     """
     p = line.p
     order = line.element_order
@@ -240,22 +246,29 @@ def _sample_subgroup(bits: Callable[[int], int], k: int, line: ProjectiveLine,
     if kind.family == "C":
         if order(g) != kind.order:
             return None
-        gens = [line.matrix(ProjectiveMatrix._make(g))]
+        raw = (g,)
     else:
         h = _sample_matrix(bits, k, p)
         allowed = kind.element_orders
         if order(g) not in allowed or order(h) not in allowed:
             return None
-        gens = [line.matrix(ProjectiveMatrix._make(m)) for m in (g, h)]
-        if not _orders_fit(line, kind, *gens):
-            return None
+        raw = (g, h)
+    gens = [line.matrix(ProjectiveMatrix._make(m)) for m in raw]
+    return _group_of_kind(line, gens, kind)
+
+
+def _group_of_kind(line: ProjectiveLine, gens: Sequence[ProjectiveMatrix],
+                   kind: GroupKind) -> Subgroup | None:
+    """<gens> if it is a group of `kind`, else None: a pair is screened by
+    word orders (_orders_fit), then the closure is capped at |kind| and
+    recognized."""
+    if len(gens) == 2 and not _orders_fit(line, kind, *gens):
+        return None
     try:
         G = generate_closure(line, gens, cap=kind.order)
     except ClosureCapExceeded:
         return None
-    if recognize(G) != kind:
-        return None
-    return G
+    return G if recognize(G) == kind else None
 
 
 def random_pair_search(cfg: SearchConfig) -> PairCertificate | None:
@@ -298,7 +311,7 @@ def _order_profiles(kind: GroupKind) -> list[tuple[int, ...]]:
 def _order_pools(line: ProjectiveLine, orders: Iterable[int],
                  cap: int) -> dict[int, list[ProjectiveMatrix]]:
     """For each n in `orders`, the first `cap` canonical classes of order n,
-    in line.matrices() order.
+    in lexicographic (a, b, c, d) order.
 
     The classes are solved for, not scanned. A non-identity class has the
     order of its tau = tr^2/det (ProjectiveLine.element_order), so one
@@ -335,7 +348,7 @@ def _order_pools(line: ProjectiveLine, orders: Iterable[int],
         return {(r - B) * half % p, (-r - B) * half % p}
 
     def prefixes():
-        """(s, b, c, m) for each prefix, in line.matrices() order."""
+        """(s, b, c, m) for each prefix, in lexicographic order."""
         for c in range(1, p):
             yield 0, 1, c, c
         for b in range(p):
@@ -363,12 +376,20 @@ def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
     """Deterministic search anchored on the regular cyclic subgroup.
 
     One target kind must be C(p+1): that side is the Singer-cycle scan
-    result. The other side is built from generators of the orders in its
-    profiles (_order_profiles): one pool per order, in line.matrices()
-    order and solved per tau class (_order_pools), paired by a diagonal
-    sweep. A pair whose word orders rule the kind out (_orders_fit) is
-    dropped before any closure. Every generator tuple tried counts against
-    the limit, screened-out ones included.
+    result Gc. The other side is built from generators of the orders in its
+    profiles (_order_profiles): one pool per order, in lexicographic
+    canonical order and solved per tau class (_order_pools). A one-order
+    profile gives single generators; a two-order one is paired by a
+    diagonal sweep (ascending i + j, then i) so that early tuples mix both
+    pools. Each tuple goes to _group_of_kind, and a group equal to Gc is
+    skipped. Every tuple tried counts against the limit L, screened-out
+    ones included.
+
+    Pools capped at L give the same first L tuples as larger pools: before
+    (i, j) the sweep yields every (i', j') <= (i, j), so at least max(i, j)
+    tuples come first. So among the first L tuples no index reaches L, and
+    a later profile only has a smaller budget left. And _order_pools with
+    cap L returns a prefix of its pools under any larger cap.
     """
     line = projective_line(cfg.p)
     n = line.p + 1
@@ -379,50 +400,27 @@ def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
     swap = cfg.kind1 == cyclic_kind and cfg.kind2 != cyclic_kind
     other = cfg.kind2 if swap else cfg.kind1
     Gc = find_cyclic_regular(line)
-
-    def finish(G_other):
-        pair = (Gc, G_other) if swap else (G_other, Gc)
-        cert = check_pair_all_basepoints(*pair)
-        return cert if cert.verdict == "pass" else None
-
-    if other == cyclic_kind:
-        # second regular cyclic subgroup, different from the first
-        for M in _order_pools(line, [n], cap=cfg.limit)[n]:
-            H = generate_closure(line, [M], cap=n)
-            if H.elements == Gc.elements:
-                continue
-            cert = finish(H)
-            if cert:
-                return cert
-        return None
-
     profiles = _order_profiles(other)
     pools = _order_pools(line, {o for profile in profiles for o in profile},
-                         cap=4 * cfg.limit)
-    spent = 0
-    for profile in profiles:
-        pool_a, pool_b = pools[profile[0]], pools[profile[1]]
-        # diagonal sweep so early candidates mix both pools
-        for total in range(len(pool_a) + len(pool_b) - 1):
-            for i in range(min(total + 1, len(pool_a))):
-                j = total - i
-                if j >= len(pool_b):
-                    continue
-                if spent >= cfg.limit:
-                    return None
-                spent += 1
-                gens = (pool_a[i], pool_b[j])
-                if not _orders_fit(line, other, *gens):
-                    continue
-                try:
-                    G = generate_closure(line, gens, cap=other.order)
-                except ClosureCapExceeded:
-                    continue
-                if recognize(G) != other:
-                    continue
-                cert = finish(G)
-                if cert:
-                    return cert
+                         cap=cfg.limit)
+
+    def tuples():
+        for profile in profiles:
+            if len(profile) == 1:
+                yield from ((M,) for M in pools[profile[0]])
+                continue
+            a, b = (pools[o] for o in profile)
+            for total in range(len(a) + len(b) - 1):
+                for i in range(max(0, total + 1 - len(b)), min(total + 1, len(a))):
+                    yield a[i], b[total - i]
+
+    for gens in islice(tuples(), cfg.limit):
+        G = _group_of_kind(line, gens, other)
+        if G is None or G.elements == Gc.elements:
+            continue
+        cert = check_pair_all_basepoints(*((Gc, G) if swap else (G, Gc)))
+        if cert.verdict == "pass":
+            return cert
     return None
 
 

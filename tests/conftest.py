@@ -7,16 +7,18 @@ import contextlib
 import io
 import random
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
-from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind, Poly,
-                         ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
-                         RationalFunction, Subgroup, generate_closure,
+from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
+                         PairCertificate, Poly, ProjectiveLine, ProjectiveMatrix,
+                         ProjectivePoint, RationalFunction, SearchConfig, Subgroup,
+                         check_pair_all_basepoints, generate_closure, orbit,
                          projective_line, recognize)
 from galoispairs.cli import (_cmd_check_pair, _cmd_emit_curve, _cmd_search,
                              _cmd_verify_paper)
-from galoispairs.search import STRATEGIES
+from galoispairs.search import STRATEGIES, _order_profiles
 
 # the (kind1, kind2) the paper states for each bundled case (p, label)
 CASE_KINDS = {
@@ -43,12 +45,25 @@ def iterated_order(line: ProjectiveLine, A: ProjectiveMatrix) -> int:
     return n
 
 
+def canonical_matrices(p: int) -> Iterator[ProjectiveMatrix]:
+    """Every canonical PGL(2, F_p) class, in lexicographic (a, b, c, d)
+    order: (0, 1, c, d) with c != 0, then (1, b, c, d) with d != bc."""
+    for c in range(1, p):
+        for d in range(p):
+            yield ProjectiveMatrix(0, 1, c, d)
+    for b in range(p):
+        for c in range(p):
+            for d in range(p):
+                if d != b * c % p:
+                    yield ProjectiveMatrix(1, b, c, d)
+
+
 def scanned_elements_of_order(line: ProjectiveLine, n: int,
                               cap: int | None = None) -> list[ProjectiveMatrix]:
     """Oracle for search._order_pools: the first `cap` canonical classes of
-    order n, found by scanning all of PGL(2, p) in line.matrices() order."""
+    order n, found by scanning all of PGL(2, p) (canonical_matrices)."""
     out = []
-    for M in line.matrices():
+    for M in canonical_matrices(line.p):
         if line.element_order(M) == n:
             out.append(M)
             if len(out) == cap:
@@ -92,6 +107,82 @@ def randrange_sample_subgroup(rng: random.Random, line: ProjectiveLine,
     except ClosureCapExceeded:
         return None
     return G if recognize(G) == kind else None
+
+
+def scanned_cyclic_regular(line: ProjectiveLine) -> Subgroup:
+    """Oracle for search.find_cyclic_regular: the first class of order p+1
+    in a scan of all of PGL(2, p) whose closure acts transitively."""
+    full = frozenset(line.points())
+    for M in canonical_matrices(line.p):
+        if line.element_order(M) == line.p + 1:
+            G = generate_closure(line, [M])
+            if orbit(G, line.points()[0]) == full:
+                return G
+    raise AssertionError(f"no regular cyclic subgroup at p={line.p}")
+
+
+@lru_cache(maxsize=None)
+def _scanned_pool(p: int, n: int) -> tuple[ProjectiveMatrix, ...]:
+    return tuple(scanned_elements_of_order(projective_line(p), n))
+
+
+def reference_exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
+    """Oracle for search.exhaustive_cyclic_search: the two-branch loop it
+    replaced.
+
+    A second C(p+1) has its own branch over the first cfg.limit classes of
+    order p+1. Any other kind sweeps pools of 4 * cfg.limit classes per
+    order with a hand-kept count of the tuples tried. The pools and the
+    cyclic side come from scans (scanned_elements_of_order,
+    scanned_cyclic_regular), and the word-order screen (search._orders_fit)
+    is left out, as in randrange_sample_subgroup.
+    """
+    line = projective_line(cfg.p)
+    n = line.p + 1
+    cyclic_kind = GroupKind.cyclic(n)
+    assert cyclic_kind in (cfg.kind1, cfg.kind2)
+    swap = cfg.kind1 == cyclic_kind and cfg.kind2 != cyclic_kind
+    other = cfg.kind2 if swap else cfg.kind1
+    Gc = scanned_cyclic_regular(line)
+
+    def finish(G_other):
+        pair = (Gc, G_other) if swap else (G_other, Gc)
+        cert = check_pair_all_basepoints(*pair)
+        return cert if cert.verdict == "pass" else None
+
+    if other == cyclic_kind:
+        # second regular cyclic subgroup, different from the first
+        for M in _scanned_pool(cfg.p, n)[:cfg.limit]:
+            H = generate_closure(line, [M], cap=n)
+            if H.elements == Gc.elements:
+                continue
+            cert = finish(H)
+            if cert:
+                return cert
+        return None
+
+    spent = 0
+    for profile in _order_profiles(other):
+        pool_a, pool_b = (_scanned_pool(cfg.p, o)[:4 * cfg.limit] for o in profile)
+        # diagonal sweep so early candidates mix both pools
+        for total in range(len(pool_a) + len(pool_b) - 1):
+            for i in range(min(total + 1, len(pool_a))):
+                j = total - i
+                if j >= len(pool_b):
+                    continue
+                if spent >= cfg.limit:
+                    return None
+                spent += 1
+                try:
+                    G = generate_closure(line, (pool_a[i], pool_b[j]), cap=other.order)
+                except ClosureCapExceeded:
+                    continue
+                if recognize(G) != other:
+                    continue
+                cert = finish(G)
+                if cert:
+                    return cert
+    return None
 
 
 def trivial_subgroup(line: ProjectiveLine) -> Subgroup:
@@ -176,18 +267,8 @@ def expanded_orbit_product(G: Subgroup) -> list[Poly]:
 
 
 def canonical_matrix_array(p: int) -> np.ndarray:
-    """All canonical PGL(2, F_p) classes as an (N, 4) int64 array, in the
-    same lexicographic order as ProjectiveLine.matrices()."""
-    rows = []
-    for c in range(1, p):
-        for d in range(p):
-            rows.append((0, 1, c, d))
-    for b in range(p):
-        for c in range(p):
-            for d in range(p):
-                if d != b * c % p:
-                    rows.append((1, b, c, d))
-    return np.array(rows, dtype=np.int64)
+    """canonical_matrices(p) as an (N, 4) int64 array."""
+    return np.array(list(canonical_matrices(p)), dtype=np.int64)
 
 
 def _inverse_table(p: int) -> np.ndarray:

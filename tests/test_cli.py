@@ -110,6 +110,20 @@ def test_exhausted_search_prints_none(capsys):
     assert capsys.readouterr().out == "none\n"
 
 
+def test_search_certificate_round_trips_through_a_file(tmp_path):
+    # a certificate that search writes is a document that check-pair reprints
+    # byte for byte and that emit-curve takes
+    cert = tmp_path / "cert.json"
+    rc, out, err = run_main(["search", "--p", "23", "--kind1", "S4", "--kind2", "C24",
+                             "--strategy", "exhaustive-cyclic"])
+    assert (rc, err) == (EXIT_PASS, "")
+    cert.write_text(out)
+    assert run_main(["check-pair", "--all-basepoints", str(cert)]) == (EXIT_PASS, out, "")
+    rc, curve, err = run_main(["emit-curve", str(cert)])
+    assert (rc, err) == (EXIT_PASS, "")
+    assert curve.splitlines()[-1] == "implicit_degree=24"
+
+
 def test_check_pair_closes_groups_above_600_elements(tmp_path, capsys):
     # a Singer cycle C602 and a diagonal conjugate of it: a valid pair whose
     # closures exceed the fixed floor of 600 elements

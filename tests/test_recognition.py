@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import seeded_random_subgroups
+from conftest import canonical_matrices, seeded_random_subgroups
 from galoispairs import (GroupKind, case_subgroups, generate_closure,
                          projective_line, recognize)
 from models import (candidate_models, cyclic_model, dihedral_model,
@@ -79,7 +79,7 @@ def all_subgroups(p):
     """Every subgroup of PGL(2, p), as closures <C, h> of a cyclic subgroup C
     and one more element h; at p <= 5 every subgroup is 2-generated."""
     line = projective_line(p)
-    elements = list(line.matrices())
+    elements = list(canonical_matrices(p))
     cyclic = {generate_closure(line, [g]) for g in elements}
     return {generate_closure(line, list(C.generators) + [h])
             for C in cyclic for h in elements}

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CASE_KINDS, randrange_matrix_entries, randrange_sample_subgroup,
-                      scanned_elements_of_order, seeded_random_subgroups,
-                      stabilizer, trivial_subgroup)
+from conftest import (CASE_KINDS, canonical_matrices, randrange_matrix_entries,
+                      randrange_sample_subgroup, reference_exhaustive_cyclic_search,
+                      scanned_cyclic_regular, scanned_elements_of_order,
+                      seeded_random_subgroups, stabilizer, trivial_subgroup)
 from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          NotFound, SearchConfig, case_subgroups, check_pair,
                          check_pair_all_basepoints, conjugate,
@@ -150,6 +151,15 @@ def test_find_cyclic_regular(p):
     assert find_cyclic_regular(p).elements == G.elements
 
 
+def test_find_cyclic_regular_matches_the_scan():
+    # the walk reads only the classes (0, 1, c, d), which hold the first
+    # class of order p+1 in the scan of all of PGL(2, p)
+    for p in (q for q in range(2, 500) if is_prime(q)):
+        want = scanned_cyclic_regular(projective_line(p))
+        assert find_cyclic_regular(p).generators == want.generators, p
+        assert want.generators[0].a == 0
+
+
 def test_search_config_validation():
     kinds = dict(kind1=GroupKind.alt4(), kind2=GroupKind.cyclic(12))
     with pytest.raises(ValueError):
@@ -226,7 +236,7 @@ def test_run_search_dispatch():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23])
 def test_order_pools_match_the_scan(p):
     line = projective_line(p)
-    orders = sorted({line.element_order(M) for M in line.matrices()})
+    orders = sorted({line.element_order(M) for M in canonical_matrices(p)})
     scans = {n: scanned_elements_of_order(line, n) for n in orders}
     assert sum(map(len, scans.values())) == p ** 3 - p
     for cap in (1, 3, 40, p ** 3):
@@ -248,6 +258,23 @@ ALL_KINDS = ([parse_kind(k) for k in ("A4", "S4", "A5")]
              + [GroupKind.dihedral(n) for n in range(4, 61, 2)])
 
 
+# every kind of order p + 1 paired with C(p+1), in both kind orders
+EXHAUSTIVE_CASES = [(p, k1, k2) for p in (2, 3, 5, 7, 11, 13, 23)
+                    for k in ALL_KINDS if k.order == p + 1
+                    for k1, k2 in dict.fromkeys([(k, GroupKind.cyclic(p + 1)),
+                                                 (GroupKind.cyclic(p + 1), k)])]
+EXHAUSTIVE_LIMITS = (1, 2, 3, 5, 8, 13, 21, 50, 100, 200, 300, 500, 1000)
+
+
+@pytest.mark.parametrize("p,kind1,kind2", EXHAUSTIVE_CASES,
+                         ids=[f"{p}-{k1}-{k2}" for p, k1, k2 in EXHAUSTIVE_CASES])
+def test_exhaustive_cyclic_search_matches_the_reference_loop(p, kind1, kind2):
+    for limit in EXHAUSTIVE_LIMITS:
+        cfg = SearchConfig(p, kind1, kind2, "exhaustive-cyclic", 0, limit)
+        got, want = exhaustive_cyclic_search(cfg), reference_exhaustive_cyclic_search(cfg)
+        assert (got and got.to_json()) == (want and want.to_json()), limit
+
+
 def test_element_orders_hold_in_recognized_subgroups():
     for p in (5, 7, 11, 13, 23):
         for G in seeded_random_subgroups(p, 30, 1, cap=60):
@@ -266,7 +293,7 @@ def generator_pairs(draw):
         G = draw(st.sampled_from(seeded_random_subgroups(p, 30, 1, cap=60)))
         pool = list(G)
     else:
-        pool = list(line.matrices())
+        pool = list(canonical_matrices(p))
     return line, [draw(st.sampled_from(pool)) for _ in range(2)]
 
 
@@ -539,7 +566,7 @@ GOLDEN_SEARCHES = [
     ("--p 59 --kind1 A5 --kind2 C60 --strategy exhaustive-cyclic", 3,
      "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
     # certificates from both search strategies, both kind orders and the
-    # second-cyclic branch, and the p = 2 enumeration
+    # C(p+1) x C(p+1) search, and the p = 2 enumeration
     ("--p 59 --kind1 A5 --kind2 C60 --strategy exhaustive-cyclic --limit 3000", 0,
      "a7230f36179ab9fb3a41a7dd23b37a79dbdc628011bb6c124931f96153833ec6"),
     ("--p 59 --kind1 C60 --kind2 A5 --strategy exhaustive-cyclic --limit 3000", 0,
