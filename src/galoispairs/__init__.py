@@ -21,7 +21,7 @@ from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
 from .quotient import (CurveParametrization, emit_parametrization,
                        invariant_generator, moebius_adjust)
 from .search import (SearchConfig, find_cyclic_regular, find_scaling_conjugates,
-                     random_pair_search, run_search)
+                     run_search)
 from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,
                         intersect, orbit, orbit_labels, parse_kind, recognize)
 from .verify import VerificationReport, verify_prime

@@ -120,8 +120,11 @@ COMMANDS = {
                              "quantify the orbit conditions over every base point")}),
     "search": (_cmd_search, {}, {
         "--p": (int, REQUIRED), "--kind1": (str, REQUIRED, "A4, S4, A5, C<n> or D<n>"),
-        "--kind2": (str, REQUIRED), "--strategy": (STRATEGIES, "random"),
-        "--seed": (int, 0), "--limit": (int, 1000)}),
+        "--kind2": (str, REQUIRED),
+        "--strategy": (STRATEGIES, "random", "random, exhaustive-cyclic: try b^-1 G2 b over b "
+                       "fixing (0:1), drawn or in order; scaling: b = diag(c, 1)"),
+        "--seed": (int, 0, "seed of the draws of the random strategy"),
+        "--limit": (int, 1000, "most conjugators b to try")}),
     "emit-curve": (_cmd_emit_curve, {"input": "pair document or certificate JSON path"}, {
         "--out": (str, None, "also write the curve JSON here")}),
 }

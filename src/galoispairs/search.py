@@ -1,39 +1,58 @@
-"""Discovery of new certified pairs: diagonal conjugates screened by
-conjugation invariants, seeded random generator search, and deterministic
-scans for regular cyclic subgroups of order p+1.
+"""Discovery of new certified pairs from their kinds alone.
 
-Everything here is reproducible: scans run in a fixed order and random
-sampling is driven by an explicit 64-bit seed. The sampler must consume
-exactly the stream that random.Random.randrange(p) draws for each matrix
-entry, so that a seed keeps its output across versions of this module.
+The strategies `random` and `exhaustive-cyclic` run one engine, the B
+walk. B is the stabilizer of (0:1): the p(p - 1) classes (α, β, 0, 1)
+with α != 0. G1 is a transitive group of kind1 and G2 one of kind2
+(_transitive_group). The walk conjugates G2 by elements b of B and returns
+the first pair (G1, b^-1 G2 b) that passes check_pair_all_basepoints. The
+two names are two visiting orders, each of at most `limit` elements of B:
+exhaustive-cyclic walks B in (α, β) order, and random draws b uniformly
+from random.Random(seed), repeats allowed.
 
-The random sampler draws plain (a, b, c, d) tuples, with getrandbits, k =
-p.bit_length() and p bound once per search, and screens their element
-orders before any canonical form, ProjectiveMatrix or closure is built:
-almost every tick is rejected there. Drawing words in blocks
-(getrandbits(32 * n) split by struct.unpack) keeps the stream exact but
-is slower under CPython 3.11 on x86-64: decoding 102,400 words took
-10.1 ms where 20k inline draws took 6.7 ms.
+Why B suffices. For transitive G1, PGL(2, p) = B·G1: an x sends (0:1) to
+(0:1)·g for some g in G1, so x g^-1 fixes (0:1). For x = bg, the pair
+(G1, x^-1 G2 x) is (G1, b^-1 G2 b) conjugated by g, and conjugation keeps
+every verdict. So the walk meets every conjugate of G2 up to simultaneous
+conjugation by G1, and walking all of B proves that no conjugate of G2
+pairs with G1.
+
+The order lemma. A pair passes check_pair_all_basepoints with
+d = |G1| >= 1 only if d = p + 1, so a kind of another order finds none at
+once. Every G1-orbit O has length d and is a G2-orbit, so H = <G1, G2>
+keeps O, and H has at least |G1 G2| = d^2 elements, as G1 ∩ G2 = 1.
+  p ∤ |H|: H is transitive on O, so the stabilizer H_Q of a point Q of O
+  has at least d elements. It is a p'-subgroup of a Borel subgroup, so it
+  is cyclic, fixes Q and one more point Q', and acts semiregularly on the
+  other points, with orbits of length |H_Q| >= d. O \\ {Q} is H_Q-stable
+  and has d - 1 points, so O \\ {Q} ⊆ {Q'} and d <= 2.
+  p | |H|: an element of order p fixes one point and cycles the other p,
+  and O is a union of its orbits, so d is 1, p or p + 1. Orbits of length
+  p cannot tile the p + 1 points, so d != p.
+  d <= 2: d = 1 makes G1 = G2 = 1. For d = 2, G1 = <σ> and G2 = <τ> swap
+  the same pairs of points, at least two of them, and two swapped pairs fix
+  an involution, so σ = τ. Either way the groups are equal.
+
+The scaling strategy conjugates one base group by diagonal scalars
+(find_scaling_conjugates).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .criterion import PairCertificate, check_pair_all_basepoints
-from .errors import ClosureCapExceeded, NotFound
+from .errors import NotFound
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
-from .subgroups import (GroupKind, Subgroup, generate_closure, orbit,
-                        recognize)
+from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,
+                        orbit, recognize)
 
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
 
 class SearchConfig:
-    """Validated search parameters: p must be prime, and limit counts
-    candidate generator tuples."""
+    """Validated search parameters: p must be prime, and limit counts the
+    elements of B visited (scalars for scaling)."""
 
     __slots__ = ("p", "kind1", "kind2", "strategy", "seed", "limit")
 
@@ -175,139 +194,6 @@ def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
     raise NotFound(f"no regular cyclic subgroup of order {target} found (p={line.p})")
 
 
-def _sample_matrix(bits: Callable[[int], int], k: int,
-                   p: int) -> tuple[int, int, int, int]:
-    """A uniform nonsingular matrix as drawn: a plain (a, b, c, d) tuple,
-    not in canonical form.
-
-    bits is the seeded generator's getrandbits and k = p.bit_length(), both
-    bound once per search. Each entry is rng.randrange(p) inlined:
-    bits(k) redrawn while it is >= p, so the stream is the one randrange
-    consumes. Singular tuples are redrawn whole. The four entries are
-    unrolled; a loop over them costs about a third of the draw.
-    """
-    while True:
-        a = bits(k)
-        while a >= p:
-            a = bits(k)
-        b = bits(k)
-        while b >= p:
-            b = bits(k)
-        c = bits(k)
-        while c >= p:
-            c = bits(k)
-        d = bits(k)
-        while d >= p:
-            d = bits(k)
-        if (a * d - b * c) % p:
-            return a, b, c, d
-
-
-def _orders_fit(line: ProjectiveLine, kind: GroupKind,
-                g: ProjectiveMatrix, h: ProjectiveMatrix) -> bool:
-    """False when <g, h> cannot be a group of `kind`, judged from the
-    orders of four words, before any closure.
-
-    The orders of gh, gh^-1, gh^2 and g^2h must all lie in
-    kind.element_orders. Sound: every element of a group of that kind has
-    an order in that set, so a rejected pair would have failed at the
-    closure cap or at recognize. Its one caller, _group_of_kind, is handed
-    g and h of screened orders.
-    """
-    order = line.element_order
-    allowed = kind.element_orders
-    compose = line.compose
-
-    def words():
-        gh = compose(g, h)
-        yield gh
-        yield compose(g, line.inverse(h))
-        yield compose(gh, h)
-        yield compose(g, gh)
-
-    return all(order(w) in allowed for w in words())
-
-
-def _sample_subgroup(bits: Callable[[int], int], k: int, line: ProjectiveLine,
-                     kind: GroupKind) -> Subgroup | None:
-    """One candidate subgroup of the requested kind, or None on mismatch.
-
-    Draws one generator for a cyclic kind and two otherwise, as raw tuples
-    (_sample_matrix with the search's bits and k). All draws are made
-    before any screen, so the seeded stream does not depend on it. The
-    first screen reads the orders of the raw draws (element orders do not
-    depend on the representative) and rejects almost every tick for the
-    cost of its draws and one or two order lookups. Only the survivors are
-    put in canonical form and handed to _group_of_kind.
-    """
-    p = line.p
-    order = line.element_order
-    g = _sample_matrix(bits, k, p)
-    if kind.family == "C":
-        if order(g) != kind.order:
-            return None
-        raw = (g,)
-    else:
-        h = _sample_matrix(bits, k, p)
-        allowed = kind.element_orders
-        if order(g) not in allowed or order(h) not in allowed:
-            return None
-        raw = (g, h)
-    gens = [line.matrix(ProjectiveMatrix._make(m)) for m in raw]
-    return _group_of_kind(line, gens, kind)
-
-
-def _group_of_kind(line: ProjectiveLine, gens: Sequence[ProjectiveMatrix],
-                   kind: GroupKind) -> Subgroup | None:
-    """<gens> if it is a group of `kind`, else None: a pair is screened by
-    word orders (_orders_fit), then the closure is capped at |kind| and
-    recognized."""
-    if len(gens) == 2 and not _orders_fit(line, kind, *gens):
-        return None
-    try:
-        G = generate_closure(line, gens, cap=kind.order)
-    except ClosureCapExceeded:
-        return None
-    return G if recognize(G) == kind else None
-
-
-def random_pair_search(cfg: SearchConfig) -> PairCertificate | None:
-    """Seeded random search; returns the first passing certificate or None.
-
-    Identical configs give identical output: sampling is strictly
-    sequential from one seeded generator, one candidate per limit tick.
-    """
-    line = projective_line(cfg.p)
-    bits = random.Random(cfg.seed).getrandbits
-    k = line.p.bit_length()
-    for _ in range(cfg.limit):
-        G1 = _sample_subgroup(bits, k, line, cfg.kind1)
-        if G1 is None:
-            continue
-        G2 = _sample_subgroup(bits, k, line, cfg.kind2)
-        if G2 is None:
-            continue
-        cert = check_pair_all_basepoints(G1, G2)
-        if cert.verdict == "pass":
-            return cert
-    return None
-
-
-def _order_profiles(kind: GroupKind) -> list[tuple[int, ...]]:
-    """Generator order signatures used by the deterministic enumeration."""
-    if kind.family == "C":
-        return [(kind.order,)]
-    if kind.family == "D":
-        return [(2, kind.order // 2)]
-    if kind.family == "A4":
-        return [(2, 3)]
-    if kind.family == "S4":
-        return [(2, 3), (2, 4)]
-    if kind.family == "A5":
-        return [(2, 3), (2, 5)]
-    raise ValueError(f"cannot enumerate generators for kind {kind}")
-
-
 def _order_pools(line: ProjectiveLine, orders: Iterable[int],
                  cap: int) -> dict[int, list[ProjectiveMatrix]]:
     """For each n in `orders`, the first `cap` canonical classes of order n,
@@ -372,74 +258,91 @@ def _order_pools(line: ProjectiveLine, orders: Iterable[int],
     return pools
 
 
-def exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
-    """Deterministic search anchored on the regular cyclic subgroup.
+# ab has order 3, 4 or 5 in the (2, 3, k) generators of A4, S4 and A5
+_TRIANGLE = {"A4": 3, "S4": 4, "A5": 5}
+# At p = 11, 23 and 59, the primes where |A4|, |S4| or |A5| is p + 1, the
+# first such (a, b) lies at pool indices (1, 12), (4, 24) and (1, 66), so a
+# larger pool changes no group.
+_TRIANGLE_POOL = 200
 
-    One target kind must be C(p+1): that side is the Singer-cycle scan
-    result Gc. The other side is built from generators of the orders in its
-    profiles (_order_profiles): one pool per order, in lexicographic
-    canonical order and solved per tau class (_order_pools). A one-order
-    profile gives single generators; a two-order one is paired by a
-    diagonal sweep (ascending i + j, then i) so that early tuples mix both
-    pools. Each tuple goes to _group_of_kind, and a group equal to Gc is
-    skipped. Every tuple tried counts against the limit L, screened-out
-    ones included.
 
-    Pools capped at L give the same first L tuples as larger pools: before
-    (i, j) the sweep yields every (i', j') <= (i, j), so at least max(i, j)
-    tuples come first. So among the first L tuples no index reaches L, and
-    a later profile only has a smaller budget left. And _order_pools with
-    cap L returns a prefix of its pools under any larger cap.
+def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
+    """A transitive subgroup of `kind`, built from the kind alone; None when
+    |kind| != p + 1, since then no pair passes (the order lemma).
+
+    C_{p+1} is find_cyclic_regular's <r>. For D_{p+1}, r = (0, 1, c, d)
+    and s = (1, 0, d, -1) satisfy s r s = r^-1, and of <r^2, s> and
+    <r^2, s r> the first transitive one is taken. A4, S4 and A5 are <a, b>
+    for the first a of order 2 and b of order 3 (_order_pools) with ab of
+    order k = 3, 4 or 5: <a, b | a^2 = b^3 = (ab)^k = 1> is A4, S4 or A5
+    (Coxeter and Moser, 1957), and no proper quotient of it has elements of
+    orders 2, 3 and k. The kind and transitivity are asserted.
     """
+    p = line.p
+    if kind.order != p + 1:
+        return None
+    if kind.family == "C":
+        return find_cyclic_regular(line)  # regular by its own orbit check
+    base = line.points()[0]
+    if kind.family == "D":
+        (r,) = find_cyclic_regular(line).generators
+        r2 = line.compose(r, r)
+        s = line.matrix([[1, 0], [r.d, -1]])
+        for t in (s, line.compose(s, r)):
+            G = generate_closure(line, [r2, t], cap=kind.order)
+            if len(orbit(G, base)) == kind.order:
+                break
+    elif kind.family in _TRIANGLE:
+        k = _TRIANGLE[kind.family]
+        pools = _order_pools(line, (2, 3), _TRIANGLE_POOL)
+        a, b = next((a, b) for a in pools[2] for b in pools[3]
+                    if line.element_order(line.compose(a, b)) == k)
+        G = generate_closure(line, [a, b], cap=kind.order)
+    else:  # other: of order p + 1, prime to p, only the kinds above exist
+        return None
+    assert recognize(G) == kind and len(orbit(G, base)) == kind.order, kind
+    return G
+
+
+def _b_walk(cfg: SearchConfig) -> PairCertificate | None:
+    """The first passing (G1, b^-1 G2 b) in cfg.strategy's visiting order of
+    B, or None (see the module docstring)."""
     line = projective_line(cfg.p)
-    n = line.p + 1
-    cyclic_kind = GroupKind.cyclic(n)
-    if cfg.kind1 != cyclic_kind and cfg.kind2 != cyclic_kind:
-        raise ValueError("exhaustive-cyclic needs one kind equal to "
-                         f"C{n} at p={cfg.p}")
-    swap = cfg.kind1 == cyclic_kind and cfg.kind2 != cyclic_kind
-    other = cfg.kind2 if swap else cfg.kind1
-    Gc = find_cyclic_regular(line)
-    profiles = _order_profiles(other)
-    pools = _order_pools(line, {o for profile in profiles for o in profile},
-                         cap=cfg.limit)
-
-    def tuples():
-        for profile in profiles:
-            if len(profile) == 1:
-                yield from ((M,) for M in pools[profile[0]])
-                continue
-            a, b = (pools[o] for o in profile)
-            for total in range(len(a) + len(b) - 1):
-                for i in range(max(0, total + 1 - len(b)), min(total + 1, len(a))):
-                    yield a[i], b[total - i]
-
-    for gens in islice(tuples(), cfg.limit):
-        G = _group_of_kind(line, gens, other)
-        if G is None or G.elements == Gc.elements:
-            continue
-        cert = check_pair_all_basepoints(*((Gc, G) if swap else (G, Gc)))
+    G1 = _transitive_group(line, cfg.kind1)
+    G2 = G1 if cfg.kind2 == cfg.kind1 else _transitive_group(line, cfg.kind2)
+    if G1 is None or G2 is None:
+        return None
+    p = cfg.p
+    n = p * (p - 1)  # b = (1 + i // p, i % p, 0, 1) for i < n
+    if cfg.strategy == "random":
+        draw = random.Random(cfg.seed).randrange
+        visits = (draw(n) for _ in range(cfg.limit))
+    else:
+        visits = range(min(cfg.limit, n))
+    for i in visits:
+        alpha, beta = divmod(i, p)
+        H = conjugate(G2, [[1 + alpha, beta], [0, 1]])
+        cert = check_pair_all_basepoints(G1, H)
         if cert.verdict == "pass":
             return cert
     return None
 
 
 def scaling_pair_search(cfg: SearchConfig) -> PairCertificate | None:
-    """Conjugate a seeded base group of kind1 by diag(c,1) scalars.
+    """Conjugate a base group of kind1 by diag(c,1) scalars.
 
     kind1 must equal kind2 (conjugation preserves the type). The base group
-    comes from the bundled cases when one matches, otherwise from the
-    seeded sampler. Candidates are the p-2 scalars c = 2, ..., p-1 in
-    ascending order, each counting against the limit; only those that
-    find_scaling_conjugates returns are checked, since every other one
-    fails with "intersection not trivial". A trivial base group has no
-    scalar that passes: its conjugates equal it.
+    comes from the bundled cases when one matches, otherwise from
+    _transitive_group, so the limit counts scalars only. Candidates are the
+    p-2 scalars c = 2, ..., p-1 in ascending order, each counting against
+    the limit; only those that find_scaling_conjugates returns are checked,
+    since every other one fails with "intersection not trivial".
     """
     if cfg.kind1 != cfg.kind2:
         raise ValueError("scaling strategy needs kind1 == kind2")
     line = projective_line(cfg.p)
     G = _base_group(cfg, line)
-    if G is None or len(G) < 2:
+    if G is None:
         return None
     for c in find_scaling_conjugates(G):
         if c > cfg.limit + 1:  # the limit counts c = 2, 3, ... in turn
@@ -457,21 +360,11 @@ def _base_group(cfg: SearchConfig, line: ProjectiveLine) -> Subgroup | None:
         for G in prime_table(cfg.p)["groups"]:
             if recognize(G) == cfg.kind1:
                 return G
-    if cfg.kind1 == GroupKind.cyclic(line.p + 1):
-        return find_cyclic_regular(line)
-    bits = random.Random(cfg.seed).getrandbits
-    k = line.p.bit_length()
-    for _ in range(cfg.limit):
-        G = _sample_subgroup(bits, k, line, cfg.kind1)
-        if G is not None:
-            return G
-    return None
+    return _transitive_group(line, cfg.kind1)
 
 
 def run_search(cfg: SearchConfig) -> PairCertificate | None:
-    """Dispatch on cfg.strategy."""
-    if cfg.strategy == "random":
-        return random_pair_search(cfg)
-    if cfg.strategy == "exhaustive-cyclic":
-        return exhaustive_cyclic_search(cfg)
-    return scaling_pair_search(cfg)
+    """Dispatch on cfg.strategy: scaling, or the B walk."""
+    if cfg.strategy == "scaling":
+        return scaling_pair_search(cfg)
+    return _b_walk(cfg)

@@ -22,21 +22,16 @@ class GroupKind:
     `dataclasses` cost about 10 ms of every CLI process.
 
     tally maps each element order to the number of elements of that order
-    in a group of this kind, and is None for other; element_orders is
-    every order an element of such a group can have: the keys of its
-    tally, and for other every divisor of its order (Lagrange).
+    in a group of this kind, and is None for other.
     """
 
-    __slots__ = ("family", "order", "tally", "element_orders")
+    __slots__ = ("family", "order", "tally")
 
     def __init__(self, family: str, order: int):
         # "C" | "D" | "A4" | "S4" | "A5" | "other"
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "order", order)
-        # slots, not properties: the random search reads element_orders on
-        # every tick, where a property costs about four times a slot read
         object.__setattr__(self, "tally", _tally(family, order))
-        object.__setattr__(self, "element_orders", _element_orders(family, order))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupKind")
@@ -113,13 +108,6 @@ def _tally(family: str, n: int) -> Mapping[int, int] | None:
     else:
         return None
     return MappingProxyType(dict(tally))
-
-
-@lru_cache(maxsize=None)
-def _element_orders(family: str, n: int) -> frozenset[int]:
-    """GroupKind(family, n).element_orders: for other, the divisors of n,
-    which are the keys of the C_n tally."""
-    return frozenset(_tally(family, n) or _tally("C", n))
 
 
 def parse_kind(text: str) -> GroupKind:

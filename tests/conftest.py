@@ -15,10 +15,10 @@ from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
                          PairCertificate, Poly, ProjectiveLine, ProjectiveMatrix,
                          ProjectivePoint, RationalFunction, SearchConfig, Subgroup,
                          check_pair_all_basepoints, generate_closure, orbit,
-                         projective_line, recognize)
+                         projective_line)
 from galoispairs.cli import (_cmd_check_pair, _cmd_emit_curve, _cmd_search,
                              _cmd_verify_paper)
-from galoispairs.search import STRATEGIES, _order_profiles
+from galoispairs.search import STRATEGIES, _transitive_group
 
 # the (kind1, kind2) the paper states for each bundled case (p, label)
 CASE_KINDS = {
@@ -71,44 +71,6 @@ def scanned_elements_of_order(line: ProjectiveLine, n: int,
     return out
 
 
-def randrange_matrix_entries(rng: random.Random, p: int) -> tuple[int, ...]:
-    """Oracle for search._sample_matrix: four rng.randrange(p) entries,
-    redrawn while singular, as drawn."""
-    while True:
-        a, b, c, d = (rng.randrange(p) for _ in range(4))
-        if (a * d - b * c) % p:
-            return a, b, c, d
-
-
-def randrange_sample_matrix(rng: random.Random,
-                            line: ProjectiveLine) -> ProjectiveMatrix:
-    """randrange_matrix_entries in canonical form."""
-    a, b, c, d = randrange_matrix_entries(rng, line.p)
-    return line.matrix([[a, b], [c, d]])
-
-
-def randrange_sample_subgroup(rng: random.Random, line: ProjectiveLine,
-                              kind: GroupKind) -> Subgroup | None:
-    """Oracle for search._sample_subgroup: one canonical generator for a
-    cyclic kind and two otherwise, closed under cap |kind| and kept only if
-    recognized as `kind`.
-
-    Both order screens are left out: the generator orders on the raw draws
-    and the word orders of a pair (search._orders_fit). They are sound (a
-    tuple they reject would exceed the cap or be recognized as another
-    kind), so they change no result, and without them this oracle depends
-    neither on search._orders_fit nor on element orders of non-canonical
-    matrices.
-    """
-    n_gens = 1 if kind.family == "C" else 2
-    gens = [randrange_sample_matrix(rng, line) for _ in range(n_gens)]
-    try:
-        G = generate_closure(line, gens, cap=kind.order)
-    except ClosureCapExceeded:
-        return None
-    return G if recognize(G) == kind else None
-
-
 def scanned_cyclic_regular(line: ProjectiveLine) -> Subgroup:
     """Oracle for search.find_cyclic_regular: the first class of order p+1
     in a scan of all of PGL(2, p) whose closure acts transitively."""
@@ -121,68 +83,96 @@ def scanned_cyclic_regular(line: ProjectiveLine) -> Subgroup:
     raise AssertionError(f"no regular cyclic subgroup at p={line.p}")
 
 
-@lru_cache(maxsize=None)
-def _scanned_pool(p: int, n: int) -> tuple[ProjectiveMatrix, ...]:
-    return tuple(scanned_elements_of_order(projective_line(p), n))
-
-
-def reference_exhaustive_cyclic_search(cfg: SearchConfig) -> PairCertificate | None:
-    """Oracle for search.exhaustive_cyclic_search: the two-branch loop it
-    replaced.
-
-    A second C(p+1) has its own branch over the first cfg.limit classes of
-    order p+1. Any other kind sweeps pools of 4 * cfg.limit classes per
-    order with a hand-kept count of the tuples tried. The pools and the
-    cyclic side come from scans (scanned_elements_of_order,
-    scanned_cyclic_regular), and the word-order screen (search._orders_fit)
-    is left out, as in randrange_sample_subgroup.
-    """
-    line = projective_line(cfg.p)
-    n = line.p + 1
-    cyclic_kind = GroupKind.cyclic(n)
-    assert cyclic_kind in (cfg.kind1, cfg.kind2)
-    swap = cfg.kind1 == cyclic_kind and cfg.kind2 != cyclic_kind
-    other = cfg.kind2 if swap else cfg.kind1
-    Gc = scanned_cyclic_regular(line)
-
-    def finish(G_other):
-        pair = (Gc, G_other) if swap else (G_other, Gc)
-        cert = check_pair_all_basepoints(*pair)
-        return cert if cert.verdict == "pass" else None
-
-    if other == cyclic_kind:
-        # second regular cyclic subgroup, different from the first
-        for M in _scanned_pool(cfg.p, n)[:cfg.limit]:
-            H = generate_closure(line, [M], cap=n)
-            if H.elements == Gc.elements:
-                continue
-            cert = finish(H)
-            if cert:
-                return cert
+def reference_transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
+    """Oracle for search._transitive_group, from scans of all of PGL(2, p):
+    None unless |kind| = p + 1. C_{p+1} is scanned_cyclic_regular's <r>;
+    D_{p+1} is the first transitive <r^2, t> over the involutions t with
+    t r t = r^-1 in canonical order, which has the same elements as the
+    package's group, though not always its generators (the transitive
+    dihedral group over <r^2> is unique); A4, S4 and A5 are <a, b> for the
+    first a of order 2 and b of order 3 (scanned_elements_of_order) whose
+    product has order 3, 4 or 5 (iterated_order)."""
+    p = line.p
+    if kind.order != p + 1:
         return None
+    full = frozenset(line.points())
+    if kind.family == "C":
+        return scanned_cyclic_regular(line)
+    if kind.family == "D":
+        (r,) = scanned_cyclic_regular(line).generators
+        r_inv = line.inverse(r)
+        for t in canonical_matrices(p):
+            if (t != line.identity and line.compose(t, t) == line.identity
+                    and line.compose(line.compose(t, r), t) == r_inv):
+                G = generate_closure(line, [line.compose(r, r), t])
+                if orbit(G, line.points()[0]) == full:
+                    return G
+        raise AssertionError(f"no transitive D{p + 1} at p={p}")
+    k = {"A4": 3, "S4": 4, "A5": 5}[kind.family]
+    threes = scanned_elements_of_order(line, 3)
+    for a in scanned_elements_of_order(line, 2):
+        for b in threes:
+            if iterated_order(line, line.compose(a, b)) == k:
+                return generate_closure(line, [a, b])
+    raise AssertionError(f"no {kind} at p={p}")
 
-    spent = 0
-    for profile in _order_profiles(other):
-        pool_a, pool_b = (_scanned_pool(cfg.p, o)[:4 * cfg.limit] for o in profile)
-        # diagonal sweep so early candidates mix both pools
-        for total in range(len(pool_a) + len(pool_b) - 1):
-            for i in range(min(total + 1, len(pool_a))):
-                j = total - i
-                if j >= len(pool_b):
-                    continue
-                if spent >= cfg.limit:
-                    return None
-                spent += 1
-                try:
-                    G = generate_closure(line, (pool_a[i], pool_b[j]), cap=other.order)
-                except ClosureCapExceeded:
-                    continue
-                if recognize(G) != other:
-                    continue
-                cert = finish(G)
-                if cert:
-                    return cert
+
+def b_element(p: int, i: int) -> ProjectiveMatrix:
+    """The i-th element of B = {(α, β, 0, 1) : α != 0} in (α, β) order."""
+    return ProjectiveMatrix(1 + i // p, i % p, 0, 1)
+
+
+def raw_conjugate(G: Subgroup, b: ProjectiveMatrix) -> Subgroup:
+    """b^-1 G b by 2x2 integer products: the adjugate of b as its inverse,
+    each product reduced to canonical form by line.matrix."""
+    line = G.line
+    al, be, ga, de = b
+    b_inv = (de, -be, -ga, al)
+
+    def mul(X, Y):
+        return (X[0] * Y[0] + X[1] * Y[2], X[0] * Y[1] + X[1] * Y[3],
+                X[2] * Y[0] + X[3] * Y[2], X[2] * Y[1] + X[3] * Y[3])
+
+    def conj(A):
+        a, b_, c, d = mul(mul(b_inv, A), b)
+        return line.matrix([[a, b_], [c, d]])
+
+    return Subgroup(line, tuple(map(conj, G.generators)),
+                    frozenset(map(conj, G.elements)))
+
+
+def reference_b_walk(cfg: SearchConfig) -> PairCertificate | None:
+    """Oracle for the B walk behind search --strategy random and
+    exhaustive-cyclic: the groups of search._transitive_group, conjugated by
+    raw_conjugate, in the documented visiting order (B in (α, β) order, or
+    cfg.limit draws of random.Random(cfg.seed).randrange(p(p - 1)))."""
+    line = projective_line(cfg.p)
+    G1 = _transitive_group(line, cfg.kind1)
+    G2 = _transitive_group(line, cfg.kind2)
+    if G1 is None or G2 is None:
+        return None
+    n = cfg.p * (cfg.p - 1)
+    if cfg.strategy == "random":
+        rng = random.Random(cfg.seed)
+        visits = [rng.randrange(n) for _ in range(cfg.limit)]
+    else:
+        visits = range(min(cfg.limit, n))
+    for i in visits:
+        cert = check_pair_all_basepoints(G1, raw_conjugate(G2, b_element(cfg.p, i)))
+        if cert.verdict == "pass":
+            return cert
     return None
+
+
+@lru_cache(maxsize=None)
+def all_subgroups(p: int) -> frozenset[Subgroup]:
+    """Every subgroup of PGL(2, p), as closures <C, h> of a cyclic subgroup C
+    and one more element h; at p <= 5 every subgroup is 2-generated."""
+    line = projective_line(p)
+    elements = list(canonical_matrices(p))
+    cyclic = {generate_closure(line, [g]) for g in elements}
+    return frozenset(generate_closure(line, list(C.generators) + [h])
+                     for C in cyclic for h in elements)
 
 
 def trivial_subgroup(line: ProjectiveLine) -> Subgroup:
@@ -351,7 +341,11 @@ def seeded_random_subgroups(p: int, count: int, seed: int,
     while len(out) < count:
         tries += 1
         assert tries < 400 * count, "sampling budget exhausted"
-        gens = [randrange_sample_matrix(rng, line) for _ in range(2)]
+        gens = []
+        while len(gens) < 2:  # four rng.randrange(p) entries, redrawn while singular
+            a, b, c, d = (rng.randrange(p) for _ in range(4))
+            if (a * d - b * c) % p:
+                gens.append(line.matrix([[a, b], [c, d]]))
         try:
             out.append(generate_closure(line, gens, cap=cap))
         except ClosureCapExceeded:

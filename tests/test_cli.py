@@ -96,8 +96,6 @@ def test_check_pair_exit_codes(tmp_path, capsys, case_11a):
     (["--p", "12", "--kind1", "Q8", "--kind2", "C12"], "unrecognized group kind 'Q8'"),
     (["--p", "11", "--kind1", "A4", "--kind2", "C60"],
      "kinds must share one group order, got A4 vs C60"),
-    (["--p", "11", "--kind1", "A4", "--kind2", "D12", "--strategy", "exhaustive-cyclic"],
-     "exhaustive-cyclic needs one kind equal to C12 at p=11"),
 ])
 def test_search_rejects_bad_input_with_one_line(args, message):
     assert run_main(["search", *args]) == (EXIT_INVALID, "", f"error: {message}\n")
@@ -383,6 +381,8 @@ def test_h_with_other_letters_attached_is_an_error(argv):
     (["check-pair", "{zero_base_point}"], EXIT_INVALID),
     (["check-pair", "{malformed}"], EXIT_INVALID),
     (["check-pair", "{not_utf8}"], EXIT_INVALID),       # read as UTF-8
+    (["search", "--p", "11", "--kind1", "A4", "--kind2", "D12",
+      "--strategy", "exhaustive-cyclic"], EXIT_PASS),   # no kind need be C12
 ])
 def test_exit_code_contract(argv, code, tmp_path):
     files = {"missing": tmp_path / "missing.json"}
@@ -408,8 +408,10 @@ def test_exit_code_contract(argv, code, tmp_path):
     if code == EXIT_INVALID:
         assert out == "" and "error: " in err
         assert err == whole_stderr.get(tuple(argv), err)
-    else:
+    elif "--help" in argv:
         assert err == "" and out.startswith("usage: galois-pairs")
+    else:  # a search that finds a pair prints its certificate
+        assert err == "" and json.loads(out)["verdict"] == "pass"
 
 
 GOOD_GENERATOR = "[[1, 1], [0, 1]]"

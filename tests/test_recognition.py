@@ -2,9 +2,8 @@
 
 import pytest
 
-from conftest import canonical_matrices, seeded_random_subgroups
-from galoispairs import (GroupKind, case_subgroups, generate_closure,
-                         projective_line, recognize)
+from conftest import all_subgroups, seeded_random_subgroups
+from galoispairs import GroupKind, case_subgroups, recognize
 from models import (candidate_models, cyclic_model, dihedral_model,
                     is_isomorphic, permutation_model, recognize_by_isomorphism)
 
@@ -75,16 +74,6 @@ def test_recognize_agrees_with_oracle_on_random_subgroups(q, count, seed):
         assert recognize(G) == recognize_by_isomorphism(G)
 
 
-def all_subgroups(p):
-    """Every subgroup of PGL(2, p), as closures <C, h> of a cyclic subgroup C
-    and one more element h; at p <= 5 every subgroup is 2-generated."""
-    line = projective_line(p)
-    elements = list(canonical_matrices(p))
-    cyclic = {generate_closure(line, [g]) for g in elements}
-    return {generate_closure(line, list(C.generators) + [h])
-            for C in cyclic for h in elements}
-
-
 @pytest.mark.parametrize("p,count", [(2, 6), (3, 30), (5, 156)])
 def test_recognize_agrees_with_oracle_on_every_subgroup(p, count):
     # PGL(2, 2), PGL(2, 3) and PGL(2, 5) are S3, S4 and S5: every kind,
@@ -102,21 +91,3 @@ def test_tally_matches_models():
     for model in models:
         assert model.kind.tally == model.order_tally()
     assert GroupKind.other(12).tally is None
-
-
-def test_element_orders_are_the_tally_keys():
-    # the explicit table: A4, S4, A5 by their classes, D_n by its rotations
-    # and involutions, C_n and other by Lagrange
-    def divisors(n):
-        return {k for k in range(1, n + 1) if n % k == 0}
-
-    explicit = {GroupKind.alt4(): {1, 2, 3}, GroupKind.sym4(): {1, 2, 3, 4},
-                GroupKind.alt5(): {1, 2, 3, 5}}
-    for n in range(1, 400):
-        explicit[GroupKind.cyclic(n)] = divisors(n)
-        explicit[GroupKind.other(n)] = divisors(n)
-        if n >= 4 and n % 2 == 0:
-            explicit[GroupKind.dihedral(n)] = divisors(n // 2) | {2}
-    assert len(explicit) == 999
-    for kind, orders in explicit.items():
-        assert kind.element_orders == orders

@@ -53,12 +53,6 @@ class TwinGroupKind:
             return None
         return MappingProxyType(dict(tally))
 
-    @cached_property
-    def element_orders(self) -> frozenset[int]:
-        if self.tally is None:
-            return frozenset(k for k in range(1, self.order + 1) if self.order % k == 0)
-        return frozenset(self.tally)
-
     def __str__(self):
         if self.family in ("C", "D"):
             return f"{self.family}{self.order}"
@@ -203,7 +197,6 @@ def test_group_kind_matches_its_twin(a, b):
     assert (kind.family, kind.order) == field_values(twin)
     assert str(kind) == str(twin)
     assert kind.tally == twin.tally
-    assert kind.element_orders == twin.element_orders
     # equal fields: equal objects with the twin's hash, so sets and dicts of
     # kinds iterate as they did
     again = GroupKind(*a)
@@ -219,7 +212,7 @@ def test_group_kind_matches_its_twin(a, b):
 
 
 @settings(max_examples=50, deadline=None)
-@given(KIND_FIELDS, st.sampled_from(["family", "order", "tally", "element_orders", "x"]))
+@given(KIND_FIELDS, st.sampled_from(["family", "order", "tally", "x"]))
 def test_group_kind_is_immutable(a, name):
     kind = GroupKind(*a)
     with pytest.raises(AttributeError):

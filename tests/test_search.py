@@ -1,25 +1,23 @@
 import hashlib
-import random
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (CASE_KINDS, canonical_matrices, randrange_matrix_entries,
-                      randrange_sample_subgroup, reference_exhaustive_cyclic_search,
+from conftest import (CASE_KINDS, all_subgroups, b_element, canonical_matrices,
+                      reference_b_walk, reference_transitive_group,
                       scanned_cyclic_regular, scanned_elements_of_order,
                       seeded_random_subgroups, stabilizer, trivial_subgroup)
-from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
-                         NotFound, SearchConfig, case_subgroups, check_pair,
-                         check_pair_all_basepoints, conjugate,
-                         find_cyclic_regular, find_scaling_conjugates,
-                         generate_closure, intersect, is_prime,
-                         orbit, parse_kind, primitive_root, projective_line,
-                         random_pair_search, recognize, reverify, run_search)
+from galoispairs import (LABELS, PRIMES, GroupKind, SearchConfig, cases,
+                         case_subgroups, check_pair, check_pair_all_basepoints,
+                         conjugate, find_cyclic_regular, find_scaling_conjugates,
+                         generate_closure, is_prime, orbit, parse_kind,
+                         primitive_root, projective_line, recognize, reverify,
+                         run_search)
 from galoispairs.cli import main
 from galoispairs.search import (_base_group, _diagonal_conjugate, _order_pools,
-                                _orders_fit, _sample_matrix, _sample_subgroup,
-                                exhaustive_cyclic_search, scaling_pair_search)
+                                _transitive_group, scaling_pair_search)
 
 
 def brute_force_scaling_sweep(G):
@@ -177,12 +175,12 @@ def test_search_config_validation():
 def test_random_search_finds_reference_kind_pair():
     cfg = SearchConfig(p=11, kind1=GroupKind.alt4(), kind2=GroupKind.cyclic(12),
                        strategy="random", seed=7, limit=4000)
-    cert = random_pair_search(cfg)
+    cert = run_search(cfg)
     assert cert is not None and cert.verdict == "pass"
     assert (str(cert.kind1), str(cert.kind2)) == ("A4", "C12")
     assert cert.degree == 12
     # determinism: byte-identical output for identical configs
-    again = random_pair_search(cfg)
+    again = run_search(cfg)
     assert again.to_json() == cert.to_json()
     # emitted certificates re-verify from their generators alone
     assert reverify(cert.to_dict(), all_basepoints=True).to_json() == cert.to_json()
@@ -191,28 +189,21 @@ def test_random_search_finds_reference_kind_pair():
 def test_random_search_exhausts_gracefully():
     cfg = SearchConfig(p=11, kind1=GroupKind.alt5(), kind2=GroupKind.alt5(),
                        strategy="random", seed=1, limit=5)
-    assert random_pair_search(cfg) is None  # no A5 inside PGL(2, 11) pairs in 5 tries
+    assert run_search(cfg) is None  # |A5| != 12, so no A5 pair exists at p = 11
 
 
 def test_exhaustive_cyclic_search():
     cfg = SearchConfig(p=11, kind1=GroupKind.alt4(), kind2=GroupKind.cyclic(12),
                        strategy="exhaustive-cyclic", limit=1000)
-    cert = exhaustive_cyclic_search(cfg)
+    cert = run_search(cfg)
     assert cert is not None and cert.verdict == "pass"
     assert (str(cert.kind1), str(cert.kind2)) == ("A4", "C12")
     assert reverify(cert.to_dict(), all_basepoints=True).to_json() == cert.to_json()
     # swapped kind order works too and respects the requested order
     cfg_sw = SearchConfig(p=11, kind1=GroupKind.cyclic(12), kind2=GroupKind.alt4(),
                           strategy="exhaustive-cyclic", limit=1000)
-    cert_sw = exhaustive_cyclic_search(cfg_sw)
+    cert_sw = run_search(cfg_sw)
     assert cert_sw is not None and str(cert_sw.kind1) == "C12"
-
-
-def test_exhaustive_cyclic_requires_a_cyclic_kind():
-    cfg = SearchConfig(p=11, kind1=GroupKind.alt4(), kind2=GroupKind.dihedral(12),
-                       strategy="exhaustive-cyclic", limit=10)
-    with pytest.raises(ValueError):
-        exhaustive_cyclic_search(cfg)
 
 
 def test_scaling_strategy():
@@ -231,6 +222,105 @@ def test_run_search_dispatch():
     cfg = SearchConfig(p=11, kind1=GroupKind.alt4(), kind2=GroupKind.cyclic(12),
                        strategy="exhaustive-cyclic", limit=1000)
     assert run_search(cfg).verdict == "pass"
+
+
+SEEDS = st.integers(0, 2 ** 64 - 1)
+# the nine reference kinds, C and D kinds of orders p + 1 and p - 1 at
+# small primes, the Borel subgroup of order 20 at p = 5 and an "other" kind
+# of order 12 at p = 11, which no subgroup has; a kind of order other than
+# p + 1 finds none at once
+SEARCH_KINDS = ([(11, parse_kind(k)) for k in ("A4", "C12", "D12")]
+                + [(23, parse_kind(k)) for k in ("S4", "C24", "D24")]
+                + [(59, parse_kind(k)) for k in ("A5", "C60", "D60")]
+                + [(p, parse_kind(f"{f}{n}"))
+                   for p in (3, 5, 7, 13) for n in (p + 1, p - 1) for f in "CD"
+                   if f == "C" or n >= 4]
+                + [(5, GroupKind.other(20)), (11, GroupKind.other(12))])
+
+
+REFERENCE_TRIPLES = [(p, str(k1), str(k2)) for (p, _), (k1, k2) in CASE_KINDS.items()]
+
+
+def test_b_walk_finds_the_nine_reference_triples_from_kinds_alone(monkeypatch):
+    def unread(p):
+        raise AssertionError("the B walk read the bundled cases")
+    monkeypatch.setattr(cases, "prime_table", unread)
+    for p, kind1, kind2 in REFERENCE_TRIPLES:
+        runs = [("exhaustive-cyclic", 0)] + [("random", seed) for seed in range(10)]
+        for strategy, seed in runs:
+            cfg = SearchConfig(p, parse_kind(kind1), parse_kind(kind2), strategy, seed)
+            cert = run_search(cfg)
+            assert cert is not None, (p, kind1, kind2, strategy, seed)
+            assert (str(cert.kind1), str(cert.kind2)) == (kind1, kind2)
+            again = reverify(cert.to_dict(), all_basepoints=True)
+            assert again.to_json() == cert.to_json()
+
+
+def b_pass_count(p, kind1, kind2):
+    """How many b in B make (G1, b^-1 G2 b) pass at every base point."""
+    line = projective_line(p)
+    G1, G2 = (_transitive_group(line, parse_kind(k)) for k in (kind1, kind2))
+    return sum(check_pair_all_basepoints(G1, conjugate(G2, b_element(p, i))).verdict
+               == "pass" for i in range(p * (p - 1)))
+
+
+@pytest.mark.parametrize("p,kind1,kind2,passes", [
+    (11, "A4", "C12", 96), (11, "A4", "D12", 72), (11, "A4", "A4", 72),
+    (23, "S4", "C24", 480), (23, "S4", "D24", 336), (23, "S4", "S4", 360)])
+def test_b_walk_pass_counts_over_all_of_b(p, kind1, kind2, passes):
+    assert b_pass_count(p, kind1, kind2) == passes
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_b_pass_count_times_p_plus_1_is_the_pgl_count(p):
+    # PGL(2, p) = B·G1 with |B| |G1| = |PGL(2, p)|, so each x = bg is counted
+    # once, and (G1, x^-1 G2 x) is (G1, b^-1 G2 b) conjugated by g
+    line = projective_line(p)
+    for kind1 in (f"C{p + 1}", f"D{p + 1}"):
+        for kind2 in (f"C{p + 1}", f"D{p + 1}"):
+            G1, G2 = (_transitive_group(line, parse_kind(k)) for k in (kind1, kind2))
+            pgl = sum(check_pair_all_basepoints(G1, conjugate(G2, x)).verdict == "pass"
+                      for x in canonical_matrices(p))
+            assert (p + 1) * b_pass_count(p, kind1, kind2) == pgl, (kind1, kind2)
+
+
+def test_order_screen_rejects_only_impossible_kinds():
+    # the B walk finds none at once for a kind of order other than p + 1;
+    # by the order lemma (the search docstring) no such pair passes, as a
+    # brute force over every pair of subgroups at p = 3 and 5 confirms. A
+    # pair of unequal orders fails "orders differ", so only equal orders
+    # are checked.
+    for p, subgroups, passes in ((3, 30, 6), (5, 156, 240)):
+        groups = all_subgroups(p)
+        assert len(groups) == subgroups  # PGL(2, 3) and PGL(2, 5) are S4 and S5
+        orders = [len(G1) for G1 in groups for G2 in groups if len(G1) == len(G2)
+                  and check_pair_all_basepoints(G1, G2).verdict == "pass"]
+        assert len(orders) == passes, p
+        assert set(orders) == {p + 1}, p
+
+
+@pytest.mark.parametrize("p,kind", [(p, k) for p, k in SEARCH_KINDS
+                                     if k.order == p + 1 and k.family != "other"], ids=str)
+def test_transitive_group_matches_the_scans(p, kind):
+    line = projective_line(p)
+    G, want = _transitive_group(line, kind), reference_transitive_group(line, kind)
+    assert G.elements == want.elements
+    if kind.family != "D":  # D is checked by its elements
+        assert G.generators == want.generators
+    assert recognize(G) == kind
+    assert orbit(G, line.points()[0]) == frozenset(line.points())
+
+
+def test_kinds_of_another_order_find_none_at_once(capsys, monkeypatch):
+    # the order lemma: no pair of order other than p + 1 passes, so no
+    # group is built
+    monkeypatch.setattr("galoispairs.search.generate_closure", None)
+    for strategy in ("random", "exhaustive-cyclic"):
+        for kind in ("C12", "D12", "A4"):
+            argv = ["search", "--p", "13", "--kind1", kind, "--kind2", "C12",
+                    "--strategy", strategy]
+            assert main(argv) == 3
+            assert capsys.readouterr() == ("none\n", "")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23])
@@ -258,7 +348,8 @@ ALL_KINDS = ([parse_kind(k) for k in ("A4", "S4", "A5")]
              + [GroupKind.dihedral(n) for n in range(4, 61, 2)])
 
 
-# every kind of order p + 1 paired with C(p+1), in both kind orders
+# every kind of order p + 1 paired with C(p+1), in both kind orders: the
+# pairs the enumeration this strategy once ran could take
 EXHAUSTIVE_CASES = [(p, k1, k2) for p in (2, 3, 5, 7, 11, 13, 23)
                     for k in ALL_KINDS if k.order == p + 1
                     for k1, k2 in dict.fromkeys([(k, GroupKind.cyclic(p + 1)),
@@ -271,151 +362,17 @@ EXHAUSTIVE_LIMITS = (1, 2, 3, 5, 8, 13, 21, 50, 100, 200, 300, 500, 1000)
 def test_exhaustive_cyclic_search_matches_the_reference_loop(p, kind1, kind2):
     for limit in EXHAUSTIVE_LIMITS:
         cfg = SearchConfig(p, kind1, kind2, "exhaustive-cyclic", 0, limit)
-        got, want = exhaustive_cyclic_search(cfg), reference_exhaustive_cyclic_search(cfg)
+        got, want = run_search(cfg), reference_b_walk(cfg)
         assert (got and got.to_json()) == (want and want.to_json()), limit
 
 
-def test_element_orders_hold_in_recognized_subgroups():
-    for p in (5, 7, 11, 13, 23):
-        for G in seeded_random_subgroups(p, 30, 1, cap=60):
-            kind = recognize(G)
-            if kind.family != "other":
-                assert {G.line.element_order(A) for A in G.elements} <= kind.element_orders
-
-
-@st.composite
-def generator_pairs(draw):
-    """Two generators: random classes, or elements of one small subgroup so
-    that small closures of every family come up."""
-    p = draw(st.sampled_from([5, 7, 11, 13, 23]))
-    line = projective_line(p)
-    if draw(st.booleans()):
-        G = draw(st.sampled_from(seeded_random_subgroups(p, 30, 1, cap=60)))
-        pool = list(G)
-    else:
-        pool = list(canonical_matrices(p))
-    return line, [draw(st.sampled_from(pool)) for _ in range(2)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(generator_pairs())
-def test_order_screen_rejects_only_impossible_kinds(case):
-    line, gens = case
-    for kind in ALL_KINDS:
-        if _orders_fit(line, kind, *gens):
-            continue
-        try:
-            G = generate_closure(line, gens, cap=kind.order)
-        except ClosureCapExceeded:
-            continue
-        assert recognize(G) != kind, (gens, kind)
-
-
-def test_order_screen_admits_the_bundled_generators():
-    for (p, label), kinds in CASE_KINDS.items():
-        for G, kind in zip(case_subgroups(p, label), kinds):
-            line = G.line
-            gens = G.generators
-            for g in gens:
-                for h in gens:
-                    assert _orders_fit(line, kind, g, h), (p, label, kind)
-
-
-# 4294967311 is the least prime above 2**32: getrandbits(33) consumes two
-# 32-bit words per entry
-SAMPLER_PRIMES = [2, 3, 5, 11, 59, 401, 2 ** 31 - 1, 4294967311]
-SEEDS = st.integers(0, 2 ** 64 - 1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(SAMPLER_PRIMES), SEEDS, st.integers(1, 20))
-def test_sampled_matrices_follow_the_randrange_stream(p, seed, draws):
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
-    for _ in range(draws):
-        M = _sample_matrix(rng.getrandbits, p.bit_length(), p)
-        assert M == randrange_matrix_entries(oracle_rng, p)
-    assert rng.getstate() == oracle_rng.getstate()
-
-
-# the nine reference kinds, C and D kinds of orders p + 1 and p - 1 at
-# small primes, and the Borel subgroup of order 20 at p = 5 ("other")
-SAMPLER_KINDS = ([(11, parse_kind(k)) for k in ("A4", "C12", "D12")]
-                 + [(23, parse_kind(k)) for k in ("S4", "C24", "D24")]
-                 + [(59, parse_kind(k)) for k in ("A5", "C60", "D60")]
-                 + [(p, parse_kind(f"{f}{n}"))
-                    for p in (5, 7, 13) for n in (p + 1, p - 1) for f in "CD"]
-                 + [(5, GroupKind.other(20))])
-
-
-def assert_same_samples(line, kind, seed, calls):
-    """_sample_subgroup and its oracle return equal results and leave equal
-    RNG states; returns how many calls found a subgroup."""
-    rng, oracle_rng = random.Random(seed), random.Random(seed)
-    hits = 0
-    for _ in range(calls):
-        G = _sample_subgroup(rng.getrandbits, line.p.bit_length(), line, kind)
-        want = randrange_sample_subgroup(oracle_rng, line, kind)
-        if want is None:
-            assert G is None
-            continue
-        hits += 1
-        assert G is not None
-        assert G.generators == want.generators and G.elements == want.elements
-    assert rng.getstate() == oracle_rng.getstate()
-    return hits
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SAMPLER_KINDS), SEEDS, st.integers(1, 40))
-def test_sampled_subgroups_follow_the_randrange_stream(case, seed, calls):
-    p, kind = case
-    assert_same_samples(projective_line(p), kind, seed, calls)
-
-
-@pytest.mark.parametrize("p,kind", [(5, GroupKind.other(20)), (11, GroupKind.alt4()),
-                                    (13, GroupKind.dihedral(14)), (59, GroupKind.cyclic(60))],
-                         ids=str)
-def test_sampled_subgroups_match_the_oracle_where_they_find(p, kind):
-    assert assert_same_samples(projective_line(p), kind, seed=2, calls=300) > 0
-
-
-def reference_random_search(cfg):
-    """Oracle for random_pair_search: the same tick loop on the
-    randrange_sample_subgroup oracle, without any order screen."""
-    rng = random.Random(cfg.seed)
-    line = projective_line(cfg.p)
-    for _ in range(cfg.limit):
-        G1 = randrange_sample_subgroup(rng, line, cfg.kind1)
-        if G1 is None:
-            continue
-        G2 = randrange_sample_subgroup(rng, line, cfg.kind2)
-        if G2 is None:
-            continue
-        cert = check_pair_all_basepoints(G1, G2)
-        if cert.verdict == "pass":
-            return cert
-    return None
-
-
-def reference_base_group(cfg):
-    """Oracle for _base_group's seeded fallback: the first subgroup the
-    randrange_sample_subgroup oracle finds within cfg.limit calls."""
-    rng = random.Random(cfg.seed)
-    line = projective_line(cfg.p)
-    for _ in range(cfg.limit):
-        G = randrange_sample_subgroup(rng, line, cfg.kind1)
-        if G is not None:
-            return G
-    return None
-
-
-# ordered pairs of SAMPLER_KINDS at one prime that share a group order
-SAMPLER_KIND_PAIRS = [(p, k1, k2) for p, k1 in SAMPLER_KINDS
-                      for q, k2 in SAMPLER_KINDS if q == p and k1.order == k2.order]
+# ordered pairs of SEARCH_KINDS at one prime that share a group order
+SEARCH_KIND_PAIRS = [(p, k1, k2) for p, k1 in SEARCH_KINDS
+                     for q, k2 in SEARCH_KINDS if q == p and k1.order == k2.order]
 
 
 def assert_random_search_matches_reference(cfg):
-    got, want = random_pair_search(cfg), reference_random_search(cfg)
+    got, want = run_search(cfg), reference_b_walk(cfg)
     if want is None:
         assert got is None
     else:
@@ -424,7 +381,7 @@ def assert_random_search_matches_reference(cfg):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SAMPLER_KIND_PAIRS), SEEDS, st.integers(1, 300))
+@given(st.sampled_from(SEARCH_KIND_PAIRS), SEEDS, st.integers(1, 300))
 def test_random_search_matches_the_reference_loop(case, seed, limit):
     p, kind1, kind2 = case
     assert_random_search_matches_reference(
@@ -443,21 +400,17 @@ def test_random_search_matches_the_reference_where_it_finds(p, kind1, kind2):
 @settings(max_examples=20, deadline=None)
 @given(SEEDS, st.integers(1, 300))
 def test_scaling_fallback_base_group_matches_the_reference(seed, limit):
-    # p = 13 has no bundled case and D14 is not C(p+1), so the base group
-    # comes from the seeded sampler
+    # p = 13 has no bundled case, so the base group of D14 is built from the
+    # kind alone: the same group at every seed and limit, which spends no
+    # part of the limit
     kind = GroupKind.dihedral(14)
     cfg = SearchConfig(13, kind, kind, "scaling", seed, limit)
-    want = reference_base_group(cfg)
-    G = _base_group(cfg, projective_line(13))
-    if want is None:
-        assert G is None
-        assert scaling_pair_search(cfg) is None
-        return
-    assert G is not None
-    assert G.generators == want.generators and G.elements == want.elements
+    line = projective_line(13)
+    G = _base_group(cfg, line)
+    assert G.elements == reference_transitive_group(line, kind).elements
+    assert G.generators == _transitive_group(line, kind).generators
     cert = scaling_pair_search(cfg)
-    if cert is not None:
-        assert cert.g1_generators == want.generators
+    assert cert is not None and cert.g1_generators == G.generators
 
 
 def test_base_group_is_the_first_bundled_group_of_its_kind():
@@ -488,15 +441,13 @@ def reference_scaling_search(cfg):
     return None
 
 
-# sampled base groups at primes without a bundled case, where small
-# scalars often fail, and bundled ones
+# base groups built from the kind at primes without a bundled case (none
+# for order p - 1), where small scalars often fail, and bundled ones
 SCALING_KINDS = ([(p, parse_kind(f"{f}{n}"))
                   for p in (5, 7, 13, 17) for n in (p + 1, p - 1) for f in "CD"]
                  + [(11, GroupKind.alt4()), (23, GroupKind.sym4())])
 
 
-# the limit also bounds the sampler's ticks, which a sampled base group
-# needs a few hundred of
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SCALING_KINDS), st.integers(0, 50),
        st.integers(1, 20) | st.integers(100, 400))
@@ -529,72 +480,73 @@ def test_scaling_search_counts_rejected_scalars_against_the_limit(p, kind):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_scaling_search_on_a_trivial_base_group_finds_none(capsys, p):
+    # |C1| != p + 1 and no bundled case exists here, so no base group is built
     kind = GroupKind.cyclic(1)
     cfg = SearchConfig(p, kind, kind, "scaling", 0, 1000)
-    assert len(_base_group(cfg, projective_line(p))) == 1
+    assert _base_group(cfg, projective_line(p)) is None
     assert main(["search", "--p", str(p), "--strategy", "scaling",
                  "--kind1", "C1", "--kind2", "C1"]) == 3
     assert capsys.readouterr().out == "none\n"
 
 
-# stdout SHA-256 and exit code of `search` commands, recorded at commit
-# edee7c6, before generator pools were solved per tau class and tuples
-# screened by word orders: neither may change an output byte
+# stdout SHA-256 and exit code of `search` commands, re-recorded when the
+# B walk replaced the seeded sampler and the generator enumeration: each
+# certificate re-verifies at every base point, and the row that still finds
+# none (p = 2) keeps its digest
 GOLDEN_SEARCHES = [
     ("--p 11 --kind1 A4 --kind2 C12 --strategy random --seed 17 --limit 2000", 0,
-     "24c7c3c9f4bca70924672c8d84327df6562d076da8b8269da7a91171028671f8"),
-    ("--p 11 --kind1 A4 --kind2 D12 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    ("--p 11 --kind1 A4 --kind2 A4 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    ("--p 23 --kind1 S4 --kind2 C24 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    ("--p 23 --kind1 S4 --kind2 D24 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    ("--p 23 --kind1 S4 --kind2 S4 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    ("--p 59 --kind1 A5 --kind2 C60 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    ("--p 59 --kind1 A5 --kind2 D60 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    ("--p 59 --kind1 A5 --kind2 A5 --strategy random --seed 17 --limit 2000", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
+     "9c4c92d7a9244691050e2e118fa7aa0ac524f1fc3cb14b2cc28fb3d8ac399e28"),
+    ("--p 11 --kind1 A4 --kind2 D12 --strategy random --seed 17 --limit 2000", 0,
+     "840809dea21bd601ac232c0f19d502f81a041e63405cad890915c2f0d9188c47"),
+    ("--p 11 --kind1 A4 --kind2 A4 --strategy random --seed 17 --limit 2000", 0,
+     "37255f7f295838639a5296d5364fd8ef76add0d70b05b54df6adf7dcbb6433f5"),
+    ("--p 23 --kind1 S4 --kind2 C24 --strategy random --seed 17 --limit 2000", 0,
+     "7202652b3706e501fd78c02a3f931bfea259fbc9fcdca230bcb358d7139a30fc"),
+    ("--p 23 --kind1 S4 --kind2 D24 --strategy random --seed 17 --limit 2000", 0,
+     "cf38f682887ceb5627f578c4176e1437f21e042a08a3ca7b2afb70dc83611361"),
+    ("--p 23 --kind1 S4 --kind2 S4 --strategy random --seed 17 --limit 2000", 0,
+     "81b3773be88d88260e03469ee12a06b00fc9e64d073bce9cc545b69b0fa5ba3d"),
+    ("--p 59 --kind1 A5 --kind2 C60 --strategy random --seed 17 --limit 2000", 0,
+     "050715433c760c757f0cd06403fd4da8f97de455b361c2f8920658e0c6e592c4"),
+    ("--p 59 --kind1 A5 --kind2 D60 --strategy random --seed 17 --limit 2000", 0,
+     "58a287996d164bba49ee811ace4427f30c527be489ddd95e8f5b27a7e31c58b2"),
+    ("--p 59 --kind1 A5 --kind2 A5 --strategy random --seed 17 --limit 2000", 0,
+     "63809c05068d935ee283ee344e9817b0c2269f18922d67294b021001719cdeb4"),
     ("--p 11 --kind1 A4 --kind2 C12 --strategy exhaustive-cyclic", 0,
      "f9033a0123fad674f07b07b0574c6c4a14e2325630453df075c257cf8d17bdc8"),
     ("--p 23 --kind1 S4 --kind2 C24 --strategy exhaustive-cyclic", 0,
      "45c1226df9b2d5d08c96442ca5654ccda742e2c8a9466275156d32c592390f98"),
-    ("--p 59 --kind1 A5 --kind2 C60 --strategy exhaustive-cyclic", 3,
-     "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    # certificates from both search strategies, both kind orders and the
-    # C(p+1) x C(p+1) search, and the p = 2 enumeration
+    ("--p 59 --kind1 A5 --kind2 C60 --strategy exhaustive-cyclic", 0,
+     "b1652c70448c4476922922edd78048dea518b873aaf8cb9dabc892cf714e94c9"),
+    # certificates from both visiting orders, both kind orders, a
+    # C(p+1) x C(p+1) search, and the p = 2 walk, which finds none
     ("--p 59 --kind1 A5 --kind2 C60 --strategy exhaustive-cyclic --limit 3000", 0,
-     "a7230f36179ab9fb3a41a7dd23b37a79dbdc628011bb6c124931f96153833ec6"),
+     "b1652c70448c4476922922edd78048dea518b873aaf8cb9dabc892cf714e94c9"),
     ("--p 59 --kind1 C60 --kind2 A5 --strategy exhaustive-cyclic --limit 3000", 0,
-     "07f5e29366a320b851bf99119fcdc3839064de88c835f241e05fb3ed3efa275f"),
+     "08cd3b5ccfd5f95645e7a6b7401c6c3bf2d2acaf871ebc635fd5cb620389281e"),
     ("--p 23 --kind1 S4 --kind2 C24 --strategy random --seed 3973012086 --limit 10000", 0,
-     "86e15e538cf03ab4c62b936a618b948ed555fd248925d41a39a88dd263dd4f0a"),
+     "ab92dcd90d7f352d50a8222c568afb94fdb6047e85153ec8e08b2d0c2b4665b7"),
     ("--p 11 --kind1 C12 --kind2 A4 --strategy random --seed 3 --limit 3000", 0,
-     "2fd9d955d1848deb50114ab0d57290c989dd0e79aea85dd3113eaa2c345e1941"),
+     "c9f59f76e013d02640143bb860c9b67afec700dd5413acfc3d60fafe278871ac"),
     ("--p 13 --kind1 D14 --kind2 C14 --strategy random --seed 5 --limit 500", 0,
-     "4c2aed8c48660271a7724135ea7191078eb1b822181624e2164fe7fa32a963e9"),
+     "ad5059c09d47b44406ccce4d5980d1b03a7dd30a23a6cebd61283db70f62dea0"),
     ("--p 13 --kind1 D14 --kind2 C14 --strategy exhaustive-cyclic --seed 5 --limit 500", 0,
-     "435790721870800dadb20ede99bd13956523373496f32454f8bc1e1c26595b1a"),
+     "ea96f838812c6832edbf567849c4c41da40067ef6a247f4ccb2d61a84f3c26a7"),
     ("--p 7 --kind1 C8 --kind2 C8 --strategy exhaustive-cyclic --seed 5 --limit 500", 0,
-     "77480b7eb401b3d4ebce97cbe1d11582460376d95c69ff433ac4c41d052f90d0"),
+     "9e02fd7da45fb750f123734f3c5ba2adafd6e5823343bebea4c45dfcddb1b16e"),
     ("--p 2 --kind1 C3 --kind2 C3 --strategy exhaustive-cyclic --seed 5 --limit 500", 3,
      "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345"),
-    # random-strategy certificates at p = 23 and p = 59, recorded at commit
-    # 92b5bdc, before the sampler screened raw draws
+    # random-strategy certificates at p = 23 and p = 59
     ("--p 23 --kind1 S4 --kind2 S4 --strategy random --seed 97 --limit 10000", 0,
-     "fd4249cbe5558e5568aef69cd14d8c4bbb63c18ec08b08cf733f37b298d1343f"),
+     "316078bb3da76578f12cf95a7072136c68f9f6c2ed90583ed0bbe979b924c084"),
     ("--p 23 --kind1 D24 --kind2 C24 --strategy random --seed 7 --limit 3000", 0,
-     "163e26a4b82e5eb1232f4c0fae05b46431f5cfa1334f102a183c0b90a3e7bf37"),
+     "05e29eb526a4d58d8db785c297c0c2b98d2f36fbdcf200b5b20b06343752750d"),
     ("--p 59 --kind1 A5 --kind2 C60 --strategy random --seed 2 --limit 10000", 0,
-     "bfdf27a05844b1e3e5c04ff8bb4741f0472ce8dfb76e7cd0479cfe98d7b30e28"),
+     "fbcf97d1bc6595b97971dcd8fadb5e5d70d70e7125654ea2ab70ad9a93f26348"),
     ("--p 59 --kind1 D60 --kind2 C60 --strategy random --seed 42 --limit 3000", 0,
-     "85eb866f53c691d74af5f4459a739378eec0f0b03607dfff1e06a995fe2281c8"),
+     "afa7a23e7e436d99f2e16dd2096a5d168aafca4e679aba00218e5a730af7bde9"),
     ("--p 59 --kind1 C60 --kind2 C60 --strategy random --seed 0 --limit 2000", 0,
-     "b73d94ee21d63c0aee11689eaa42d84b3736185fa5fbf5d2278fd97e115d3862"),
+     "52bd2c59a1ee02b95c3ea35d4ab07ef3072f703bdf3f65edd032c0b0c205bf9e"),
 ]
 
 
@@ -604,3 +556,6 @@ def test_search_output_is_pinned(capsys, argv, code, digest):
     assert main(["search", *argv.split()]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if code == 0:
+        again = reverify(json.loads(out), all_basepoints=True)
+        assert again.to_json() + "\n" == out
