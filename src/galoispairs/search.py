@@ -1,13 +1,21 @@
 """Discovery of new certified pairs from their kinds alone.
 
-The strategies `random` and `exhaustive-cyclic` run one engine, the B
-walk. B is the stabilizer of (0:1): the p(p - 1) classes (α, β, 0, 1)
-with α != 0. G1 is a transitive group of kind1 and G2 one of kind2
-(_transitive_group). The walk conjugates G2 by elements b of B and returns
-the first pair (G1, b^-1 G2 b) that passes check_pair_all_basepoints. The
-two names are two visiting orders, each of at most `limit` elements of B:
-exhaustive-cyclic walks B in (α, β) order, and random draws b uniformly
-from random.Random(seed), repeats allowed.
+Every strategy runs one engine, the B walk. B is the stabilizer of (0:1):
+the p(p - 1) classes b = (α, β, 0, 1) with α != 0, numbered i = (α - 1)p + β.
+The walk conjugates G2 by elements b of B and returns the first pair
+(G1, b^-1 G2 b) that passes check_pair_all_basepoints. The strategies are
+three visiting orders of B:
+  exhaustive-cyclic walks B in (α, β) order, and `limit` counts the
+  elements visited;
+  random draws b uniformly from random.Random(seed), repeats allowed, and
+  `limit` counts the draws;
+  scaling visits the diagonals diag(c, 1) = (c, 0, 0, 1) for c = 2, 3, ...
+  in turn, and `limit` counts every scalar, but it skips those that
+  find_scaling_conjugates rejects, since their conjugate meets G1.
+For random and exhaustive-cyclic, G1 is a transitive group of kind1 and G2
+one of kind2 (_transitive_group). For scaling, kind1 = kind2 and
+G1 = G2 is the base group (_base_group): the first bundled group of the
+kind at p, else the transitive one.
 
 Why B suffices. For transitive G1, PGL(2, p) = B·G1: an x sends (0:1) to
 (0:1)·g for some g in G1, so x g^-1 fixes (0:1). For x = bg, the pair
@@ -31,28 +39,27 @@ keeps O, and H has at least |G1 G2| = d^2 elements, as G1 ∩ G2 = 1.
   d <= 2: d = 1 makes G1 = G2 = 1. For d = 2, G1 = <σ> and G2 = <τ> swap
   the same pairs of points, at least two of them, and two swapped pairs fix
   an involution, so σ = τ. Either way the groups are equal.
-
-The scaling strategy conjugates one base group by diagonal scalars
-(find_scaling_conjugates).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from itertools import chain, islice
+from typing import Iterator
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import NotFound
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
-from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,
-                        orbit, recognize)
+from .subgroups import (GroupKind, Subgroup, _conjugator, conjugate,
+                        generate_closure, orbit, recognize)
 
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
 
 class SearchConfig:
-    """Validated search parameters: p must be prime, and limit counts the
-    elements of B visited (scalars for scaling)."""
+    """Validated search parameters: p must be prime, the kinds share one
+    order, scaling needs kind1 == kind2 (conjugation keeps the kind), and
+    limit counts the elements of B visited (scalars for scaling)."""
 
     __slots__ = ("p", "kind1", "kind2", "strategy", "seed", "limit")
 
@@ -69,6 +76,8 @@ class SearchConfig:
         if kind1.order != kind2.order:
             raise ValueError(
                 f"kinds must share one group order, got {kind1} vs {kind2}")
+        if strategy == "scaling" and kind1 != kind2:
+            raise ValueError("scaling strategy needs kind1 == kind2")
         if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         self.p = p
@@ -88,8 +97,9 @@ def find_scaling_conjugates(G: Subgroup) -> list[int]:
     is all of P^1(F_p), equal to G's, and check_pair(G, H) passes.
 
     c is rejected iff conj_c(M) = N for some M != I and N in G, where
-    conj_c is conjugation by diag(c, 1) on canonical classes
-    (_diagonal_conjugator). conj_c keeps these invariants of (a, b, x, d):
+    conj_c is conjugation by diag(c, 1) on canonical classes,
+    (a, b, x, d) to (a, b/c, xc, d) rescaled to canonical form
+    (subgroups._conjugator). conj_c keeps these invariants of (a, b, x, d):
       a = 1, to (1, b/c, xc, d): d, bx, and which of b, x is zero;
       a = 0, to (0, 1, xc^2, dc): whether d = 0 and, if d != 0, x/d^2
       (x != 0 always, as the determinant is -x).
@@ -136,38 +146,10 @@ def find_scaling_conjugates(G: Subgroup) -> list[int]:
         for M, _, u_inv in bucket:
             for N, u, _ in bucket:
                 c = u * u_inv % p
-                if c != 1 and c not in bad and _diagonal_conjugator(p, c)(M) == N:
+                if (c != 1 and c not in bad
+                        and _conjugator(G.line, ProjectiveMatrix(c, 0, 0, 1))(M) == N):
                     bad.add(c)
     return [c for c in range(2, p) if c not in bad]
-
-
-def _diagonal_conjugator(p: int, c: int) -> Callable[[ProjectiveMatrix],
-                                                      ProjectiveMatrix]:
-    """conj_c: a canonical class M to the canonical class of
-    diag(c, 1)^-1 M diag(c, 1), in closed form.
-
-    Conjugating (a, b, x, d) by diag(c, 1) gives (a, b/c, xc, d). A
-    canonical class with a = 1 stays canonical; one with a = 0 has b = 1,
-    and rescaling by c makes it canonical again: (0, 1, xc^2, dc).
-    """
-    c_inv = pow(c, -1, p)
-    c_sq = c * c % p
-
-    def conj(M):
-        a, b, x, d = M
-        if a:
-            return ProjectiveMatrix(a, b * c_inv % p, x * c % p, d)
-        return ProjectiveMatrix(0, 1, x * c_sq % p, d * c % p)
-
-    return conj
-
-
-def _diagonal_conjugate(G: Subgroup, c: int) -> Subgroup:
-    """conjugate(G, diag(c, 1)) in closed form (_diagonal_conjugator)."""
-    line = G.line
-    conj = _diagonal_conjugator(line.p, c)
-    return Subgroup(line, tuple(conj(line.matrix(A)) for A in G.generators),
-                    frozenset(map(conj, G.elements)))
 
 
 def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
@@ -194,75 +176,45 @@ def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
     raise NotFound(f"no regular cyclic subgroup of order {target} found (p={line.p})")
 
 
-def _order_pools(line: ProjectiveLine, orders: Iterable[int],
-                 cap: int) -> dict[int, list[ProjectiveMatrix]]:
-    """For each n in `orders`, the first `cap` canonical classes of order n,
-    in lexicographic (a, b, c, d) order.
+def _tau_classes(line: ProjectiveLine, tau: int) -> Iterator[ProjectiveMatrix]:
+    """The canonical classes M != I with tr^2/det = tau, in lexicographic
+    (a, b, c, d) order; they share one order (ProjectiveLine.element_order).
 
-    The classes are solved for, not scanned. A non-identity class has the
-    order of its tau = tr^2/det (ProjectiveLine.element_order), so one
-    companion matrix per tau gives the set T_n of tau values of order n.
-    Canonical classes are (s, b, c, d) with prefix (0, 1, c) or (1, b, c);
-    for a fixed prefix, tr^2 = tau * det reads
+    The classes are solved for, not scanned. Canonical classes are
+    (s, b, c, d) with prefix (0, 1, c) or (1, b, c); for a fixed prefix,
+    tr^2 = tau * det reads
         d^2 + s(2 - tau) d + s + tau m = 0,
     with m = c when s = 0 and m = bc when s = 1 (where d = bc is
-    singular). Walking the prefixes in order and emitting each prefix's
-    roots d in ascending order costs O(p^2 |T_n|) instead of O(p^3).
+    singular). Walking the prefixes in order and yielding each prefix's
+    roots d in ascending order costs O(p^2) for all the classes, not O(p^3).
     """
     p = line.p
-    pools = {n: [] for n in orders}
-    if 1 in pools:  # the identity is the only class of order 1
-        pools[1] = [line.identity][:cap]
-    # companion matrix of x^2 - x + 1/tau, and (0, 1, -1, 0) for tau = 0
-    tau_order = [line.element_order(ProjectiveMatrix(0, 1, -pow(t, -1, p) % p, 1)
-                                    if t else ProjectiveMatrix(0, 1, p - 1, 0))
-                 for t in range(p)]
-    taus_of = {n: [t for t in range(p) if tau_order[t] == n] for n in pools if n != 1}
-    open_taus = {n: ts for n, ts in taus_of.items() if ts}  # pools still filling
     sqrt = [None] * p
     for r in range(p):
         sqrt[r * r % p] = r
     half = (p + 1) // 2
-
-    def roots(B, C):
-        """The roots d of d^2 + B d + C."""
+    prefixes = chain(((0, 1, c, c) for c in range(1, p)),
+                     ((1, b, c, b * c % p) for b in range(p) for c in range(p)))
+    for s, b, c, m in prefixes:
+        B, C = s * (2 - tau), s + tau * m
         if p == 2:  # no 1/2 in F_2; try both residues
-            return [d for d in (0, 1) if (d * d + B * d + C) % 2 == 0]
-        r = sqrt[(B * B - 4 * C) % p]
-        if r is None:
-            return ()
-        return {(r - B) * half % p, (-r - B) * half % p}
-
-    def prefixes():
-        """(s, b, c, m) for each prefix, in lexicographic order."""
-        for c in range(1, p):
-            yield 0, 1, c, c
-        for b in range(p):
-            for c in range(p):
-                yield 1, b, c, b * c % p
-
-    for s, b, c, m in prefixes():
-        for n, taus in list(open_taus.items()):
-            found = sorted(d for t in taus for d in roots(s * (2 - t), s + t * m)
-                           if not (s and d == m))
-            pool = pools[n]
-            for d in found:
-                M = ProjectiveMatrix(s, b, c, d)
-                if M != line.identity:
-                    pool.append(M)
-                    if len(pool) == cap:
-                        del open_taus[n]
-                        break
-        if not open_taus:
-            break
-    return pools
+            roots = [d for d in (0, 1) if (d * d + B * d + C) % 2 == 0]
+        else:
+            r = sqrt[(B * B - 4 * C) % p]
+            if r is None:
+                continue
+            roots = sorted({(r - B) * half % p, (-r - B) * half % p})
+        for d in roots:
+            M = ProjectiveMatrix(s, b, c, d)
+            if not (s and d == m) and M != line.identity:
+                yield M
 
 
 # ab has order 3, 4 or 5 in the (2, 3, k) generators of A4, S4 and A5
 _TRIANGLE = {"A4": 3, "S4": 4, "A5": 5}
 # At p = 11, 23 and 59, the primes where |A4|, |S4| or |A5| is p + 1, the
-# first such (a, b) lies at pool indices (1, 12), (4, 24) and (1, 66), so a
-# larger pool changes no group.
+# first such (a, b) lies at indices (1, 12), (4, 24) and (1, 66) of the
+# tau = 0 and tau = 1 classes, so a larger pool changes no group.
 _TRIANGLE_POOL = 200
 
 
@@ -273,10 +225,11 @@ def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
     C_{p+1} is find_cyclic_regular's <r>. For D_{p+1}, r = (0, 1, c, d)
     and s = (1, 0, d, -1) satisfy s r s = r^-1, and of <r^2, s> and
     <r^2, s r> the first transitive one is taken. A4, S4 and A5 are <a, b>
-    for the first a of order 2 and b of order 3 (_order_pools) with ab of
-    order k = 3, 4 or 5: <a, b | a^2 = b^3 = (ab)^k = 1> is A4, S4 or A5
-    (Coxeter and Moser, 1957), and no proper quotient of it has elements of
-    orders 2, 3 and k. The kind and transitivity are asserted.
+    for the first a of order 2 (tau = 0) and b of order 3 (tau = 1) in
+    lexicographic order (_tau_classes) with ab of order k = 3, 4 or 5:
+    <a, b | a^2 = b^3 = (ab)^k = 1> is A4, S4 or A5 (Coxeter and Moser,
+    1957), and no proper quotient of it has elements of orders 2, 3 and k.
+    The kind and transitivity are asserted.
     """
     p = line.p
     if kind.order != p + 1:
@@ -294,63 +247,15 @@ def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
                 break
     elif kind.family in _TRIANGLE:
         k = _TRIANGLE[kind.family]
-        pools = _order_pools(line, (2, 3), _TRIANGLE_POOL)
-        a, b = next((a, b) for a in pools[2] for b in pools[3]
+        twos, threes = (list(islice(_tau_classes(line, tau), _TRIANGLE_POOL))
+                        for tau in (0, 1))
+        a, b = next((a, b) for a in twos for b in threes
                     if line.element_order(line.compose(a, b)) == k)
         G = generate_closure(line, [a, b], cap=kind.order)
     else:  # other: of order p + 1, prime to p, only the kinds above exist
         return None
     assert recognize(G) == kind and len(orbit(G, base)) == kind.order, kind
     return G
-
-
-def _b_walk(cfg: SearchConfig) -> PairCertificate | None:
-    """The first passing (G1, b^-1 G2 b) in cfg.strategy's visiting order of
-    B, or None (see the module docstring)."""
-    line = projective_line(cfg.p)
-    G1 = _transitive_group(line, cfg.kind1)
-    G2 = G1 if cfg.kind2 == cfg.kind1 else _transitive_group(line, cfg.kind2)
-    if G1 is None or G2 is None:
-        return None
-    p = cfg.p
-    n = p * (p - 1)  # b = (1 + i // p, i % p, 0, 1) for i < n
-    if cfg.strategy == "random":
-        draw = random.Random(cfg.seed).randrange
-        visits = (draw(n) for _ in range(cfg.limit))
-    else:
-        visits = range(min(cfg.limit, n))
-    for i in visits:
-        alpha, beta = divmod(i, p)
-        H = conjugate(G2, [[1 + alpha, beta], [0, 1]])
-        cert = check_pair_all_basepoints(G1, H)
-        if cert.verdict == "pass":
-            return cert
-    return None
-
-
-def scaling_pair_search(cfg: SearchConfig) -> PairCertificate | None:
-    """Conjugate a base group of kind1 by diag(c,1) scalars.
-
-    kind1 must equal kind2 (conjugation preserves the type). The base group
-    comes from the bundled cases when one matches, otherwise from
-    _transitive_group, so the limit counts scalars only. Candidates are the
-    p-2 scalars c = 2, ..., p-1 in ascending order, each counting against
-    the limit; only those that find_scaling_conjugates returns are checked,
-    since every other one fails with "intersection not trivial".
-    """
-    if cfg.kind1 != cfg.kind2:
-        raise ValueError("scaling strategy needs kind1 == kind2")
-    line = projective_line(cfg.p)
-    G = _base_group(cfg, line)
-    if G is None:
-        return None
-    for c in find_scaling_conjugates(G):
-        if c > cfg.limit + 1:  # the limit counts c = 2, 3, ... in turn
-            return None
-        cert = check_pair_all_basepoints(G, _diagonal_conjugate(G, c))
-        if cert.verdict == "pass":
-            return cert
-    return None
 
 
 def _base_group(cfg: SearchConfig, line: ProjectiveLine) -> Subgroup | None:
@@ -364,7 +269,27 @@ def _base_group(cfg: SearchConfig, line: ProjectiveLine) -> Subgroup | None:
 
 
 def run_search(cfg: SearchConfig) -> PairCertificate | None:
-    """Dispatch on cfg.strategy: scaling, or the B walk."""
+    """The first passing (G1, b^-1 G2 b) in cfg.strategy's visiting order of
+    B, or None (see the module docstring)."""
+    line = projective_line(cfg.p)
     if cfg.strategy == "scaling":
-        return scaling_pair_search(cfg)
-    return _b_walk(cfg)
+        G1 = G2 = _base_group(cfg, line)
+    else:
+        G1 = _transitive_group(line, cfg.kind1)
+        G2 = G1 if cfg.kind2 == cfg.kind1 else _transitive_group(line, cfg.kind2)
+    if G1 is None or G2 is None:
+        return None
+    p = cfg.p
+    if cfg.strategy == "scaling":  # b = diag(c, 1); the limit counts c = 2, 3, ...
+        visits = ((c - 1) * p for c in find_scaling_conjugates(G1) if c <= cfg.limit + 1)
+    elif cfg.strategy == "random":
+        draw = random.Random(cfg.seed).randrange
+        visits = (draw(p * (p - 1)) for _ in range(cfg.limit))
+    else:
+        visits = range(min(cfg.limit, p * (p - 1)))
+    for i in visits:  # b = (1 + i // p, i % p, 0, 1)
+        alpha, beta = divmod(i, p)
+        cert = check_pair_all_basepoints(G1, conjugate(G2, [[1 + alpha, beta], [0, 1]]))
+        if cert.verdict == "pass":
+            return cert
+    return None

@@ -164,17 +164,17 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
                      cap: int | None = None) -> Subgroup:
     """Breadth-first closure of the generators under composition.
 
-    Raises ClosureCapExceeded as soon as more than `cap` elements appear
-    (inverses come for free in a finite group, so right-multiplication by
-    generators suffices). The default cap is
+    Each generator, raw rows or a ProjectiveMatrix, is kept as its
+    canonical class. Raises ClosureCapExceeded as soon as more than `cap`
+    elements appear (inverses come for free in a finite group, so
+    right-multiplication by generators suffices). The default cap is
     max(DEFAULT_CLOSURE_CAP, 2(p + 1)). Every subgroup of order coprime to
     p is cyclic, dihedral (up to D_{2(p+1)}), A4, S4 or A5, so it closes
     under 2(p + 1) or 60 elements; the floor of DEFAULT_CLOSURE_CAP keeps
     small-p groups of order divisible by p (the Borel subgroup at p = 11,
     of order 110) closable too.
     """
-    gens = [line.matrix(g) if not isinstance(g, ProjectiveMatrix) else g
-            for g in generators]
+    gens = [line.matrix(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator required")
     if cap is None:
@@ -247,19 +247,36 @@ def intersect(G: Subgroup, H: Subgroup) -> Subgroup:
 
 
 def conjugate(G: Subgroup, C: ProjectiveMatrix) -> Subgroup:
-    """Subgroup {C^-1 A C : A in G}.
+    """Subgroup {C^-1 A C : A in G}, C a class or raw 2x2 rows.
 
     Under the row action this realizes the transformation conjugation
     "C then A then C^-1" on points, which is what gluing a conjugated
-    group onto the same orbit structure requires.
+    group onto the same orbit structure requires. Each element is the
+    product adj(C)·A·C, scaled once to canonical form (_conjugator): the
+    adjugate is C^-1 up to the scalar det C, which the class absorbs.
     """
     line = G.line
-    C = line.matrix(C)
-    Ci = line.inverse(C)
-    conj = lambda A: line.compose(line.compose(Ci, A), C)
-    gens = tuple(conj(A) for A in G.generators)
-    els = frozenset(conj(A) for A in G.elements)
-    return Subgroup(line, gens, els)
+    conj = _conjugator(line, line.matrix(C))
+    return Subgroup(line, tuple(map(conj, G.generators)),
+                    frozenset(map(conj, G.elements)))
+
+
+def _conjugator(line: ProjectiveLine, C: ProjectiveMatrix):
+    """A -> the canonical class of adj(C)·A·C."""
+    p = line.p
+    al, be, ga, de = C
+
+    def conj(A):
+        a, b, c, d = A
+        # adj(C)·A, then times C
+        e, f = de * a - be * c, de * b - be * d
+        g, h = al * c - ga * a, al * d - ga * b
+        a, b = (e * al + f * ga) % p, (e * be + f * de) % p
+        u = pow(a or b, -1, p)  # the first row of a class is never zero
+        return ProjectiveMatrix(a * u % p, b * u % p, (g * al + h * ga) * u % p,
+                                (g * be + h * de) * u % p)
+
+    return conj
 
 
 def orbit(G: Subgroup, Q: ProjectivePoint) -> frozenset[ProjectivePoint]:

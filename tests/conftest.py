@@ -58,16 +58,15 @@ def canonical_matrices(p: int) -> Iterator[ProjectiveMatrix]:
                     yield ProjectiveMatrix(1, b, c, d)
 
 
-def scanned_elements_of_order(line: ProjectiveLine, n: int,
-                              cap: int | None = None) -> list[ProjectiveMatrix]:
-    """Oracle for search._order_pools: the first `cap` canonical classes of
-    order n, found by scanning all of PGL(2, p) (canonical_matrices)."""
-    out = []
-    for M in canonical_matrices(line.p):
-        if line.element_order(M) == n:
-            out.append(M)
-            if len(out) == cap:
-                break
+def scanned_tau_classes(p: int) -> dict[int, list[ProjectiveMatrix]]:
+    """Oracle for search._tau_classes: for each tau, the canonical classes
+    M != I with tr^2 = tau det, in one scan of all of PGL(2, p)
+    (canonical_matrices)."""
+    out = {tau: [] for tau in range(p)}
+    for M in canonical_matrices(p):
+        a, b, c, d = M
+        if M != (1, 0, 0, 1):
+            out[(a + d) ** 2 * pow(a * d - b * c, -1, p) % p].append(M)
     return out
 
 
@@ -90,8 +89,8 @@ def reference_transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgrou
     t r t = r^-1 in canonical order, which has the same elements as the
     package's group, though not always its generators (the transitive
     dihedral group over <r^2> is unique); A4, S4 and A5 are <a, b> for the
-    first a of order 2 and b of order 3 (scanned_elements_of_order) whose
-    product has order 3, 4 or 5 (iterated_order)."""
+    first a of order 2 and b of order 3 in canonical order whose product
+    has order 3, 4 or 5 (iterated_order)."""
     p = line.p
     if kind.order != p + 1:
         return None
@@ -109,8 +108,9 @@ def reference_transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgrou
                     return G
         raise AssertionError(f"no transitive D{p + 1} at p={p}")
     k = {"A4": 3, "S4": 4, "A5": 5}[kind.family]
-    threes = scanned_elements_of_order(line, 3)
-    for a in scanned_elements_of_order(line, 2):
+    twos, threes = ([M for M in canonical_matrices(p) if line.element_order(M) == n]
+                    for n in (2, 3))
+    for a in twos:
         for b in threes:
             if iterated_order(line, line.compose(a, b)) == k:
                 return generate_closure(line, [a, b])

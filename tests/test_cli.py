@@ -383,6 +383,8 @@ def test_h_with_other_letters_attached_is_an_error(argv):
     (["check-pair", "{not_utf8}"], EXIT_INVALID),       # read as UTF-8
     (["search", "--p", "11", "--kind1", "A4", "--kind2", "D12",
       "--strategy", "exhaustive-cyclic"], EXIT_PASS),   # no kind need be C12
+    (["search", "--p", "11", "--kind1", "C12", "--kind2", "D12",
+      "--strategy", "scaling"], EXIT_INVALID),          # scaling keeps the kind
 ])
 def test_exit_code_contract(argv, code, tmp_path):
     files = {"missing": tmp_path / "missing.json"}
@@ -393,8 +395,10 @@ def test_exit_code_contract(argv, code, tmp_path):
     not_utf8.write_bytes(b'\xff{"p": 11}')
     argv = [a.format(**files) for a in argv]
     missing, malformed = files["missing"], files["malformed"]
-    whole_stderr = {  # four of the lines that main's catch prints, pinned whole
+    whole_stderr = {  # five of the lines that main's catch prints, pinned whole
         ("verify-paper", "--p", "13"): "error: no reference data for p=13\n",
+        ("search", "--p", "11", "--kind1", "C12", "--kind2", "D12", "--strategy",
+         "scaling"): "error: scaling strategy needs kind1 == kind2\n",
         ("check-pair", str(missing)): f"error: cannot read {missing}: [Errno "
                                       f"{errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
                                       f"'{missing}'\n",

@@ -136,6 +136,8 @@ class TwinSearchConfig:
         if self.kind1.order != self.kind2.order:
             raise ValueError(
                 f"kinds must share one group order, got {self.kind1} vs {self.kind2}")
+        if self.strategy == "scaling" and self.kind1 != self.kind2:
+            raise ValueError("scaling strategy needs kind1 == kind2")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -6,18 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CASE_KINDS, all_subgroups, b_element, canonical_matrices,
-                      reference_b_walk, reference_transitive_group,
-                      scanned_cyclic_regular, scanned_elements_of_order,
-                      seeded_random_subgroups, stabilizer, trivial_subgroup)
-from galoispairs import (LABELS, PRIMES, GroupKind, SearchConfig, cases,
-                         case_subgroups, check_pair, check_pair_all_basepoints,
+                      iterated_order, raw_conjugate, reference_b_walk,
+                      reference_transitive_group, scanned_cyclic_regular,
+                      scanned_tau_classes, seeded_random_subgroups, stabilizer,
+                      trivial_subgroup)
+from galoispairs import (LABELS, PRIMES, GroupKind, ProjectiveMatrix, SearchConfig,
+                         cases, case_subgroups, check_pair, check_pair_all_basepoints,
                          conjugate, find_cyclic_regular, find_scaling_conjugates,
                          generate_closure, is_prime, orbit, parse_kind,
                          primitive_root, projective_line, recognize, reverify,
                          run_search)
 from galoispairs.cli import main
-from galoispairs.search import (_base_group, _diagonal_conjugate, _order_pools,
-                                _transitive_group, scaling_pair_search)
+from galoispairs.search import _base_group, _tau_classes, _transitive_group
 
 
 def brute_force_scaling_sweep(G):
@@ -34,7 +34,7 @@ def brute_force_scaling_sweep(G):
         if len(conj_els & G.elements) != 1:
             continue
         if regular:
-            H = conjugate(G, C)
+            H = raw_conjugate(G, C)
             if check_pair(G, H, base).verdict != "pass":
                 continue
         out.append(c)
@@ -125,14 +125,15 @@ def test_scaling_conjugates_match_the_sweep_on_a_singer_cycle_at_401():
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
 def test_diagonal_conjugate_matches_conjugate(p):
+    # the conjugates the scaling strategy visits, by every diag(c, 1)
     line = projective_line(p)
     groups = [find_cyclic_regular(line)]
     if p in PRIMES:
         groups += [G for label in LABELS for G in case_subgroups(p, label)]
     for G in groups:
         for c in range(1, p):
-            want = conjugate(G, line.matrix([[c, 0], [0, 1]]))
-            got = _diagonal_conjugate(G, c)
+            want = raw_conjugate(G, ProjectiveMatrix(c, 0, 0, 1))
+            got = conjugate(G, [[c, 0], [0, 1]])
             assert got.generators == want.generators
             assert got.elements == want.elements
 
@@ -209,13 +210,12 @@ def test_exhaustive_cyclic_search():
 def test_scaling_strategy():
     cfg = SearchConfig(p=11, kind1=GroupKind.alt4(), kind2=GroupKind.alt4(),
                        strategy="scaling", limit=100)
-    cert = scaling_pair_search(cfg)
+    cert = run_search(cfg)
     assert cert is not None and cert.verdict == "pass"
     assert str(cert.kind1) == str(cert.kind2) == "A4"
-    with pytest.raises(ValueError):
-        scaling_pair_search(SearchConfig(p=11, kind1=GroupKind.cyclic(12),
-                                         kind2=GroupKind.dihedral(12),
-                                         strategy="scaling", limit=10))
+    with pytest.raises(ValueError, match="scaling strategy needs kind1 == kind2"):
+        SearchConfig(p=11, kind1=GroupKind.cyclic(12), kind2=GroupKind.dihedral(12),
+                     strategy="scaling", limit=10)
 
 
 def test_run_search_dispatch():
@@ -324,23 +324,37 @@ def test_kinds_of_another_order_find_none_at_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23])
-def test_order_pools_match_the_scan(p):
+def test_tau_classes_match_the_scan(p):
     line = projective_line(p)
-    orders = sorted({line.element_order(M) for M in canonical_matrices(p)})
-    scans = {n: scanned_elements_of_order(line, n) for n in orders}
-    assert sum(map(len, scans.values())) == p ** 3 - p
-    for cap in (1, 3, 40, p ** 3):
-        pools = _order_pools(line, orders, cap)
-        assert pools == {n: scans[n][:cap] for n in orders}
+    scans = scanned_tau_classes(p)
+    assert sum(map(len, scans.values())) == p ** 3 - p - 1  # all but I
+    for tau in range(p):
+        assert list(_tau_classes(line, tau)) == scans[tau], tau
 
 
-def test_order_pools_match_the_scan_at_59():
+def test_tau_classes_match_the_scan_at_59():
+    # tau = 4 holds the p^2 - 1 classes of order p, and any other tau
+    # (p - 1)p, p^2 or p(p + 1) classes (elliptic, the involutions, split):
+    # fewer than 4000 each, so every tau is enumerated whole
     line = projective_line(59)
-    pools = _order_pools(line, [2, 3, 5], cap=4000)
-    for n in (2, 3, 5):
-        assert pools[n] == scanned_elements_of_order(line, n, cap=4000)
-    # every involution and order-3 class, but only the first 4000 of order 5
-    assert [len(pools[n]) for n in (2, 3, 5)] == [59 ** 2, 59 * 58, 4000]
+    scans = scanned_tau_classes(59)
+    for tau in range(59):
+        assert list(_tau_classes(line, tau)) == scans[tau], tau
+    assert [len(scans[tau]) for tau in (0, 1, 4)] == [59 ** 2, 59 * 58, 59 ** 2 - 1]
+    assert {len(scans[tau]) for tau in range(59)} == {59 * 58, 59 ** 2 - 1, 59 ** 2,
+                                                     59 * 60}
+
+
+@pytest.mark.parametrize("p", [q for q in range(2, 100) if is_prime(q)])
+def test_tau_0_and_1_are_the_classes_of_order_2_and_3(p):
+    # _transitive_group takes its order-2 and order-3 generators from the
+    # tau = 0 and tau = 1 classes
+    line = projective_line(p)
+    for tau in range(p):
+        M = next(_tau_classes(line, tau))
+        n = line.element_order(M)
+        assert n == iterated_order(line, M)
+        assert (n == 2) == (tau == 0) and (n == 3) == (tau == 1), tau
 
 
 ALL_KINDS = ([parse_kind(k) for k in ("A4", "S4", "A5")]
@@ -409,7 +423,7 @@ def test_scaling_fallback_base_group_matches_the_reference(seed, limit):
     G = _base_group(cfg, line)
     assert G.elements == reference_transitive_group(line, kind).elements
     assert G.generators == _transitive_group(line, kind).generators
-    cert = scaling_pair_search(cfg)
+    cert = run_search(cfg)
     assert cert is not None and cert.g1_generators == G.generators
 
 
@@ -425,9 +439,9 @@ def test_base_group_is_the_first_bundled_group_of_its_kind():
 
 
 def reference_scaling_search(cfg):
-    """Oracle for scaling_pair_search: each scalar c = 2, 3, ... in turn
-    counts against the limit, and its conjugate, built by `conjugate`, is
-    checked at every base point."""
+    """Oracle for the scaling visits of run_search: each scalar
+    c = 2, 3, ... in turn counts against the limit, and its conjugate by
+    diag(c, 1), built by raw_conjugate, is checked at every base point."""
     line = projective_line(cfg.p)
     G = _base_group(cfg, line)
     if G is None:
@@ -435,7 +449,7 @@ def reference_scaling_search(cfg):
     for spent, c in enumerate(range(2, cfg.p)):
         if spent >= cfg.limit:
             return None
-        cert = check_pair_all_basepoints(G, conjugate(G, line.matrix([[c, 0], [0, 1]])))
+        cert = check_pair_all_basepoints(G, raw_conjugate(G, ProjectiveMatrix(c, 0, 0, 1)))
         if cert.verdict == "pass":
             return cert
     return None
@@ -454,7 +468,7 @@ SCALING_KINDS = ([(p, parse_kind(f"{f}{n}"))
 def test_scaling_search_matches_the_reference_loop(case, seed, limit):
     p, kind = case
     cfg = SearchConfig(p, kind, kind, "scaling", seed, limit)
-    got, want = scaling_pair_search(cfg), reference_scaling_search(cfg)
+    got, want = run_search(cfg), reference_scaling_search(cfg)
     if want is None:
         assert got is None
     else:
@@ -472,7 +486,7 @@ def test_scaling_search_counts_rejected_scalars_against_the_limit(p, kind):
     found = []
     for limit in range(1, first + 2):
         cfg = SearchConfig(p, kind, kind, "scaling", 0, limit)
-        got, want = scaling_pair_search(cfg), reference_scaling_search(cfg)
+        got, want = run_search(cfg), reference_scaling_search(cfg)
         assert (got and got.to_json()) == (want and want.to_json()), limit
         found.append(got is not None)
     assert not found[0] and found[-1]

@@ -1,12 +1,15 @@
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import stabilizer, trivial_subgroup
-from galoispairs import (ClosureCapExceeded, GroupKind, ModulusMismatch,
-                         case_subgroups, conjugate, generate_closure,
-                         intersect, orbit, parse_kind, projective_line,
-                         recognize)
+from conftest import (canonical_matrices, raw_conjugate, seeded_random_subgroups,
+                      stabilizer, trivial_subgroup)
+from galoispairs import (LABELS, ClosureCapExceeded, GroupKind, ModulusMismatch,
+                         ProjectiveMatrix, case_subgroups, check_pair, conjugate,
+                         find_cyclic_regular, generate_closure, intersect, orbit,
+                         parse_kind, projective_line, recognize, reverify)
 from galoispairs.cases import prime_table
 
 
@@ -98,6 +101,19 @@ def test_intersect():
         intersect(G1, G1_23)
 
 
+def test_closure_keeps_canonical_generators():
+    # a ProjectiveMatrix generator is reduced to its canonical class like
+    # raw rows are, so it is a member of G and a certificate of G reprints
+    # itself
+    line = projective_line(11)
+    G = generate_closure(line, [ProjectiveMatrix(2, 0, 0, 1)])
+    assert G.generators == (ProjectiveMatrix(1, 0, 0, 6),)
+    assert all(g in G for g in G.generators)
+    cert = check_pair(G, G)
+    assert cert.to_dict()["g1"] == [[[1, 0], [0, 6]]]
+    assert reverify(cert.to_dict()).to_json() == cert.to_json()
+
+
 def test_intersect_symmetric():
     G1, _ = case_subgroups(11, "a")
     _, G3 = case_subgroups(11, "b")
@@ -124,6 +140,35 @@ def test_conjugate_preserves_invariants():
         assert len(H) == len(G)
         assert order_multiset(H) == order_multiset(G)
         assert recognize(H) == recognize(G)
+
+
+def assert_conjugate_matches_raw_conjugate(G, C):
+    got, want = conjugate(G, C), raw_conjugate(G, C)
+    assert got.generators == want.generators
+    assert got.elements == want.elements
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_conjugate_matches_raw_conjugate_by_every_class(p):
+    line = projective_line(p)
+    groups = [find_cyclic_regular(line), *seeded_random_subgroups(p, 4, seed=5)]
+    for C in canonical_matrices(p):
+        for G in groups:
+            assert_conjugate_matches_raw_conjugate(G, C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([11, 23, 59, 401]), st.tuples(*[st.integers(0, 400)] * 4))
+def test_conjugate_matches_raw_conjugate(p, entries):
+    # C is a raw matrix, reduced mod p but not scaled to canonical form
+    a, b, c, d = (x % p for x in entries)
+    assume((a * d - b * c) % p)
+    line = projective_line(p)
+    groups = [find_cyclic_regular(line)]
+    if p < 100:
+        groups += [G for label in LABELS for G in case_subgroups(p, label)]
+    for G in groups:
+        assert_conjugate_matches_raw_conjugate(G, ProjectiveMatrix(a, b, c, d))
 
 
 def test_orbit():
