@@ -22,7 +22,7 @@ import sys
 from types import SimpleNamespace
 
 from .cases import LABELS, PRIMES
-from .criterion import check_pair, check_pair_all_basepoints, subgroups_from_dict
+from .criterion import reverify
 from .errors import GaloisPairsError, UnknownCase
 from .implicitize import implicit_degree
 from .quotient import emit_parametrization
@@ -45,7 +45,11 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
-def _load_pair_document(path: str):
+def _certify(path: str, all_basepoints: bool = False):
+    """reverify's certificate for the pair document or certificate JSON at
+    `path`, at its base point or at every one; a file that cannot be read,
+    is not JSON or is not a valid document raises a ValueError that names
+    `path`."""
     try:
         with open(path, encoding="utf-8") as fh:  # JSON's encoding (RFC 8259)
             doc = json.load(fh)
@@ -57,17 +61,13 @@ def _load_pair_document(path: str):
         raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     try:
-        return subgroups_from_dict(doc)
+        return reverify(doc, all_basepoints)
     except (ValueError, GaloisPairsError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_check_pair(args) -> int:
-    G1, G2, Q = _load_pair_document(args.input)
-    if args.all_basepoints:
-        cert = check_pair_all_basepoints(G1, G2)
-    else:
-        cert = check_pair(G1, G2, Q)
+    cert = _certify(args.input, args.all_basepoints)
     print(cert.to_json())
     return EXIT_PASS if cert.verdict == "pass" else EXIT_FAIL
 
@@ -87,8 +87,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_emit_curve(args) -> int:
-    G1, G2, Q = _load_pair_document(args.input)
-    cert = check_pair(G1, G2, Q)
+    cert = _certify(args.input)
     param = emit_parametrization(cert)
     try:
         degree = implicit_degree(param)

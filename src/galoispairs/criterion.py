@@ -155,8 +155,8 @@ def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]
     """Rebuild (G1, G2, base point) from certificate or pair-document JSON.
 
     Accepts both shapes: {"g1": [[..]..], ...} (certificate) and
-    {"g1": {"generators": [...]}, ...} (pair input document). The CLI and
-    reverify share these checks, made in this order before any group is
+    {"g1": {"generators": [...]}, ...} (pair input document). reverify, and
+    with it the CLI, makes these checks in this order before any group is
     closed; the first that fails raises a ValueError naming it:
     the document is an object; it has the fields p, g1 and g2; p is a
     prime int; g1, then g2, holds a non-empty list of generators, each
@@ -191,8 +191,8 @@ def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]
         raise ValueError("base_point must be [s, t]; entries must be integers")
     if not (Q[0] % line.p or Q[1] % line.p):
         raise ValueError("base_point (0:0) is not a projective point")
-    G1 = generate_closure(line, [line.matrix(rows) for rows in gens["g1"]])
-    G2 = generate_closure(line, [line.matrix(rows) for rows in gens["g2"]])
+    G1 = generate_closure(line, gens["g1"])
+    G2 = generate_closure(line, gens["g2"])
     return G1, G2, line.point(*Q)
 
 

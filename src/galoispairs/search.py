@@ -12,10 +12,9 @@ three visiting orders of B:
   scaling visits the diagonals diag(c, 1) = (c, 0, 0, 1) for c = 2, 3, ...
   in turn, and `limit` counts every scalar, but it skips those that
   find_scaling_conjugates rejects, since their conjugate meets G1.
-For random and exhaustive-cyclic, G1 is a transitive group of kind1 and G2
-one of kind2 (_transitive_group). For scaling, kind1 = kind2 and
-G1 = G2 is the base group (_base_group): the first bundled group of the
-kind at p, else the transitive one.
+Every strategy builds its groups from the kinds alone: G1 is the
+transitive group of kind1 and G2 the one of kind2 (_transitive_group), so
+scaling, which needs kind1 = kind2, walks from G1 = G2.
 
 Why B suffices. For transitive G1, PGL(2, p) = B·G1: an x sends (0:1) to
 (0:1)·g for some g in G1, so x g^-1 fixes (0:1). For x = bg, the pair
@@ -57,9 +56,10 @@ STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
 
 class SearchConfig:
-    """Validated search parameters: p must be prime, the kinds share one
-    order, scaling needs kind1 == kind2 (conjugation keeps the kind), and
-    limit counts the elements of B visited (scalars for scaling)."""
+    """Validated search parameters, from whose kinds alone every strategy
+    builds its groups: p must be prime, the kinds share one order, scaling
+    needs kind1 == kind2 (conjugation keeps the kind), and limit counts the
+    elements of B visited (scalars for scaling)."""
 
     __slots__ = ("p", "kind1", "kind2", "strategy", "seed", "limit")
 
@@ -258,25 +258,12 @@ def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
     return G
 
 
-def _base_group(cfg: SearchConfig, line: ProjectiveLine) -> Subgroup | None:
-    from .cases import PRIMES, prime_table
-
-    if cfg.p in PRIMES:
-        for G in prime_table(cfg.p)["groups"]:
-            if recognize(G) == cfg.kind1:
-                return G
-    return _transitive_group(line, cfg.kind1)
-
-
 def run_search(cfg: SearchConfig) -> PairCertificate | None:
     """The first passing (G1, b^-1 G2 b) in cfg.strategy's visiting order of
     B, or None (see the module docstring)."""
     line = projective_line(cfg.p)
-    if cfg.strategy == "scaling":
-        G1 = G2 = _base_group(cfg, line)
-    else:
-        G1 = _transitive_group(line, cfg.kind1)
-        G2 = G1 if cfg.kind2 == cfg.kind1 else _transitive_group(line, cfg.kind2)
+    G1 = _transitive_group(line, cfg.kind1)
+    G2 = G1 if cfg.kind2 == cfg.kind1 else _transitive_group(line, cfg.kind2)
     if G1 is None or G2 is None:
         return None
     p = cfg.p

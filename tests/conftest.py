@@ -82,6 +82,7 @@ def scanned_cyclic_regular(line: ProjectiveLine) -> Subgroup:
     raise AssertionError(f"no regular cyclic subgroup at p={line.p}")
 
 
+@lru_cache(maxsize=None)
 def reference_transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
     """Oracle for search._transitive_group, from scans of all of PGL(2, p):
     None unless |kind| = p + 1. C_{p+1} is scanned_cyclic_regular's <r>;

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import argparse_reading
 import galoispairs
-from galoispairs import (case_subgroups, check_pair, cli, conjugate,
+from galoispairs import (case_subgroups, check_pair, cli, conjugate, criterion,
                          find_cyclic_regular, projective_line)
 from galoispairs.cli import (COMMANDS, EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID,
                              EXIT_PASS, UsageError, main, parse_args)
@@ -72,7 +72,7 @@ def test_main_lets_other_exceptions_propagate(tmp_path, monkeypatch, case_11a):
     # main turns only ValueError and UnknownCase into exit 2: a bug surfaces
     def broken(*args):
         raise RuntimeError("not invalid input")
-    monkeypatch.setattr(cli, "check_pair", broken)
+    monkeypatch.setattr(criterion, "check_pair", broken)  # the one reverify calls
     with pytest.raises(RuntimeError, match="not invalid input"):
         main(["check-pair", pair_document(tmp_path, *case_11a)])
 

@@ -17,7 +17,7 @@ from galoispairs import (LABELS, PRIMES, GroupKind, ProjectiveMatrix, SearchConf
                          primitive_root, projective_line, recognize, reverify,
                          run_search)
 from galoispairs.cli import main
-from galoispairs.search import _base_group, _tau_classes, _transitive_group
+from galoispairs.search import _tau_classes, _transitive_group
 
 
 def brute_force_scaling_sweep(G):
@@ -247,6 +247,8 @@ def test_b_walk_finds_the_nine_reference_triples_from_kinds_alone(monkeypatch):
     monkeypatch.setattr(cases, "prime_table", unread)
     for p, kind1, kind2 in REFERENCE_TRIPLES:
         runs = [("exhaustive-cyclic", 0)] + [("random", seed) for seed in range(10)]
+        if kind1 == kind2:
+            runs.append(("scaling", 0))
         for strategy, seed in runs:
             cfg = SearchConfig(p, parse_kind(kind1), parse_kind(kind2), strategy, seed)
             cert = run_search(cfg)
@@ -414,36 +416,24 @@ def test_random_search_matches_the_reference_where_it_finds(p, kind1, kind2):
 @settings(max_examples=20, deadline=None)
 @given(SEEDS, st.integers(1, 300))
 def test_scaling_fallback_base_group_matches_the_reference(seed, limit):
-    # p = 13 has no bundled case, so the base group of D14 is built from the
-    # kind alone: the same group at every seed and limit, which spends no
-    # part of the limit
+    # the base group of D14 at p = 13 is built from the kind alone: the same
+    # group at every seed and limit, which spends no part of the limit
     kind = GroupKind.dihedral(14)
     cfg = SearchConfig(13, kind, kind, "scaling", seed, limit)
     line = projective_line(13)
-    G = _base_group(cfg, line)
+    G = _transitive_group(line, kind)
     assert G.elements == reference_transitive_group(line, kind).elements
-    assert G.generators == _transitive_group(line, kind).generators
     cert = run_search(cfg)
     assert cert is not None and cert.g1_generators == G.generators
-
-
-def test_base_group_is_the_first_bundled_group_of_its_kind():
-    # kind1 of a, kind2 of a and kind2 of b cover the three kinds bundled at
-    # each prime; the first bundled group of each kind is the one returned
-    for p in PRIMES:
-        (G1, C), (_, D) = case_subgroups(p, "a"), case_subgroups(p, "b")
-        kinds = CASE_KINDS[p, "a"] + CASE_KINDS[p, "b"][1:]
-        for want, kind in zip((G1, C, D), kinds):
-            cfg = SearchConfig(p, kind, kind, "scaling")
-            assert _base_group(cfg, projective_line(p)).generators == want.generators
 
 
 def reference_scaling_search(cfg):
     """Oracle for the scaling visits of run_search: each scalar
     c = 2, 3, ... in turn counts against the limit, and its conjugate by
-    diag(c, 1), built by raw_conjugate, is checked at every base point."""
-    line = projective_line(cfg.p)
-    G = _base_group(cfg, line)
+    diag(c, 1), built by raw_conjugate, is checked at every base point.
+    The base group is reference_transitive_group's, from scans of all of
+    PGL(2, p)."""
+    G = reference_transitive_group(projective_line(cfg.p), cfg.kind1)
     if G is None:
         return None
     for spent, c in enumerate(range(2, cfg.p)):
@@ -455,8 +445,8 @@ def reference_scaling_search(cfg):
     return None
 
 
-# base groups built from the kind at primes without a bundled case (none
-# for order p - 1), where small scalars often fail, and bundled ones
+# kinds of order p + 1 and p - 1 (no base group) at small primes, where
+# small scalars often fail, and the A4 and S4 of the paper's primes
 SCALING_KINDS = ([(p, parse_kind(f"{f}{n}"))
                   for p in (5, 7, 13, 17) for n in (p + 1, p - 1) for f in "CD"]
                  + [(11, GroupKind.alt4()), (23, GroupKind.sym4())])
@@ -475,13 +465,14 @@ def test_scaling_search_matches_the_reference_loop(case, seed, limit):
         assert got is not None and got.to_json() == want.to_json()
 
 
-@pytest.mark.parametrize("p,kind", [(23, "S4"), (59, "A5"), (59, "D60")])
+@pytest.mark.parametrize("p,kind", [(11, "D12"), (11, "A4"), (23, "D24"), (59, "A5"),
+                                    (59, "D60")])
 def test_scaling_search_counts_rejected_scalars_against_the_limit(p, kind):
-    # these bundled base groups meet their conjugate at c = 2, so the limit
-    # must count the scalars that find_scaling_conjugates leaves out
+    # these base groups meet their conjugate at c = 2 (the first kept
+    # scalar is 5, 3, 4, 3 and 3), so the limit must count the scalars that
+    # find_scaling_conjugates leaves out
     kind = parse_kind(kind)
-    first = find_scaling_conjugates(_base_group(SearchConfig(p, kind, kind, "scaling"),
-                                                projective_line(p)))[0]
+    first = find_scaling_conjugates(_transitive_group(projective_line(p), kind))[0]
     assert first > 2
     found = []
     for limit in range(1, first + 2):
@@ -494,10 +485,8 @@ def test_scaling_search_counts_rejected_scalars_against_the_limit(p, kind):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_scaling_search_on_a_trivial_base_group_finds_none(capsys, p):
-    # |C1| != p + 1 and no bundled case exists here, so no base group is built
-    kind = GroupKind.cyclic(1)
-    cfg = SearchConfig(p, kind, kind, "scaling", 0, 1000)
-    assert _base_group(cfg, projective_line(p)) is None
+    # |C1| != p + 1, so no base group is built
+    assert _transitive_group(projective_line(p), GroupKind.cyclic(1)) is None
     assert main(["search", "--p", str(p), "--strategy", "scaling",
                  "--kind1", "C1", "--kind2", "C1"]) == 3
     assert capsys.readouterr().out == "none\n"
@@ -561,6 +550,25 @@ GOLDEN_SEARCHES = [
      "afa7a23e7e436d99f2e16dd2096a5d168aafca4e679aba00218e5a730af7bde9"),
     ("--p 59 --kind1 C60 --kind2 C60 --strategy random --seed 0 --limit 2000", 0,
      "52bd2c59a1ee02b95c3ea35d4ab07ef3072f703bdf3f65edd032c0b0c205bf9e"),
+    # scaling self-pairs at the paper's primes, built from the kinds alone
+    ("--p 11 --kind1 C12 --kind2 C12 --strategy scaling", 0,
+     "924e7f1a3902a70a9d2aa8c1652353eeb4090a868a4022074d8e1944d8188742"),
+    ("--p 11 --kind1 D12 --kind2 D12 --strategy scaling", 0,
+     "c00389bc147293912db5e8c6b62d2ccc5d05b2332e1f980b2e373efd81578b13"),
+    ("--p 11 --kind1 A4 --kind2 A4 --strategy scaling", 0,
+     "f73931d014b282cedc46858528cdcfe85aebfdd92224fe2de51b97b03cf3a56f"),
+    ("--p 23 --kind1 C24 --kind2 C24 --strategy scaling", 0,
+     "edbec3fc863d6643dbe68b72b48dd39676a1e62a636d90e04177fac8e735b134"),
+    ("--p 23 --kind1 D24 --kind2 D24 --strategy scaling", 0,
+     "9bb3dd003f39ade49b7fdbafc13c7633d51f26fa1967b5b719c644107da0a059"),
+    ("--p 23 --kind1 S4 --kind2 S4 --strategy scaling", 0,
+     "6d924785f056d5d28afd7f3d09f4bbc5aabdead511677cfc62951567d3ffde32"),
+    ("--p 59 --kind1 C60 --kind2 C60 --strategy scaling", 0,
+     "fdc7ef1facffb8bcf74104e84cd24bbd47e295fdab0b4cac9abaeb0962dff6ea"),
+    ("--p 59 --kind1 D60 --kind2 D60 --strategy scaling", 0,
+     "eca61ef1cae9ecb45a6b1b3bdaa5d8e74fde0b9d147b7fa46e75c8b02f0f7b98"),
+    ("--p 59 --kind1 A5 --kind2 A5 --strategy scaling", 0,
+     "dc6afadbf33637b8fa4b88a9c67b4f66a1086f2f505db9a71baa7b5b6f414d91"),
 ]
 
 
