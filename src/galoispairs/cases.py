@@ -17,8 +17,9 @@ Generator letters used throughout the tables and the verification harness:
 The p=23 block systems O (four 6-point blocks) and T (two 12-point blocks)
 are plain tuples of frozensets of points, indexed as published.
 
-Entries are stored exactly as published (powers of the primitive element
-alpha, signed representatives welcome) and reduced mod p on ingestion.
+Entries are written exactly as published (powers of the primitive element
+alpha, signed representatives welcome) and reduced mod p on ingestion;
+the published point tokens are decoded into points there too (_pt).
 """
 
 from __future__ import annotations
@@ -137,6 +138,22 @@ def _table_23() -> dict:
         (INF, 18, 3, 11, 4, 9, 0, 21, 13, 16, 17, 15),
         (ZERO, 8, 6, 7, 10, 2, 1, 14, 19, 12, 20, 5),
     )
+    # cells of the O x T intersection table, row-major; the published
+    # table swaps the two cells of the O4 row against its own block
+    # lists (which independently match the computed r-orbits), so the
+    # O4 row is stored as the block lists force it
+    cells = {
+        (0, 0): (INF, 3, 18), (0, 1): (1, 6, 7),
+        (1, 0): (9,), (1, 1): (ZERO, 8, 12, 14, 19),
+        (2, 0): (0, 4, 17, 21), (2, 1): (2, 10),
+        (3, 0): (11, 13, 15, 16), (3, 1): (5, 20),
+    }
+    conj_blocks = (
+        (INF, 16, 18, 21, 0, 11),
+        (ZERO, 1, 2, 5, 7, 12),
+        (15, 17, 19, 3, 10, 14),
+        (20, 4, 6, 8, 9, 13),
+    )
     return {
         "alpha": a,
         "line": line,
@@ -150,32 +167,18 @@ def _table_23() -> dict:
         # [[-1,-3],[-3,1]], an involution that does not even lie in <x>;
         # the actual class is [[-1,-2],[-2,1]]
         "x_power_classes": {12: M([[-1, -2], [-2, 1]]), 8: M([[13, 2], [2, 11]])},
-        # cells of the O x T intersection table, row-major; the published
-        # table swaps the two cells of the O4 row against its own block
-        # lists (which independently match the computed r-orbits), so the
-        # O4 row is stored as the block lists force it
-        "o_t_intersections": {
-            (0, 0): (INF, 3, 18), (0, 1): (1, 6, 7),
-            (1, 0): (9,), (1, 1): (ZERO, 8, 12, 14, 19),
-            (2, 0): (0, 4, 17, 21), (2, 1): (2, 10),
-            (3, 0): (11, 13, 15, 16), (3, 1): (5, 20),
-        },
-        "conjugated_o_blocks": (
-            (INF, 16, 18, 21, 0, 11),
-            (ZERO, 1, 2, 5, 7, 12),
-            (15, 17, 19, 3, 10, 14),
-            (20, 4, 6, 8, 9, 13),
-        ),
-        # cyclic-generator powers evaluated at points: (power, at, image,
-        # block index). Three published values descend from the misprinted
-        # 12th-power class; stored are the recomputed images (the two
-        # listed source points still land in different blocks, which is
-        # what the block-coherence contradiction needs)
+        "o_t_intersections": {ij: _pts(line, a, cell) for ij, cell in cells.items()},
+        "conjugated_o_blocks": tuple(_pts(line, a, b) for b in conj_blocks),
+        # cyclic-generator powers evaluated at points: (power, at token,
+        # at, image, block index), the token kept for the item id. Three
+        # published values descend from the misprinted 12th-power class;
+        # stored are the recomputed images (the two listed source points
+        # still land in different blocks, which is what the block-coherence
+        # contradiction needs)
         "x_point_images": [
-            (12, INF, 9, 1),
-            (8, INF, 7, 0),
-            (12, 1, 18, 0),
-            (8, 3, 2, 2),
+            (e, at, _pt(line, a, at), _pt(line, a, image), block)
+            for e, at, image, block in ((12, INF, 9, 1), (8, INF, 7, 0),
+                                        (12, 1, 18, 0), (8, 3, 2, 2))
         ],
         # octahedral-proof words and their printed classes
         "printed_products": [

@@ -49,7 +49,7 @@ from typing import Iterator
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .errors import NotFound
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
-from .subgroups import (GroupKind, Subgroup, _conjugator, conjugate,
+from .subgroups import (POLYHEDRAL, GroupKind, Subgroup, _conjugator, conjugate,
                         generate_closure, orbit, recognize)
 
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
@@ -210,10 +210,8 @@ def _tau_classes(line: ProjectiveLine, tau: int) -> Iterator[ProjectiveMatrix]:
                 yield M
 
 
-# ab has order 3, 4 or 5 in the (2, 3, k) generators of A4, S4 and A5
-_TRIANGLE = {"A4": 3, "S4": 4, "A5": 5}
-# At p = 11, 23 and 59, the primes where |A4|, |S4| or |A5| is p + 1, the
-# first such (a, b) lies at indices (1, 12), (4, 24) and (1, 66) of the
+# At p = 11, 23 and 59, where |A4|, |S4| or |A5| is p + 1, the first (a, b)
+# with ab of order k lies at indices (1, 12), (4, 24) and (1, 66) of the
 # tau = 0 and tau = 1 classes, so a larger pool changes no group.
 _TRIANGLE_POOL = 200
 
@@ -245,8 +243,8 @@ def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
             G = generate_closure(line, [r2, t], cap=kind.order)
             if len(orbit(G, base)) == kind.order:
                 break
-    elif kind.family in _TRIANGLE:
-        k = _TRIANGLE[kind.family]
+    elif kind.family in POLYHEDRAL:
+        k = POLYHEDRAL[kind.family][1]
         twos, threes = (list(islice(_tau_classes(line, tau), _TRIANGLE_POOL))
                         for tau in (0, 1))
         a, b = next((a, b) for a in twos for b in threes

@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
-from math import isqrt
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ClosureCapExceeded, ModulusMismatch
 from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint
 
 DEFAULT_CLOSURE_CAP = 600
+
+# A4, S4 and A5: name -> (order, k), where <a, b | a^2 = b^3 = (ab)^k = 1>
+# presents the group (Coxeter and Moser, 1957)
+POLYHEDRAL = {"A4": (12, 3), "S4": (24, 4), "A5": (60, 5)}
 
 
 class GroupKind:
@@ -20,18 +21,14 @@ class GroupKind:
     Immutable, compared and hashed by (family, order). It and the package's
     other records are plain classes, not dataclasses: importing
     `dataclasses` cost about 10 ms of every CLI process.
-
-    tally maps each element order to the number of elements of that order
-    in a group of this kind, and is None for other.
     """
 
-    __slots__ = ("family", "order", "tally")
+    __slots__ = ("family", "order")
 
     def __init__(self, family: str, order: int):
         # "C" | "D" | "A4" | "S4" | "A5" | "other"
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "tally", _tally(family, order))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable GroupKind")
@@ -59,15 +56,15 @@ class GroupKind:
 
     @classmethod
     def alt4(cls) -> "GroupKind":
-        return cls("A4", 12)
+        return cls("A4", POLYHEDRAL["A4"][0])
 
     @classmethod
     def sym4(cls) -> "GroupKind":
-        return cls("S4", 24)
+        return cls("S4", POLYHEDRAL["S4"][0])
 
     @classmethod
     def alt5(cls) -> "GroupKind":
-        return cls("A5", 60)
+        return cls("A5", POLYHEDRAL["A5"][0])
 
     @classmethod
     def other(cls, n: int) -> "GroupKind":
@@ -81,45 +78,12 @@ class GroupKind:
         return self.family
 
 
-@lru_cache(maxsize=None)
-def _tally(family: str, n: int) -> Mapping[int, int] | None:
-    """GroupKind(family, n).tally.
-
-    C_n has phi(k) elements of each order k dividing n: the k elements
-    whose order divides k, less those of the smaller orders dividing k, so
-    the cost is O(divisors^2 + sqrt(n)), not O(n). D_n adds n/2
-    involutions to the tally of its rotations C_{n/2}, and A4, S4 and A5
-    count their conjugacy classes.
-    """
-    if family == "C":
-        tally = {}
-        for k in sorted({d for i in range(1, isqrt(n) + 1) if n % i == 0
-                         for d in (i, n // i)}):
-            tally[k] = k - sum(c for j, c in tally.items() if k % j == 0)
-    elif family == "D":
-        tally = Counter(_tally("C", n // 2))
-        tally[2] += n // 2
-    elif family == "A4":
-        tally = {1: 1, 2: 3, 3: 8}
-    elif family == "S4":
-        tally = {1: 1, 2: 9, 3: 8, 4: 6}
-    elif family == "A5":
-        tally = {1: 1, 2: 15, 3: 20, 5: 24}
-    else:
-        return None
-    return MappingProxyType(dict(tally))
-
-
 def parse_kind(text: str) -> GroupKind:
     """Parse a CLI-style kind flag: A4, S4, A5, C<n>, D<n>."""
     text = text.strip()
-    if text == "A4":
-        return GroupKind.alt4()
-    if text == "S4":
-        return GroupKind.sym4()
-    if text == "A5":
-        return GroupKind.alt5()
-    if len(text) > 1 and text[0] in ("C", "D") and text[1:].isdigit():
+    if text in POLYHEDRAL:
+        return GroupKind(text, POLYHEDRAL[text][0])
+    if len(text) > 1 and text[0] in ("C", "D") and text[1:].isdecimal():
         n = int(text[1:])
         if text[0] == "C":
             if n < 1:
@@ -199,42 +163,38 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
     return Subgroup(line, gens, frozenset(els))
 
 
-@lru_cache(maxsize=None)
-def _kinds_of_order(n: int) -> tuple[GroupKind, ...]:
-    """The named kinds of order n (every family but other), in recognition
-    order; cached, so recognize builds no kind but other."""
-    kinds = [GroupKind.cyclic(n)]
-    if n >= 4 and n % 2 == 0:
-        kinds.append(GroupKind.dihedral(n))
-    kinds.extend(k for k in (GroupKind.alt4(), GroupKind.sym4(), GroupKind.alt5())
-                 if k.order == n)
-    return tuple(kinds)
-
-
 def recognize(G: Subgroup) -> GroupKind:
-    """Isomorphism type of G: the first kind of order |G| whose element-order
-    tally equals G's, and other if none does.
+    """Isomorphism type of G from n = |G| and its element orders: C_n if
+    some element has order n, else D_n if at least n/2 elements are
+    involutions, else A4, S4 or A5 if n is 12, 24 or 60, else other.
 
-    The tally decides the type (Dickson, Linear Groups, 1901). A subgroup of
-    PGL(2, p) of order coprime to p is cyclic, dihedral, A4, S4 or A5, and
-    no two of these of one order share a tally: C_n has an element of order
-    n, and D_n (n >= 4) has at least n/2 involutions, which no other kind of
-    its order has. A subgroup of order divisible by p is C_p x| C_k with
-    k | p - 1 (cyclic for k = 1, dihedral for k = 2), PSL(2, p) or
-    PGL(2, p), and p = 2 gives only C_2 and PGL(2, 2) = D6. For k >= 3,
-    C_p x| C_k has no element of order pk and at most p < pk/2 involutions.
-    For p >= 3, PSL(2, p) has p(p -+ 1)/2 involutions and PGL(2, p) has p^2,
-    fewer than half their order, and neither has an element of its order.
-    So none of them has the tally of C_n or D_n, and of the orders 12, 24
-    and 60 they reach only 12 as PSL(2, 3) = A4, 24 as PGL(2, 3) = S4 and
-    60 as PSL(2, 5) = A5. The Klein four-group is reported as D4
-    (order-based dihedral naming).
+    The ladder is exact on subgroups of PGL(2, p) (Dickson, Linear Groups,
+    1901). One of order prime to p is cyclic, dihedral, A4, S4 or A5. Only
+    a cyclic group has an element of its order. D_n has at least n/2
+    involutions, while A4, S4 and A5 have 3, 9 and 15, fewer than half
+    their order. Odd orders have no involution and order 2 is cyclic, so
+    D_n comes only with even n >= 4; the Klein four-group, with no element
+    of order 4 and 3 involutions, is D4 (order-based dihedral naming). A
+    subgroup of order divisible by p is C_p x| C_k with k | p - 1 (cyclic
+    for k = 1, dihedral for k = 2), PSL(2, p) or PGL(2, p), and p = 2 gives
+    only C_2 and PGL(2, 2) = D6. For k >= 3, C_p x| C_k has no element of
+    order pk and at most p < pk/2 involutions, and pk <= p(p - 1) is never
+    12, 24 or 60, whose prime factors are at most 5. For p >= 3, PSL(2, p)
+    has p(p -+ 1)/2 involutions and PGL(2, p) has p^2, fewer than half
+    their order, and neither has an element of its order. So none of them
+    reaches the C_n or D_n rung, and of the orders 12, 24 and 60 they
+    reach only 12 as PSL(2, 3) = A4, 24 as PGL(2, 3) = S4 and 60 as
+    PSL(2, 5) = A5.
     """
     n = len(G)
-    tally = Counter(map(G.line.element_order, G.elements))
-    for kind in _kinds_of_order(n):
-        if kind.tally == tally:
-            return kind
+    orders = Counter(map(G.line.element_order, G.elements))
+    if orders[n]:
+        return GroupKind.cyclic(n)
+    if 2 * orders[2] >= n:
+        return GroupKind.dihedral(n)
+    for name, (order, _) in POLYHEDRAL.items():
+        if order == n:
+            return GroupKind(name, n)
     return GroupKind.other(n)
 
 

@@ -385,6 +385,8 @@ def test_h_with_other_letters_attached_is_an_error(argv):
       "--strategy", "exhaustive-cyclic"], EXIT_PASS),   # no kind need be C12
     (["search", "--p", "11", "--kind1", "C12", "--kind2", "D12",
       "--strategy", "scaling"], EXIT_INVALID),          # scaling keeps the kind
+    (["search", "--p", "11", "--kind1", "C²", "--kind2", "C12"],
+     EXIT_INVALID),                                     # a superscript order
 ])
 def test_exit_code_contract(argv, code, tmp_path):
     files = {"missing": tmp_path / "missing.json"}
@@ -395,10 +397,12 @@ def test_exit_code_contract(argv, code, tmp_path):
     not_utf8.write_bytes(b'\xff{"p": 11}')
     argv = [a.format(**files) for a in argv]
     missing, malformed = files["missing"], files["malformed"]
-    whole_stderr = {  # five of the lines that main's catch prints, pinned whole
+    whole_stderr = {  # six of the lines that main's catch prints, pinned whole
         ("verify-paper", "--p", "13"): "error: no reference data for p=13\n",
         ("search", "--p", "11", "--kind1", "C12", "--kind2", "D12", "--strategy",
          "scaling"): "error: scaling strategy needs kind1 == kind2\n",
+        ("search", "--p", "11", "--kind1", "C²", "--kind2", "C12"):
+            "error: unrecognized group kind 'C²'\n",
         ("check-pair", str(missing)): f"error: cannot read {missing}: [Errno "
                                       f"{errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
                                       f"'{missing}'\n",

@@ -3,7 +3,8 @@
 import pytest
 
 from conftest import all_subgroups, seeded_random_subgroups
-from galoispairs import GroupKind, case_subgroups, recognize
+from galoispairs import (GroupKind, case_subgroups, generate_closure,
+                         primitive_root, projective_line, recognize)
 from models import (candidate_models, cyclic_model, dihedral_model,
                     is_isomorphic, permutation_model, recognize_by_isomorphism)
 
@@ -84,10 +85,28 @@ def test_recognize_agrees_with_oracle_on_every_subgroup(p, count):
         assert recognize(G) == recognize_by_isomorphism(G)
 
 
-def test_tally_matches_models():
-    models = [permutation_model(name) for name in ("A4", "S4", "A5")]
-    models += [cyclic_model(n) for n in range(1, 61)]
-    models += [dihedral_model(n) for n in range(4, 61, 2)]
-    for model in models:
-        assert model.kind.tally == model.order_tally()
-    assert GroupKind.other(12).tally is None
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_recognize_agrees_with_oracle_on_borel_subgroups(p):
+    # C_p x| C_k for each k | p - 1: the translation u = (1, 1, 0, 1) of
+    # order p and the diagonal (g^((p-1)/k), 0, 0, 1) of order k, with g a
+    # primitive root. Only k = 1 and k = 2 are cyclic or dihedral
+    line, g = projective_line(p), primitive_root(p)
+    u = line.matrix([[1, 1], [0, 1]])
+    for k in range(1, p):
+        if (p - 1) % k:
+            continue
+        d = line.matrix([[pow(g, (p - 1) // k, p), 0], [0, 1]])
+        G = generate_closure(line, [u, d])
+        assert len(G) == p * k
+        want = {1: GroupKind.cyclic(p), 2: GroupKind.dihedral(2 * p)}.get(
+            k, GroupKind.other(p * k))
+        assert recognize(G) == recognize_by_isomorphism(G) == want
+
+
+def test_recognize_agrees_with_oracle_on_psl_2_7():
+    # PSL(2, 7) is the image of SL(2, 7) = <(1, 1, 0, 1), (0, -1, 1, 0)>
+    line = projective_line(7)
+    G = generate_closure(line, [line.matrix([[1, 1], [0, 1]]),
+                                line.matrix([[0, -1], [1, 0]])])
+    assert len(G) == 168
+    assert recognize(G) == recognize_by_isomorphism(G) == GroupKind.other(168)

@@ -4,20 +4,15 @@ GroupKind, PairCertificate, CurveParametrization, SearchConfig, CheckItem
 and VerificationReport are plain classes with __slots__. Each twin below
 is the record as a @dataclass(frozen=True), with the same methods; on
 random field values the two must agree on every output the package reads:
-str, tally and element orders, to_dict, to_json, to_text and the verdicts,
-and SearchConfig's validation. Only GroupKind is compared and hashed, so
-only it must keep value equality, hashing and immutability.
+str, to_dict, to_json, to_text and the verdicts, and SearchConfig's
+validation. Only GroupKind is compared and hashed, so only it must keep
+value equality, hashing and immutability.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, fields
-from functools import cached_property
-from math import gcd
-from types import MappingProxyType
-from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -34,24 +29,6 @@ from galoispairs.verify import CheckItem
 class TwinGroupKind:
     family: str
     order: int
-
-    @cached_property
-    def tally(self) -> Mapping[int, int] | None:
-        n = self.order
-        if self.family == "C":
-            tally = Counter(n // gcd(j, n) for j in range(n))
-        elif self.family == "D":
-            tally = Counter(TwinGroupKind("C", n // 2).tally)
-            tally[2] += n // 2
-        elif self.family == "A4":
-            tally = {1: 1, 2: 3, 3: 8}
-        elif self.family == "S4":
-            tally = {1: 1, 2: 9, 3: 8, 4: 6}
-        elif self.family == "A5":
-            tally = {1: 1, 2: 15, 3: 20, 5: 24}
-        else:
-            return None
-        return MappingProxyType(dict(tally))
 
     def __str__(self):
         if self.family in ("C", "D"):
@@ -198,7 +175,6 @@ def test_group_kind_matches_its_twin(a, b):
     kind, twin = GroupKind(*a), TwinGroupKind(*a)
     assert (kind.family, kind.order) == field_values(twin)
     assert str(kind) == str(twin)
-    assert kind.tally == twin.tally
     # equal fields: equal objects with the twin's hash, so sets and dicts of
     # kinds iterate as they did
     again = GroupKind(*a)

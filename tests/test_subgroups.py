@@ -225,6 +225,12 @@ def test_parse_kind():
     assert parse_kind("D60") == GroupKind.dihedral(60)
     assert str(parse_kind("D24")) == "D24"
     assert str(GroupKind.other(42)) == "Other(42)"
+    # any decimal digits int() reads, Arabic-Indic ones included
+    assert parse_kind("C\u0661\u0662") == GroupKind.cyclic(12)
     for bad in ("B7", "C0", "D7", "D2", "", "A6"):
         with pytest.raises(ValueError):
+            parse_kind(bad)
+    # superscripts are digits but not decimal: int() cannot read them
+    for bad in ("C²", "D¹²"):
+        with pytest.raises(ValueError, match="unrecognized group kind"):
             parse_kind(bad)
