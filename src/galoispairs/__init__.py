@@ -12,7 +12,7 @@ from .criterion import (PairCertificate, check_pair, check_pair_all_basepoints,
                         reverify, subgroups_from_dict)
 from .errors import (ClosureCapExceeded, DegenerateInvariant, EvaluationAtPole,
                      GaloisPairsError, IrregularOrbit, ModulusMismatch,
-                     NotFound, ResultantVanishes, SingularMatrix, UnknownCase)
+                     ResultantVanishes, SingularMatrix, UnknownCase)
 from .field import is_prime, primitive_root
 from .implicitize import implicit_degree
 from .polys import INFINITY, Poly, RationalFunction

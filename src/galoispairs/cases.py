@@ -1,10 +1,11 @@
 """Bundled reference cases for characteristics 11, 23 and 59.
 
-The entry point is case_subgroups(p, label): the closed subgroup pair of
-case (p, label), label "a", "b" or "c". prime_table(p) holds the generator
-matrices, block systems and printed class lists behind it, and under
-"groups" the four groups G1, G2, G3, G4, each built once per process:
-G4 is G1 conjugated by c, so it needs no closure of its own.
+prime_table(p) holds the generator matrices, block systems and printed
+class lists of characteristic p, and under "groups" the four groups G1, G2,
+G3, G4, each built once per process: G4 is G1 conjugated by c, so it needs
+no closure of its own. verify reads prime_table directly;
+case_subgroups(p, label), the closed subgroup pair of case (p, label),
+label "a", "b" or "c", is the accessor for library callers and tests.
 
 Generator letters used throughout the tables and the verification harness:
 

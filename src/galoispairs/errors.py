@@ -21,10 +21,6 @@ class UnknownCase(GaloisPairsError):
     """No bundled reference case for the requested prime/label."""
 
 
-class NotFound(GaloisPairsError):
-    """A deterministic scan was exhausted without a hit."""
-
-
 class DegenerateInvariant(GaloisPairsError):
     """No orbit-product coefficient reached the full invariant degree."""
 

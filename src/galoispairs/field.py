@@ -11,18 +11,7 @@ from __future__ import annotations
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division test; adequate for moduli below 2**31."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:

@@ -26,6 +26,12 @@ above k. The gcd equals k, and the result is exact, whenever
 p + 1 > (d - 1)(d - 2). Below that bound every rational parameter can lie
 over a singular point, and the result is then a lower bound: at p = 5, a
 map of degree 2 onto a quartic can have all six rational fibers of size 4.
+Every curve of emit_parametrization at p >= 3 lies below it, and there the
+scan can fail. d = p + 1, so the polar orbit is all of P^1(F_p) and every
+rational parameter maps to the line at infinity D = 0; where those points
+coincide in pairs, the scan reads d/2 for a birational map. It does so on
+the C6 self-pair of search --p 5 --kind1 C6 --kind2 C6, which reads 3, not
+6. An exact count needs fibers over F_{p^m}.
 """
 
 from __future__ import annotations

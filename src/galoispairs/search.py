@@ -9,12 +9,14 @@ three visiting orders of B:
   elements visited;
   random draws b uniformly from random.Random(seed), repeats allowed, and
   `limit` counts the draws;
-  scaling visits the diagonals diag(c, 1) = (c, 0, 0, 1) for c = 2, 3, ...
-  in turn, and `limit` counts every scalar, but it skips those that
-  find_scaling_conjugates rejects, since their conjugate meets G1.
+  scaling visits the diagonals diag(c, 1) = (c, 0, 0, 1) for
+  c = 2, ..., p - 1 in turn, and `limit` counts the scalars visited.
 Every strategy builds its groups from the kinds alone: G1 is the
 transitive group of kind1 and G2 the one of kind2 (_transitive_group), so
-scaling, which needs kind1 = kind2, walks from G1 = G2.
+scaling, which needs kind1 = kind2, walks from G1 = G2. No visit is
+screened: G1 = G2 is regular of order p + 1, so a diagonal conjugate
+passes if and only if it meets G1 trivially, and check_pair_all_basepoints
+rejects the others itself.
 
 Why B suffices. For transitive G1, PGL(2, p) = B·G1: an x sends (0:1) to
 (0:1)·g for some g in G1, so x g^-1 fixes (0:1). For x = bg, the pair
@@ -47,7 +49,6 @@ from itertools import chain, islice
 from typing import Iterator
 
 from .criterion import PairCertificate, check_pair_all_basepoints
-from .errors import NotFound
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
 from .subgroups import (POLYHEDRAL, GroupKind, Subgroup, _conjugator, conjugate,
                         generate_closure, orbit, recognize)
@@ -59,7 +60,7 @@ class SearchConfig:
     """Validated search parameters, from whose kinds alone every strategy
     builds its groups: p must be prime, the kinds share one order, scaling
     needs kind1 == kind2 (conjugation keeps the kind), and limit counts the
-    elements of B visited (scalars for scaling)."""
+    elements of B visited."""
 
     __slots__ = ("p", "kind1", "kind2", "strategy", "seed", "limit")
 
@@ -152,28 +153,33 @@ def find_scaling_conjugates(G: Subgroup) -> list[int]:
     return [c for c in range(2, p) if c not in bad]
 
 
-def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
-    """First cyclic subgroup of order p+1 in scan order; it acts regularly.
+def _singer(line: ProjectiveLine) -> ProjectiveMatrix:
+    """The first class (0, 1, c, d) of order p+1, in lexicographic order.
+    These classes open canonical order, and the first class of order p+1
+    lies among them: a non-identity class has the order of its
+    tau = tr^2/det (ProjectiveLine.element_order), their tau = -d^2/c takes
+    every nonzero value (d = 1, c = -1/tau), and tau = 0 has order 2 < p+1.
+    """
+    p = line.p
+    block = (ProjectiveMatrix(0, 1, c, d) for c in range(1, p) for d in range(p))
+    return next(M for M in block if line.element_order(M) == p + 1)
 
-    Scans the classes (0, 1, c, d) lexicographically for an element of order
-    p+1; transitivity is asserted, never assumed. They are the first block
-    of lexicographic canonical order, and the first class of order p+1 lies
-    in it: a non-identity class has the order of its tau = tr^2/det
-    (ProjectiveLine.element_order), the block's tau = -d^2/c takes every
-    nonzero value (d = 1, c = -1/tau), and tau = 0 has order 2 < p+1.
+
+def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
+    """<r> for the first class r of order p+1 in scan order (_singer); it
+    acts regularly on the p+1 points.
+
+    The regularity lemma. By ProjectiveLine._class_order, split classes
+    have orders dividing p - 1 and parabolic classes have order p. Neither
+    is divisible by p + 1, so r has conjugate eigenvalues lambda, lambda^p
+    outside F_p. For 0 < j < p + 1, lambda^j lies outside F_p too:
+    otherwise lambda^pj = lambda^j, and r^j would be scalar. So r^j has no
+    rational eigenvector and fixes no rational point. Hence <r> acts
+    freely, and so regularly, on the p + 1 points.
     """
     if isinstance(line, int):
         line = projective_line(line)
-    target = line.p + 1
-    full = frozenset(line.points())
-    for c in range(1, line.p):
-        for d in range(line.p):
-            M = ProjectiveMatrix(0, 1, c, d)
-            if line.element_order(M) == target:
-                G = generate_closure(line, [M], cap=target)
-                if orbit(G, line.points()[0]) == full:
-                    return G
-    raise NotFound(f"no regular cyclic subgroup of order {target} found (p={line.p})")
+    return generate_closure(line, [_singer(line)], cap=line.p + 1)
 
 
 def _tau_classes(line: ProjectiveLine, tau: int) -> Iterator[ProjectiveMatrix]:
@@ -220,23 +226,23 @@ def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
     """A transitive subgroup of `kind`, built from the kind alone; None when
     |kind| != p + 1, since then no pair passes (the order lemma).
 
-    C_{p+1} is find_cyclic_regular's <r>. For D_{p+1}, r = (0, 1, c, d)
-    and s = (1, 0, d, -1) satisfy s r s = r^-1, and of <r^2, s> and
-    <r^2, s r> the first transitive one is taken. A4, S4 and A5 are <a, b>
-    for the first a of order 2 (tau = 0) and b of order 3 (tau = 1) in
-    lexicographic order (_tau_classes) with ab of order k = 3, 4 or 5:
-    <a, b | a^2 = b^3 = (ab)^k = 1> is A4, S4 or A5 (Coxeter and Moser,
-    1957), and no proper quotient of it has elements of orders 2, 3 and k.
-    The kind and transitivity are asserted.
+    C_{p+1} is find_cyclic_regular's <_singer(line)>. For D_{p+1},
+    r = _singer(line) = (0, 1, c, d) and s = (1, 0, d, -1) satisfy
+    s r s = r^-1, and of <r^2, s> and <r^2, s r> the first transitive one
+    is taken. A4, S4 and A5 are <a, b> for the first a of order 2 (tau = 0)
+    and b of order 3 (tau = 1) in lexicographic order (_tau_classes) with
+    ab of order k = 3, 4 or 5: <a, b | a^2 = b^3 = (ab)^k = 1> is A4, S4 or
+    A5 (Coxeter and Moser, 1957), and no proper quotient of it has elements
+    of orders 2, 3 and k. The kind and transitivity are asserted.
     """
     p = line.p
     if kind.order != p + 1:
         return None
     if kind.family == "C":
-        return find_cyclic_regular(line)  # regular by its own orbit check
+        return find_cyclic_regular(line)  # regular by its lemma
     base = line.points()[0]
     if kind.family == "D":
-        (r,) = find_cyclic_regular(line).generators
+        r = _singer(line)
         r2 = line.compose(r, r)
         s = line.matrix([[1, 0], [r.d, -1]])
         for t in (s, line.compose(s, r)):
@@ -265,8 +271,8 @@ def run_search(cfg: SearchConfig) -> PairCertificate | None:
     if G1 is None or G2 is None:
         return None
     p = cfg.p
-    if cfg.strategy == "scaling":  # b = diag(c, 1); the limit counts c = 2, 3, ...
-        visits = ((c - 1) * p for c in find_scaling_conjugates(G1) if c <= cfg.limit + 1)
+    if cfg.strategy == "scaling":  # b = diag(c, 1) for c = 2, ..., p - 1
+        visits = range(p, min(cfg.limit, p - 2) * p + 1, p)
     elif cfg.strategy == "random":
         draw = random.Random(cfg.seed).randrange
         visits = (draw(p * (p - 1)) for _ in range(cfg.limit))

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galoispairs import (CurveParametrization, Poly,
-                         ResultantVanishes, case_subgroups, check_pair,
-                         emit_parametrization, implicit_degree)
+from galoispairs import (CurveParametrization, Poly, ResultantVanishes,
+                         SearchConfig, case_subgroups, check_pair,
+                         emit_parametrization, implicit_degree, parse_kind,
+                         run_search)
 
 REFERENCE_CASES = [(p, label) for p in (11, 23, 59) for label in "abc"]
 
@@ -47,14 +48,17 @@ def test_implicit_degree_reference_cases(p, label):
     assert implicit_degree(param) == param.degree == p + 1
 
 
-@pytest.mark.parametrize("label", "abc")
-def test_resultant_oracle_at_11(label):
-    # Res_t(A - x D, B - y D) over ZZ[x, y], reduced mod 11, is a constant
-    # times (image equation)^(map degree). A squarefree line slice of full
-    # degree 12 shows the power is 1, so the image has degree 12. The sign
-    # fault of sympy.resultant (odd degrees, deg f < deg g) is immaterial.
+def resultant_image_degree(param):
+    """The degree of a birational image by the sympy resultant, or None.
+
+    Res_t(A - x D, B - y D) over ZZ[x, y], reduced mod p, is a constant
+    times (image equation)^(map degree). A squarefree line slice of the
+    resultant's full degree shows the power is 1, and then that degree is
+    the image's. The sign fault of sympy.resultant (odd degrees,
+    deg f < deg g) is immaterial.
+    """
     sympy = pytest.importorskip("sympy")
-    param = reference_parametrization(11, label)
+    p = param.p
     t, x, y = sympy.symbols("t x y")
 
     def to_sympy(poly):
@@ -62,15 +66,41 @@ def test_resultant_oracle_at_11(label):
 
     f = to_sympy(param.A) - x * to_sympy(param.D)
     g = to_sympy(param.B) - y * to_sympy(param.D)
-    R = sympy.Poly(sympy.resultant(f, g, t), x, y, modulus=11)
-    assert R.total_degree() == 12
-    for c, e in itertools.product(range(11), repeat=2):
-        s = sympy.Poly(R.as_expr().subs(y, c * x + e), x, modulus=11)
-        if s.degree() == 12 and all(m == 1 for _, m in s.sqf_list()[1]):
-            break
-    else:
-        pytest.fail("no squarefree line slice of degree 12")
+    R = sympy.Poly(sympy.resultant(f, g, t), x, y, modulus=p)
+    n = R.total_degree()
+    for c, e in itertools.product(range(p), repeat=2):
+        s = sympy.Poly(R.as_expr().subs(y, c * x + e), x, modulus=p)
+        if s.degree() == n and all(m == 1 for _, m in s.sqf_list()[1]):
+            return n
+    return None
+
+
+@pytest.mark.parametrize("label", "abc")
+def test_resultant_oracle_at_11(label):
+    param = reference_parametrization(11, label)
+    assert resultant_image_degree(param) == 12
     assert implicit_degree(param) == 12
+
+
+def c6_self_pair_at_5():
+    """The curve of search --p 5 --kind1 C6 --kind2 C6 --strategy
+    exhaustive-cyclic; D = t^5 - t vanishes at every rational parameter, so
+    all six rational fibers lie over the line at infinity."""
+    kind = parse_kind("C6")
+    cert = run_search(SearchConfig(5, kind, kind, "exhaustive-cyclic"))
+    return emit_parametrization(cert)
+
+
+def test_resultant_oracle_reads_degree_6_on_the_c6_self_pair_at_5():
+    param = c6_self_pair_at_5()
+    assert param.degree == 6
+    assert resultant_image_degree(param) == 6
+
+
+@pytest.mark.xfail(strict=True, reason="the six rational fibers lie over three points "
+                   "at infinity, two each, so the fiber scan reads d/2 = 3")
+def test_implicit_degree_reads_degree_6_on_the_c6_self_pair_at_5():
+    assert implicit_degree(c6_self_pair_at_5()) == 6
 
 
 def test_resultant_vanishes_on_shared_factor():

@@ -469,8 +469,8 @@ def test_scaling_search_matches_the_reference_loop(case, seed, limit):
                                     (59, "D60")])
 def test_scaling_search_counts_rejected_scalars_against_the_limit(p, kind):
     # these base groups meet their conjugate at c = 2 (the first kept
-    # scalar is 5, 3, 4, 3 and 3), so the limit must count the scalars that
-    # find_scaling_conjugates leaves out
+    # scalar is 5, 3, 4, 3 and 3); the walk visits those scalars too, so the
+    # limit counts every scalar walked, the rejected ones included
     kind = parse_kind(kind)
     first = find_scaling_conjugates(_transitive_group(projective_line(p), kind))[0]
     assert first > 2
@@ -481,6 +481,38 @@ def test_scaling_search_counts_rejected_scalars_against_the_limit(p, kind):
         assert (got and got.to_json()) == (want and want.to_json()), limit
         found.append(got is not None)
     assert not found[0] and found[-1]
+
+
+# searches that find none: nothing in B passes for these kinds at p = 2
+# and 3, and no scalar passes for D6 at p = 5
+FINDS_NONE = [("exhaustive-cyclic", 2, "C3", "C3"), ("exhaustive-cyclic", 3, "C4", "D4"),
+              ("exhaustive-cyclic", 3, "D4", "D4"), ("random", 3, "D4", "C4"),
+              ("random", 3, "D4", "D4"), ("scaling", 2, "C3", "C3"),
+              ("scaling", 3, "D4", "D4"), ("scaling", 5, "D6", "D6")]
+
+
+def test_limit_counts_the_conjugates_visited_in_every_order(monkeypatch):
+    calls = []
+
+    def counted(G1, G2):
+        calls.append(G2)
+        return check_pair_all_basepoints(G1, G2)
+
+    monkeypatch.setattr("galoispairs.search.check_pair_all_basepoints", counted)
+    for strategy, p, kind1, kind2 in FINDS_NONE:
+        most = {"exhaustive-cyclic": p * (p - 1), "random": None, "scaling": p - 2}[strategy]
+        for limit in (1, 2, 3, 5, 8, 40):
+            calls.clear()
+            cfg = SearchConfig(p, parse_kind(kind1), parse_kind(kind2), strategy, 0, limit)
+            assert run_search(cfg) is None, (strategy, p, kind1, kind2, limit)
+            want = limit if most is None else min(limit, most)
+            assert len(calls) == want, (strategy, p, kind1, kind2, limit)
+    # D12 at p = 11: the scalars c = 2, 3 and 4 meet G1, and c = 5 passes
+    kind = parse_kind("D12")
+    for limit, found in ((3, False), (4, True), (9, True)):
+        calls.clear()
+        cert = run_search(SearchConfig(11, kind, kind, "scaling", 0, limit))
+        assert (cert is not None, len(calls)) == (found, min(limit, 4)), limit
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
