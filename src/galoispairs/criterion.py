@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+from .errors import ModulusOutOfRange
 from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
                         orbit_labels, recognize)
@@ -158,10 +159,10 @@ def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]
     {"g1": {"generators": [...]}, ...} (pair input document). reverify, and
     with it the CLI, makes these checks in this order before any group is
     closed; the first that fails raises a ValueError naming it:
-    the document is an object; it has the fields p, g1 and g2; p is a
-    prime int; g1, then g2, holds a non-empty list of generators, each
-    [[a, b], [c, d]] with int entries; the base point, if given, is [s, t]
-    with int entries, not both divisible by p.
+    the document is an object; it has the fields p, g1 and g2; p is an
+    int below 2**31, then a prime; g1, then g2, holds a non-empty list of
+    generators, each [[a, b], [c, d]] with int entries; the base point, if
+    given, is [s, t] with int entries, not both divisible by p.
     """
     if not isinstance(doc, dict):
         raise ValueError("top-level value must be an object")
@@ -172,6 +173,8 @@ def subgroups_from_dict(doc: dict) -> tuple[Subgroup, Subgroup, ProjectivePoint]
         if not isinstance(doc["p"], int):
             raise ValueError
         line = projective_line(doc["p"])  # raises ValueError unless p is prime
+    except ModulusOutOfRange:
+        raise ValueError("field 'p' must be below 2**31") from None
     except ValueError:
         raise ValueError("field 'p' must be a prime integer") from None
     gens = {}

@@ -9,6 +9,10 @@ class SingularMatrix(GaloisPairsError):
     """A 2x2 matrix with zero determinant cannot represent a PGL(2) class."""
 
 
+class ModulusOutOfRange(GaloisPairsError, ValueError):
+    """A modulus p >= 2**31, rejected before any primality test."""
+
+
 class ModulusMismatch(GaloisPairsError):
     """Operands live over different prime fields."""
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .errors import SingularMatrix
+from .errors import ModulusOutOfRange, SingularMatrix
 from .field import is_prime, prime_factors
 
 
@@ -43,10 +43,13 @@ class ProjectiveLine:
     """P^1(F_p) together with the right action of PGL(2, F_p)."""
 
     def __init__(self, p: int):
+        if p >= 2 ** 31:  # before is_prime's trial division and any O(p) table
+            raise ModulusOutOfRange(f"p={p} is not below 2**31")
         if not is_prime(p):
-            raise ValueError(f"modulus {p} is not prime")
+            raise ValueError(f"p={p} is not prime")
         self.p = p
         self._points: tuple[ProjectivePoint, ...] | None = None
+        self._inverses: list[int] | None = None
         self._orders: dict[int, int] = {}  # tau = tr^2/det -> class order
 
     def __eq__(self, other):
@@ -103,6 +106,16 @@ class ProjectiveLine:
             pts.extend(ProjectivePoint(1, t) for t in range(self.p))
             self._points = tuple(pts)
         return self._points
+
+    def inverses(self) -> list[int]:
+        """x -> 1/x mod p for x = 0..p-1, with 0 -> 0, from the recurrence
+        1/x = -(p // x) / (p % x): O(p), no pow."""
+        p = self.p
+        if self._inverses is None:
+            inv = self._inverses = [0, 1][:p]
+            for x in range(2, p):
+                inv.append(-(p // x) * inv[p % x] % p)
+        return self._inverses
 
     # -- operations -----------------------------------------------------
 

@@ -58,18 +58,15 @@ STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
 class SearchConfig:
     """Validated search parameters, from whose kinds alone every strategy
-    builds its groups: p must be prime, the kinds share one order, scaling
-    needs kind1 == kind2 (conjugation keeps the kind), and limit counts the
-    elements of B visited."""
+    builds its groups: p must be a prime below 2**31, the kinds share one
+    order, scaling needs kind1 == kind2 (conjugation keeps the kind), and
+    limit counts the elements of B visited."""
 
     __slots__ = ("p", "kind1", "kind2", "strategy", "seed", "limit")
 
     def __init__(self, p: int, kind1: GroupKind, kind2: GroupKind,
                  strategy: str = "random", seed: int = 0, limit: int = 1000):
-        try:
-            projective_line(p)  # raises ValueError unless p is prime
-        except ValueError:
-            raise ValueError(f"p={p} is not prime") from None
+        projective_line(p)  # raises ValueError unless p is a prime below 2**31
         if limit < 1:
             raise ValueError("limit must be >= 1")
         if strategy not in STRATEGIES:
@@ -159,9 +156,18 @@ def _singer(line: ProjectiveLine) -> ProjectiveMatrix:
     lies among them: a non-identity class has the order of its
     tau = tr^2/det (ProjectiveLine.element_order), their tau = -d^2/c takes
     every nonzero value (d = 1, c = -1/tau), and tau = 0 has order 2 < p+1.
+
+    For odd p the rows c in which -c is a square are skipped: their tau are
+    0 or squares, and a class of order p + 1 has a non-square tau. Proof:
+    tau = mu^2 + 2 + mu^-2 = (mu + 1/mu)^2 for an eigenvalue ratio
+    lambda = mu^2 of order p + 1 (_class_order), so mu has order 2(p + 1),
+    mu^(p+1) = -1 and (mu + 1/mu)^p = -(mu + 1/mu). Were mu + 1/mu in F_p it
+    would be 0, and tau = 0 has order 2. So neither square root of tau lies
+    in F_p, and the first class found is the one the full scan finds.
     """
     p = line.p
-    block = (ProjectiveMatrix(0, 1, c, d) for c in range(1, p) for d in range(p))
+    rows = (c for c in range(1, p) if p == 2 or pow(-c % p, (p - 1) // 2, p) != 1)
+    block = (ProjectiveMatrix(0, 1, c, d) for c in rows for d in range(p))
     return next(M for M in block if line.element_order(M) == p + 1)
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ClosureCapExceeded, ModulusMismatch
@@ -164,9 +164,17 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
 
 
 def recognize(G: Subgroup) -> GroupKind:
-    """Isomorphism type of G from n = |G| and its element orders: C_n if
-    some element has order n, else D_n if at least n/2 elements are
-    involutions, else A4, S4 or A5 if n is 12, 24 or 60, else other.
+    """Isomorphism type of G from n = |G|, its involutions and at most a few
+    element orders: C_n if some element has order n, else D_n if at least
+    n/2 elements are involutions, else A4, S4 or A5 if n is 12, 24 or 60,
+    else other.
+
+    The involutions are the non-identity classes of trace 0, read with no
+    element order: by ProjectiveLine._class_order the classes of order 2
+    are those of tau = tr^2/det = 0 (lambda = -1 for odd p, the parabolic
+    tau = 0 = 4 for p = 2). A cyclic group has at most one involution, so
+    only with at most one is an element of order n sought, among
+    G.generators first, where this package's groups keep it, then in G.
 
     The ladder is exact on subgroups of PGL(2, p) (Dickson, Linear Groups,
     1901). One of order prime to p is cyclic, dihedral, A4, S4 or A5. Only
@@ -186,11 +194,14 @@ def recognize(G: Subgroup) -> GroupKind:
     reach only 12 as PSL(2, 3) = A4, 24 as PGL(2, 3) = S4 and 60 as
     PSL(2, 5) = A5.
     """
-    n = len(G)
-    orders = Counter(map(G.line.element_order, G.elements))
-    if orders[n]:
+    n, line = len(G), G.line
+    p = line.p
+    # at p = 2 the identity has trace 2 = 0 too
+    involutions = sum(1 for a, _, _, d in G.elements if (a + d) % p == 0) - (p == 2)
+    if involutions < 2 and any(line.element_order(A) == n
+                               for A in chain(G.generators, G.elements)):
         return GroupKind.cyclic(n)
-    if 2 * orders[2] >= n:
+    if 2 * involutions >= n:
         return GroupKind.dihedral(n)
     for name, (order, _) in POLYHEDRAL.items():
         if order == n:
@@ -249,26 +260,32 @@ def orbit(G: Subgroup, Q: ProjectivePoint) -> frozenset[ProjectivePoint]:
 def orbit_labels(G: Subgroup) -> list[int]:
     """The G-orbit of every point, indexed like line.points().
 
-    Two points share a label iff they share an orbit. Built by union-find
-    over the point permutations of G.generators, in O(p * |generators|).
+    Two points share a label, the least index in their orbit, iff they
+    share an orbit. The orbits are the connected parts of the graph with an
+    edge i -> i·A for each generator A, as G is finite. Each generator is
+    read once as a list of point indices, (0:1) at 0 and (1:t) at t + 1:
+    the row action sends (1:t) to (1:(b + td)/(a + tc)), or to (0:1) where
+    a + tc = 0, and (0:1) to (1:d/c), or to itself where c = 0. With the
+    inverses of line.inverses(), this costs O(p * |generators|).
     """
     line = G.line
-    points = line.points()
-    parent = list(range(len(points)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for A in G.generators:
-        for i, Q in enumerate(points):
-            R = line.apply(Q, A)  # (0:1) has index 0 and (1:t) index t + 1
-            ri, rj = find(i), find(R.t + 1 if R.s else 0)
-            if ri != rj:
-                parent[ri] = rj
-    return [find(i) for i in range(len(parent))]
+    p, inv = line.p, line.inverses()
+    perms = [[d * inv[c] % p + 1 if c else 0]
+             + [(b + t * d) * inv[u] % p + 1 if (u := (a + t * c) % p) else 0
+                for t in range(p)] for a, b, c, d in G.generators]
+    labels = [-1] * (p + 1)
+    for i in range(p + 1):
+        if labels[i] < 0:
+            labels[i] = i
+            stack = [i]
+            while stack:
+                j = stack.pop()
+                for perm in perms:
+                    k = perm[j]
+                    if labels[k] < 0:
+                        labels[k] = i
+                        stack.append(k)
+    return labels
 
 
 def _check_point(line: ProjectiveLine, Q: ProjectivePoint) -> ProjectivePoint:

@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import io
 import random
+from collections import Counter
 from functools import lru_cache
 from typing import Iterator
 
@@ -43,6 +44,21 @@ def iterated_order(line: ProjectiveLine, A: ProjectiveMatrix) -> int:
         n += 1
         assert n <= line.p ** 3 - line.p, "order exceeded |PGL(2, p)|"
     return n
+
+
+def recognize_by_element_orders(G: Subgroup) -> GroupKind:
+    """Oracle for subgroups.recognize: the ladder over the order of every
+    element. C_n if some element has order n, else D_n if at least n/2
+    elements have order 2, else A4, S4 or A5 if n is 12, 24 or 60, else
+    other."""
+    n = len(G)
+    orders = Counter(map(G.line.element_order, G.elements))
+    if orders[n]:
+        return GroupKind.cyclic(n)
+    if 2 * orders[2] >= n:
+        return GroupKind.dihedral(n)
+    return {12: GroupKind.alt4(), 24: GroupKind.sym4(),
+            60: GroupKind.alt5()}.get(n, GroupKind.other(n))
 
 
 def canonical_matrices(p: int) -> Iterator[ProjectiveMatrix]:

@@ -387,6 +387,12 @@ def test_h_with_other_letters_attached_is_an_error(argv):
       "--strategy", "scaling"], EXIT_INVALID),          # scaling keeps the kind
     (["search", "--p", "11", "--kind1", "C²", "--kind2", "C12"],
      EXIT_INVALID),                                     # a superscript order
+    # p is bounded before is_prime runs, which took minutes on this p
+    (["search", "--p", "2000000000000000018", "--kind1", "C3", "--kind2", "C3"],
+     EXIT_INVALID),
+    (["search", "--p", "2147483647", "--kind1", "C3", "--kind2", "C3"],
+     EXIT_EXHAUSTED),                                   # the largest prime taken
+    (["check-pair", "{huge_p}"], EXIT_INVALID),
 ])
 def test_exit_code_contract(argv, code, tmp_path):
     files = {"missing": tmp_path / "missing.json"}
@@ -397,7 +403,7 @@ def test_exit_code_contract(argv, code, tmp_path):
     not_utf8.write_bytes(b'\xff{"p": 11}')
     argv = [a.format(**files) for a in argv]
     missing, malformed = files["missing"], files["malformed"]
-    whole_stderr = {  # six of the lines that main's catch prints, pinned whole
+    whole_stderr = {  # eight of the lines that main's catch prints, pinned whole
         ("verify-paper", "--p", "13"): "error: no reference data for p=13\n",
         ("search", "--p", "11", "--kind1", "C12", "--kind2", "D12", "--strategy",
          "scaling"): "error: scaling strategy needs kind1 == kind2\n",
@@ -410,6 +416,10 @@ def test_exit_code_contract(argv, code, tmp_path):
                                         "column 17\n",
         ("check-pair", str(not_utf8)): f"error: {not_utf8}: 'utf-8' codec can't decode "
                                        "byte 0xff in position 0: invalid start byte\n",
+        ("search", "--p", "2000000000000000018", "--kind1", "C3", "--kind2", "C3"):
+            "error: p=2000000000000000018 is not below 2**31\n",
+        ("check-pair", str(files["huge_p"])):
+            f"error: {files['huge_p']}: field 'p' must be below 2**31\n",
     }
     rc, out, err = run_main(argv)
     assert rc == code
@@ -418,6 +428,8 @@ def test_exit_code_contract(argv, code, tmp_path):
         assert err == whole_stderr.get(tuple(argv), err)
     elif "--help" in argv:
         assert err == "" and out.startswith("usage: galois-pairs")
+    elif code == EXIT_EXHAUSTED:
+        assert (out, err) == ("none\n", "")
     else:  # a search that finds a pair prints its certificate
         assert err == "" and json.loads(out)["verdict"] == "pass"
 
@@ -443,6 +455,8 @@ BAD_DOCUMENTS = {
     "missing_field": f'{{"p": 11, "g1": [{GOOD_GENERATOR}]}}',
     "float_p": f'{{"p": 11.9, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}]}}',
     "composite_p": f'{{"p": 12, "g1": [{GOOD_GENERATOR}], "g2": [{GOOD_GENERATOR}]}}',
+    "huge_p": f'{{"p": 2000000000000000018, "g1": [{GOOD_GENERATOR}], '
+              f'"g2": [{GOOD_GENERATOR}]}}',
 }
 
 
@@ -462,6 +476,7 @@ POINT_ENTRIES = "base_point must be [s, t]; entries must be integers"
     ("missing_field", "missing required field 'g2'"),
     ("float_p", "field 'p' must be a prime integer"),
     ("composite_p", "field 'p' must be a prime integer"),
+    ("huge_p", "field 'p' must be below 2**31"),
 ])
 @pytest.mark.parametrize("command", ["check-pair", "emit-curve"])
 def test_bad_document_entries_are_named(command, name, message, tmp_path):

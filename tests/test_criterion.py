@@ -127,6 +127,8 @@ GOOD = [[[1, 1], [0, 1]]]
     ({"p": 11, "g1": GOOD}, "missing required field 'g2'"),
     *[({"p": p, "g1": GOOD, "g2": GOOD}, "field 'p' must be a prime integer")
       for p in (11.9, "11", True, 12)],
+    *[({"p": p, "g1": GOOD, "g2": GOOD}, "field 'p' must be below 2**31")
+      for p in (2 ** 31, 2000000000000000018)],
 ])
 def test_reverify_names_a_bad_entry(doc, message):
     for call in (reverify, subgroups_from_dict):

@@ -8,6 +8,7 @@ from galoispairs import (GroupKind, ProjectiveLine, ProjectiveMatrix,
                          projective_line, run_search, subgroups_from_dict)
 from galoispairs import criterion, projline, search
 from galoispairs.cases import prime_table
+from galoispairs.errors import ModulusOutOfRange
 from galoispairs.field import prime_factors
 
 
@@ -235,6 +236,23 @@ def test_right_action_law_exhaustive_small():
     # full law over every pair of classes and every point
     stats = exhaustive_projline_checks(5)
     assert stats["pairs"] == 120 ** 2
+
+
+def test_a_modulus_of_2_31_or_more_is_rejected_before_the_primality_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(projline, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for p in (2 ** 31, 2 ** 31 + 11, 2000000000000000018):
+        with pytest.raises(ModulusOutOfRange, match=r"is not below 2\*\*31"):
+            ProjectiveLine(p)
+    assert calls == []
+    assert ProjectiveLine(2 ** 31 - 1).p == 2 ** 31 - 1  # the largest prime taken
+    assert calls == [2 ** 31 - 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 11, 401])
+def test_inverses_table(p):
+    inv = ProjectiveLine(p).inverses()
+    assert inv == [0] + [pow(x, -1, p) for x in range(1, p)]
 
 
 def test_building_the_line_is_the_one_primality_test(monkeypatch):

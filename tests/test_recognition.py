@@ -2,9 +2,11 @@
 
 import pytest
 
-from conftest import all_subgroups, seeded_random_subgroups
-from galoispairs import (GroupKind, case_subgroups, generate_closure,
-                         primitive_root, projective_line, recognize)
+from conftest import all_subgroups, recognize_by_element_orders, seeded_random_subgroups
+from galoispairs import (GroupKind, ProjectiveLine, case_subgroups,
+                         find_cyclic_regular, generate_closure, primitive_root,
+                         projective_line, recognize)
+from galoispairs.search import _transitive_group
 from models import (candidate_models, cyclic_model, dihedral_model,
                     is_isomorphic, permutation_model, recognize_by_isomorphism)
 
@@ -82,14 +84,17 @@ def test_recognize_agrees_with_oracle_on_every_subgroup(p, count):
     subgroups = all_subgroups(p)
     assert len(subgroups) == count
     for G in subgroups:
-        assert recognize(G) == recognize_by_isomorphism(G)
+        assert (recognize(G) == recognize_by_element_orders(G)
+                == recognize_by_isomorphism(G))
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_recognize_agrees_with_oracle_on_borel_subgroups(p):
     # C_p x| C_k for each k | p - 1: the translation u = (1, 1, 0, 1) of
     # order p and the diagonal (g^((p-1)/k), 0, 0, 1) of order k, with g a
-    # primitive root. Only k = 1 and k = 2 are cyclic or dihedral
+    # primitive root. Only k = 1 and k = 2 are cyclic or dihedral; with odd k
+    # there is no involution, so recognize seeks an element of order pk in all
+    # of the group
     line, g = projective_line(p), primitive_root(p)
     u = line.matrix([[1, 1], [0, 1]])
     for k in range(1, p):
@@ -100,7 +105,8 @@ def test_recognize_agrees_with_oracle_on_borel_subgroups(p):
         assert len(G) == p * k
         want = {1: GroupKind.cyclic(p), 2: GroupKind.dihedral(2 * p)}.get(
             k, GroupKind.other(p * k))
-        assert recognize(G) == recognize_by_isomorphism(G) == want
+        assert (recognize(G) == recognize_by_element_orders(G)
+                == recognize_by_isomorphism(G) == want)
 
 
 def test_recognize_agrees_with_oracle_on_psl_2_7():
@@ -109,4 +115,33 @@ def test_recognize_agrees_with_oracle_on_psl_2_7():
     G = generate_closure(line, [line.matrix([[1, 1], [0, 1]]),
                                 line.matrix([[0, -1], [1, 0]])])
     assert len(G) == 168
-    assert recognize(G) == recognize_by_isomorphism(G) == GroupKind.other(168)
+    assert (recognize(G) == recognize_by_element_orders(G)
+            == recognize_by_isomorphism(G) == GroupKind.other(168))
+
+
+def count_element_orders(monkeypatch):
+    calls = []
+    element_order = ProjectiveLine.element_order
+
+    def counted(self, A):
+        calls.append(A)
+        return element_order(self, A)
+
+    monkeypatch.setattr(ProjectiveLine, "element_order", counted)
+    return calls
+
+
+def test_recognize_reads_one_order_on_the_singer_cycle(monkeypatch):
+    # C402 has one involution, and its generator has order 402
+    G = find_cyclic_regular(401)
+    calls = count_element_orders(monkeypatch)
+    assert recognize(G) == GroupKind.cyclic(402)
+    assert len(calls) <= 1
+
+
+def test_recognize_reads_no_order_on_the_dihedral_group(monkeypatch):
+    # D402 has 201 involutions, read off the trace, so it cannot be cyclic
+    G = _transitive_group(projective_line(401), GroupKind.dihedral(402))
+    calls = count_element_orders(monkeypatch)
+    assert recognize(G) == GroupKind.dihedral(402)
+    assert calls == []

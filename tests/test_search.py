@@ -159,6 +159,30 @@ def test_find_cyclic_regular_matches_the_scan():
         assert want.generators[0].a == 0
 
 
+def test_classes_of_order_p_plus_1_have_a_non_square_tau():
+    # the lemma by which search._singer skips the rows c with -c a square
+    for p in (q for q in range(3, 1000) if is_prime(q)):
+        line = projective_line(p)
+        taus = [tau for tau in range(p) if line._class_order(tau) == p + 1]
+        assert taus, p
+        for tau in taus:
+            assert pow(tau, (p - 1) // 2, p) == p - 1, (p, tau)
+
+
+def row_scanned_singer(line):
+    """Oracle for search._singer: the first class (0, 1, c, d) of order
+    p+1, with no row skipped."""
+    p = line.p
+    return next(M for c in range(1, p) for d in range(p)
+                if line.element_order(M := ProjectiveMatrix(0, 1, c, d)) == p + 1)
+
+
+def test_find_cyclic_regular_matches_the_row_scan():
+    for p in (q for q in range(2, 2000) if is_prime(q)):
+        want = row_scanned_singer(projective_line(p))
+        assert find_cyclic_regular(p).generators == (want,), p
+
+
 def test_search_config_validation():
     kinds = dict(kind1=GroupKind.alt4(), kind2=GroupKind.cyclic(12))
     with pytest.raises(ValueError):

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (canonical_matrices, raw_conjugate, seeded_random_subgroups,
-                      stabilizer, trivial_subgroup)
+from conftest import (all_subgroups, canonical_matrices, raw_conjugate,
+                      seeded_random_subgroups, stabilizer, trivial_subgroup)
 from galoispairs import (LABELS, ClosureCapExceeded, GroupKind, ModulusMismatch,
                          ProjectiveMatrix, case_subgroups, check_pair, conjugate,
                          find_cyclic_regular, generate_closure, intersect, orbit,
-                         parse_kind, projective_line, recognize, reverify)
+                         orbit_labels, parse_kind, projective_line, recognize,
+                         reverify)
 from galoispairs.cases import prime_table
 
 
@@ -217,6 +218,44 @@ def test_regularity_of_order_p_plus_1_groups():
         assert len(orbit(G2, line.points()[0])) == p + 1
         for Q in line.points():
             assert len(stabilizer(G2, Q)) == 1
+
+
+def assert_orbit_labels_match_orbits(G):
+    """orbit_labels(G) and orbit() at every point give one partition: the
+    points that share the label of point i are the orbit of point i."""
+    line = G.line
+    points = line.points()
+    labels = orbit_labels(G)
+    assert len(labels) == len(points)
+    for i, Q in enumerate(points):
+        block = {points[j] for j, label in enumerate(labels) if label == labels[i]}
+        assert block == orbit(G, Q), (G, Q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_orbit_labels_match_orbits_on_every_subgroup(p):
+    for G in all_subgroups(p):
+        assert_orbit_labels_match_orbits(G)
+
+
+@pytest.mark.parametrize("q,count,seed", [(7, 110, 202), (11, 110, 303)])
+def test_orbit_labels_match_orbits_on_random_subgroups(q, count, seed):
+    for G in seeded_random_subgroups(q, count, seed):
+        assert_orbit_labels_match_orbits(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_orbit_labels_match_orbits_on_random_generator_sets(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    line = projective_line(p)
+    entries = st.tuples(*[st.integers(0, p - 1)] * 4).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p)
+    gens = data.draw(st.lists(entries, min_size=1, max_size=3))
+    # the closure is all of the group, PGL(2, 11) included, so orbit() sees
+    # every element
+    G = generate_closure(line, [[m[:2], m[2:]] for m in gens], cap=p ** 3 - p)
+    assert_orbit_labels_match_orbits(G)
 
 
 def test_parse_kind():
