@@ -45,13 +45,11 @@ keeps O, and H has at least |G1 G2| = d^2 elements, as G1 ∩ G2 = 1.
 from __future__ import annotations
 
 import random
-from itertools import chain, islice
-from typing import Iterator
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
-from .subgroups import (POLYHEDRAL, GroupKind, Subgroup, _conjugator, conjugate,
-                        generate_closure, orbit, recognize)
+from .subgroups import (GroupKind, Subgroup, _conjugator, conjugate, generate_closure,
+                        orbit, recognize)
 
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
@@ -188,80 +186,48 @@ def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
     return generate_closure(line, [_singer(line)], cap=line.p + 1)
 
 
-def _tau_classes(line: ProjectiveLine, tau: int) -> Iterator[ProjectiveMatrix]:
-    """The canonical classes M != I with tr^2/det = tau, in lexicographic
-    (a, b, c, d) order; they share one order (ProjectiveLine.element_order).
-
-    The classes are solved for, not scanned. Canonical classes are
-    (s, b, c, d) with prefix (0, 1, c) or (1, b, c); for a fixed prefix,
-    tr^2 = tau * det reads
-        d^2 + s(2 - tau) d + s + tau m = 0,
-    with m = c when s = 0 and m = bc when s = 1 (where d = bc is
-    singular). Walking the prefixes in order and yielding each prefix's
-    roots d in ascending order costs O(p^2) for all the classes, not O(p^3).
-    """
-    p = line.p
-    sqrt = [None] * p
-    for r in range(p):
-        sqrt[r * r % p] = r
-    half = (p + 1) // 2
-    prefixes = chain(((0, 1, c, c) for c in range(1, p)),
-                     ((1, b, c, b * c % p) for b in range(p) for c in range(p)))
-    for s, b, c, m in prefixes:
-        B, C = s * (2 - tau), s + tau * m
-        if p == 2:  # no 1/2 in F_2; try both residues
-            roots = [d for d in (0, 1) if (d * d + B * d + C) % 2 == 0]
-        else:
-            r = sqrt[(B * B - 4 * C) % p]
-            if r is None:
-                continue
-            roots = sorted({(r - B) * half % p, (-r - B) * half % p})
-        for d in roots:
-            M = ProjectiveMatrix(s, b, c, d)
-            if not (s and d == m) and M != line.identity:
-                yield M
-
-
-# At p = 11, 23 and 59, where |A4|, |S4| or |A5| is p + 1, the first (a, b)
-# with ab of order k lies at indices (1, 12), (4, 24) and (1, 66) of the
-# tau = 0 and tau = 1 classes, so a larger pool changes no group.
-_TRIANGLE_POOL = 200
+# (a, b) of A4, S4 and A5, keyed by kind family (_transitive_group)
+_POLYHEDRAL_GENERATORS = {
+    "A4": (ProjectiveMatrix(0, 1, 2, 0), ProjectiveMatrix(1, 1, 2, 5)),    # p = 11
+    "S4": (ProjectiveMatrix(0, 1, 5, 0), ProjectiveMatrix(1, 1, 2, 4)),    # p = 23
+    "A5": (ProjectiveMatrix(0, 1, 2, 0), ProjectiveMatrix(1, 1, 10, 27)),  # p = 59
+}
 
 
 def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
     """A transitive subgroup of `kind`, built from the kind alone; None when
     |kind| != p + 1, since then no pair passes (the order lemma).
 
-    C_{p+1} is find_cyclic_regular's <_singer(line)>. For D_{p+1},
-    r = _singer(line) = (0, 1, c, d) and s = (1, 0, d, -1) satisfy
-    s r s = r^-1, and of <r^2, s> and <r^2, s r> the first transitive one
-    is taken. A4, S4 and A5 are <a, b> for the first a of order 2 (tau = 0)
-    and b of order 3 (tau = 1) in lexicographic order (_tau_classes) with
-    ab of order k = 3, 4 or 5: <a, b | a^2 = b^3 = (ab)^k = 1> is A4, S4 or
-    A5 (Coxeter and Moser, 1957), and no proper quotient of it has elements
-    of orders 2, 3 and k. The kind and transitivity are asserted.
+    C_{p+1} is find_cyclic_regular's <_singer(line)>. D_{p+1} is
+    <r^2, s r> for r = _singer(line) = (0, 1, c, d) and s = (1, 0, d, -1),
+    which satisfy s r s = r^-1. The D lemma: <r^2, s> is never transitive.
+    s has eigenvalues 1 and -1 in F_p, so it fixes (1:0), and a transitive
+    group of order p + 1 on the p + 1 points is regular, so it holds no s.
+    s normalizes <r^2> and fixes (1:0), so it keeps each of the two
+    <r^2>-orbits, and r, so s r, swaps them: <r^2, s r> is transitive.
+
+    A4, S4 and A5 are <a, b> for the tabled (a, b): a of order 2 (tau = 0),
+    b of order 3 (tau = 1) and ab of order k = 3, 4 or 5. The group
+    <a, b | a^2 = b^3 = (ab)^k = 1> is A4, S4 or A5 (Coxeter and Moser,
+    1957), and no proper quotient of it has elements of orders 2, 3 and k.
+    Their orders 12, 24 and 60 are p + 1 only at p = 11, 23 and 59, so no
+    other prime passes the order check. Each (a, b) is the first a of order
+    2 and b of order 3 in canonical order with ab of order k, as
+    reference_transitive_group in tests/conftest.py re-derives from a scan
+    of all of PGL(2, p). The kind and transitivity are asserted.
     """
-    p = line.p
-    if kind.order != p + 1:
+    if kind.order != line.p + 1:
         return None
     if kind.family == "C":
         return find_cyclic_regular(line)  # regular by its lemma
     base = line.points()[0]
     if kind.family == "D":
         r = _singer(line)
-        r2 = line.compose(r, r)
         s = line.matrix([[1, 0], [r.d, -1]])
-        for t in (s, line.compose(s, r)):
-            G = generate_closure(line, [r2, t], cap=kind.order)
-            if len(orbit(G, base)) == kind.order:
-                break
-    elif kind.family in POLYHEDRAL:
-        k = POLYHEDRAL[kind.family][1]
-        twos, threes = (list(islice(_tau_classes(line, tau), _TRIANGLE_POOL))
-                        for tau in (0, 1))
-        a, b = next((a, b) for a in twos for b in threes
-                    if line.element_order(line.compose(a, b)) == k)
-        G = generate_closure(line, [a, b], cap=kind.order)
+        G = generate_closure(line, [line.compose(r, r), line.compose(s, r)],
+                             cap=kind.order)
+    elif kind.family in _POLYHEDRAL_GENERATORS:
+        G = generate_closure(line, _POLYHEDRAL_GENERATORS[kind.family], cap=kind.order)
     else:  # other: of order p + 1, prime to p, only the kinds above exist
         return None
     assert recognize(G) == kind and len(orbit(G, base)) == kind.order, kind

@@ -46,6 +46,20 @@ def iterated_order(line: ProjectiveLine, A: ProjectiveMatrix) -> int:
     return n
 
 
+def count_element_orders(monkeypatch) -> list:
+    """Record the argument of every ProjectiveLine.element_order call from
+    here on; the list grows as calls are made."""
+    calls = []
+    element_order = ProjectiveLine.element_order
+
+    def counted(self, A):
+        calls.append(A)
+        return element_order(self, A)
+
+    monkeypatch.setattr(ProjectiveLine, "element_order", counted)
+    return calls
+
+
 def recognize_by_element_orders(G: Subgroup) -> GroupKind:
     """Oracle for subgroups.recognize: the ladder over the order of every
     element. C_n if some element has order n, else D_n if at least n/2
@@ -72,18 +86,6 @@ def canonical_matrices(p: int) -> Iterator[ProjectiveMatrix]:
             for d in range(p):
                 if d != b * c % p:
                     yield ProjectiveMatrix(1, b, c, d)
-
-
-def scanned_tau_classes(p: int) -> dict[int, list[ProjectiveMatrix]]:
-    """Oracle for search._tau_classes: for each tau, the canonical classes
-    M != I with tr^2 = tau det, in one scan of all of PGL(2, p)
-    (canonical_matrices)."""
-    out = {tau: [] for tau in range(p)}
-    for M in canonical_matrices(p):
-        a, b, c, d = M
-        if M != (1, 0, 0, 1):
-            out[(a + d) ** 2 * pow(a * d - b * c, -1, p) % p].append(M)
-    return out
 
 
 def scanned_cyclic_regular(line: ProjectiveLine) -> Subgroup:

@@ -2,10 +2,10 @@
 
 import pytest
 
-from conftest import all_subgroups, recognize_by_element_orders, seeded_random_subgroups
-from galoispairs import (GroupKind, ProjectiveLine, case_subgroups,
-                         find_cyclic_regular, generate_closure, primitive_root,
-                         projective_line, recognize)
+from conftest import (all_subgroups, count_element_orders, recognize_by_element_orders,
+                      seeded_random_subgroups)
+from galoispairs import (GroupKind, case_subgroups, find_cyclic_regular, generate_closure,
+                         primitive_root, projective_line, recognize)
 from galoispairs.search import _transitive_group
 from models import (candidate_models, cyclic_model, dihedral_model,
                     is_isomorphic, permutation_model, recognize_by_isomorphism)
@@ -117,18 +117,6 @@ def test_recognize_agrees_with_oracle_on_psl_2_7():
     assert len(G) == 168
     assert (recognize(G) == recognize_by_element_orders(G)
             == recognize_by_isomorphism(G) == GroupKind.other(168))
-
-
-def count_element_orders(monkeypatch):
-    calls = []
-    element_order = ProjectiveLine.element_order
-
-    def counted(self, A):
-        calls.append(A)
-        return element_order(self, A)
-
-    monkeypatch.setattr(ProjectiveLine, "element_order", counted)
-    return calls
 
 
 def test_recognize_reads_one_order_on_the_singer_cycle(monkeypatch):

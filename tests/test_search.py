@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (CASE_KINDS, all_subgroups, b_element, canonical_matrices,
-                      iterated_order, raw_conjugate, reference_b_walk,
-                      reference_transitive_group, scanned_cyclic_regular,
-                      scanned_tau_classes, seeded_random_subgroups, stabilizer,
+                      count_element_orders, iterated_order, raw_conjugate,
+                      reference_b_walk, reference_transitive_group,
+                      scanned_cyclic_regular, seeded_random_subgroups, stabilizer,
                       trivial_subgroup)
 from galoispairs import (LABELS, PRIMES, GroupKind, ProjectiveMatrix, SearchConfig,
                          cases, case_subgroups, check_pair, check_pair_all_basepoints,
                          conjugate, find_cyclic_regular, find_scaling_conjugates,
                          generate_closure, is_prime, orbit, parse_kind,
                          primitive_root, projective_line, recognize, reverify,
-                         run_search)
+                         run_search, search)
 from galoispairs.cli import main
-from galoispairs.search import _tau_classes, _transitive_group
+from galoispairs.search import _POLYHEDRAL_GENERATORS, _singer, _transitive_group
+from galoispairs.subgroups import POLYHEDRAL
 
 
 def brute_force_scaling_sweep(G):
@@ -292,7 +293,8 @@ def b_pass_count(p, kind1, kind2):
 
 @pytest.mark.parametrize("p,kind1,kind2,passes", [
     (11, "A4", "C12", 96), (11, "A4", "D12", 72), (11, "A4", "A4", 72),
-    (23, "S4", "C24", 480), (23, "S4", "D24", 336), (23, "S4", "S4", 360)])
+    (23, "S4", "C24", 480), (23, "S4", "D24", 336), (23, "S4", "S4", 360),
+    (59, "A5", "C60", 3360), (59, "A5", "D60", 2640), (59, "A5", "A5", 2820)])
 def test_b_walk_pass_counts_over_all_of_b(p, kind1, kind2, passes):
     assert b_pass_count(p, kind1, kind2) == passes
 
@@ -349,38 +351,78 @@ def test_kinds_of_another_order_find_none_at_once(capsys, monkeypatch):
             assert capsys.readouterr() == ("none\n", "")
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 23])
-def test_tau_classes_match_the_scan(p):
-    line = projective_line(p)
-    scans = scanned_tau_classes(p)
-    assert sum(map(len, scans.values())) == p ** 3 - p - 1  # all but I
-    for tau in range(p):
-        assert list(_tau_classes(line, tau)) == scans[tau], tau
-
-
-def test_tau_classes_match_the_scan_at_59():
-    # tau = 4 holds the p^2 - 1 classes of order p, and any other tau
-    # (p - 1)p, p^2 or p(p + 1) classes (elliptic, the involutions, split):
-    # fewer than 4000 each, so every tau is enumerated whole
-    line = projective_line(59)
-    scans = scanned_tau_classes(59)
-    for tau in range(59):
-        assert list(_tau_classes(line, tau)) == scans[tau], tau
-    assert [len(scans[tau]) for tau in (0, 1, 4)] == [59 ** 2, 59 * 58, 59 ** 2 - 1]
-    assert {len(scans[tau]) for tau in range(59)} == {59 * 58, 59 ** 2 - 1, 59 ** 2,
-                                                     59 * 60}
+def tau(line, M):
+    """tr^2/det of the class M."""
+    a, b, c, d = M
+    return (a + d) ** 2 * pow(a * d - b * c, -1, line.p) % line.p
 
 
 @pytest.mark.parametrize("p", [q for q in range(2, 100) if is_prime(q)])
 def test_tau_0_and_1_are_the_classes_of_order_2_and_3(p):
-    # _transitive_group takes its order-2 and order-3 generators from the
-    # tau = 0 and tau = 1 classes
+    # _transitive_group's tabled generators are of order 2 (tau = 0) and 3
+    # (tau = 1); each tau holds the class (0, 1, 1, 0) (tau = 0) or
+    # (0, 1, -1/tau, 1), as (0, 1, c, d) has tau = -d^2/c
     line = projective_line(p)
-    for tau in range(p):
-        M = next(_tau_classes(line, tau))
+    for t in range(p):
+        M = line.matrix([[0, 1], [1, 0]] if t == 0 else [[0, 1], [-pow(t, -1, p), 1]])
+        assert tau(line, M) == t
         n = line.element_order(M)
         assert n == iterated_order(line, M)
-        assert (n == 2) == (tau == 0) and (n == 3) == (tau == 1), tau
+        assert (n == 2) == (t == 0) and (n == 3) == (t == 1), t
+
+
+@pytest.mark.parametrize("family", sorted(_POLYHEDRAL_GENERATORS))
+def test_tabled_generators_present_the_polyhedral_kind(family):
+    # <a, b | a^2 = b^3 = (ab)^k = 1> at the one prime p = |kind| - 1
+    order, k = POLYHEDRAL[family]
+    line = projective_line(order - 1)
+    a, b = _POLYHEDRAL_GENERATORS[family]
+    assert (tau(line, a), tau(line, b)) == (0, 1)
+    assert [iterated_order(line, M) for M in (a, b, line.compose(a, b))] == [2, 3, k]
+
+
+def count_closures(monkeypatch) -> list:
+    """Record the generators of every generate_closure call made in search."""
+    calls = []
+
+    def counted(line, gens, **kwargs):
+        calls.append(gens)
+        return generate_closure(line, gens, **kwargs)
+
+    monkeypatch.setattr(search, "generate_closure", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,kind", [(11, "A4"), (23, "S4"), (59, "A5")])
+def test_polyhedral_kinds_are_one_closure_and_no_order(monkeypatch, p, kind):
+    # the generators are tabled: no pair is scanned for them
+    line = projective_line(p)
+    closures, orders = count_closures(monkeypatch), count_element_orders(monkeypatch)
+    _transitive_group(line, parse_kind(kind))  # asserts the kind and transitivity
+    assert (len(closures), len(orders)) == (1, 0)
+
+
+@pytest.mark.parametrize("p", [59, 401])
+def test_dihedral_kind_is_one_closure(monkeypatch, p):
+    # <r^2, s r> is closed at once; <r^2, s> is never tried (the D lemma)
+    line = projective_line(p)
+    closures = count_closures(monkeypatch)
+    _transitive_group(line, GroupKind.dihedral(p + 1))  # asserts the kind and transitivity
+    assert len(closures) == 1
+
+
+def test_the_d_lemma_at_every_odd_prime_below_300():
+    # s = (1, 0, d, -1) inverts r = _singer(line) = (0, 1, c, d) and fixes
+    # (1:0), so no regular group holds it; <r^2, s r> is the transitive D_{p+1}
+    for p in (q for q in range(3, 300) if is_prime(q)):
+        line = projective_line(p)
+        r = _singer(line)
+        s = line.matrix([[1, 0], [r.d, -1]])
+        Q = line.point(1, 0)
+        assert line.apply(Q, s) == Q, p
+        assert line.compose(line.compose(s, r), s) == line.inverse(r), p
+        G = _transitive_group(line, GroupKind.dihedral(p + 1))  # asserts transitivity
+        assert G.generators == (line.compose(r, r), line.compose(s, r)), p
 
 
 ALL_KINDS = ([parse_kind(k) for k in ("A4", "S4", "A5")]
