@@ -15,7 +15,7 @@ from .errors import (ClosureCapExceeded, DegenerateInvariant, EvaluationAtPole,
                      ResultantVanishes, SingularMatrix, UnknownCase)
 from .field import is_prime, primitive_root
 from .implicitize import implicit_degree
-from .polys import INFINITY, Poly, RationalFunction
+from .polys import Poly, RationalFunction
 from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
                        projective_line)
 from .quotient import (CurveParametrization, emit_parametrization,

@@ -12,7 +12,8 @@ of P^1 is cut out by the 2x2 minors of the matrix with rows (A, B, D) and
 Its size, counted with multiplicity, is the degree of the gcd of the
 minors plus the multiplicity of t = infinity, which is the least gap
 d - deg M over the non-zero minors M (a minor of degree below d vanishes
-at infinity once homogenized to degree d).
+at infinity once homogenized to degree d). The scan reads line.points(),
+(0:1) first, through polys.point_values.
 
 The map factors as a birational map after one of degree k, so every fiber
 size is k times a fiber size of the birational map, which is 1 except over
@@ -36,10 +37,11 @@ the C6 self-pair of search --p 5 --kind1 C6 --kind2 C6, which reads 3, not
 
 from __future__ import annotations
 
-from itertools import chain
 from math import gcd
 
 from .errors import ResultantVanishes
+from .polys import point_values
+from .projline import projective_line
 from .quotient import CurveParametrization
 
 
@@ -66,11 +68,9 @@ def implicit_degree(param: CurveParametrization) -> int:
         return 0
     if A.gcd(B).gcd(D).degree > 0:
         raise ResultantVanishes("the components A, B, D share a factor")
-    at_infinity = tuple(P.lead if P.degree == d else 0 for P in (A, B, D))
-    affine = (tuple(P.eval(t0) for P in (A, B, D)) for t0 in range(A.p))
     k = d
-    for a0, b0, d0 in chain([at_infinity], affine):
-        k = gcd(k, _fiber_size(A, B, D, d, a0, b0, d0))
+    for Q in projective_line(param.p).points():
+        k = gcd(k, _fiber_size(A, B, D, d, *point_values((A, B, D), d, Q)))
         if k == 1:
             break
     return d // k

@@ -11,8 +11,6 @@ ints are unbounded, so the product is exact for every p.
 
 from __future__ import annotations
 
-INFINITY = "infinity"  # projective value of a pole
-
 
 def _trim(coeffs: list) -> tuple:
     while coeffs and not coeffs[-1]:
@@ -169,10 +167,8 @@ class Poly:
 class RationalFunction:
     """Quotient of polynomials, reduced, with monic denominator.
 
-    The constructor divides out the gcd. shift_value and reciprocal start
-    from a reduced fraction and stay reduced, since
-    gcd(num - c den, den) = gcd(num, den) = 1, so they only make the
-    denominator monic (_coprime) and run no gcd.
+    The constructor divides out the gcd; _coprime takes a pair known to be
+    coprime and only makes the denominator monic.
     """
 
     __slots__ = ("num", "den")
@@ -200,10 +196,6 @@ class RationalFunction:
         return out
 
     @property
-    def p(self) -> int:
-        return self.den.p
-
-    @property
     def degree(self) -> int:
         """Degree as a self-map of the projective line."""
         return max(self.num.degree, self.den.degree)
@@ -215,32 +207,10 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({self.num!r} / {self.den!r})"
 
-    def reciprocal(self) -> "RationalFunction":
-        return RationalFunction._coprime(self.den, self.num)
 
-    def shift_value(self, c) -> "RationalFunction":
-        """self - c (c a finite field element)."""
-        return RationalFunction._coprime(self.num - self.den.scale(c), self.den)
-
-    def eval_affine(self, t):
-        """Value at the point (1:t); INFINITY at a pole."""
-        p = self.p
-        vd = self.den.eval(t)
-        if not vd:
-            return INFINITY
-        return self.num.eval(t) * pow(vd, -1, p) % p
-
-    def eval_infinity(self):
-        """Value at (0:1)."""
-        dn, dd = self.num.degree, self.den.degree
-        if dn > dd:
-            return INFINITY
-        if dn < dd:
-            return 0
-        return self.num.lead * pow(self.den.lead, -1, self.p) % self.p
-
-    def eval_point(self, Q):
-        """Value at a projective point (s:t) in canonical form."""
-        if Q.s == 0:
-            return self.eval_infinity()
-        return self.eval_affine(Q.t)
+def point_values(polys, d: int, Q) -> tuple:
+    """Values of the polys, as forms of degree d, at the canonical point Q
+    of P^1(F_p): P(t) at (1:t), and the coefficient of t^d at (0:1)."""
+    if Q.s:
+        return tuple(P.eval(Q.t) for P in polys)
+    return tuple(P.coeffs[d] if P.degree == d else 0 for P in polys)

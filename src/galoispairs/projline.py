@@ -6,7 +6,8 @@ matrix product A*B means "A first, then B" on points.
 
 Canonical forms make projective equivalence a syntactic equality:
 a point is (1, t) or (0, 1); a matrix class is scaled so that its first
-nonzero entry in reading order (a, b, c, d) equals 1.
+nonzero entry in reading order (a, b, c, d) equals 1. The first row of a
+nonsingular matrix is never zero, so that entry is a or b.
 """
 
 from __future__ import annotations
@@ -91,10 +92,7 @@ class ProjectiveLine:
         d %= p
         if (a * d - b * c) % p == 0:
             raise SingularMatrix(f"[[{a},{b}],[{c},{d}]] is singular mod {p}")
-        for lead in (a, b, c, d):
-            if lead:
-                break
-        u = pow(lead, -1, p)
+        u = pow(a or b, -1, p)
         return ProjectiveMatrix(a * u % p, b * u % p, c * u % p, d * u % p)
 
     identity = ProjectiveMatrix(1, 0, 0, 1)
@@ -126,10 +124,7 @@ class ProjectiveLine:
         b = (A.a * B.b + A.b * B.d) % p
         c = (A.c * B.a + A.d * B.c) % p
         d = (A.c * B.b + A.d * B.d) % p
-        for lead in (a, b, c, d):
-            if lead:
-                break
-        u = pow(lead, -1, p)
+        u = pow(a or b, -1, p)
         return ProjectiveMatrix(a * u % p, b * u % p, c * u % p, d * u % p)
 
     def inverse(self, A: ProjectiveMatrix) -> ProjectiveMatrix:

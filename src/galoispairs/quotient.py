@@ -17,14 +17,16 @@ trace, needs only the top two rows and is the invariant for every bundled
 group; the full product is expanded only when that ratio is constant.
 A Moebius adjustment 1/(f - f(Q)) then moves the orbit of the base point
 to the polar set, giving two maps over one common denominator and the
-projective parametrization (A : B : D).
+projective parametrization (A : B : D). At a pole Q of f it keeps f: for
+regular transitive G, the top-ratio invariant has all of P^1(F_p) as its
+polar set.
 """
 
 from __future__ import annotations
 
 from .criterion import PairCertificate
 from .errors import DegenerateInvariant, EvaluationAtPole, IrregularOrbit
-from .polys import INFINITY, Poly, RationalFunction, _trim
+from .polys import Poly, RationalFunction, _trim, point_values
 from .projline import ProjectivePoint, projective_line
 from .subgroups import Subgroup, generate_closure, orbit
 
@@ -116,6 +118,11 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
                    Q: ProjectivePoint) -> RationalFunction:
     """h = 1/(f - f(Q)), with the orbit of Q as its simple polar set.
 
+    With (vn, vd) the values of f.num and f.den at Q (point_values), h is
+    vd den / (vd num - vn den), coprime as num and den are. At a pole of f,
+    vd = 0 and h = f: for regular transitive G, the top-ratio invariant has
+    all of P^1(F_p) as its polar set.
+
     Requires the orbit to be regular (length |G|). The reduced denominator
     must come out as the monic vanishing polynomial of the orbit's affine
     points, with the degree excess accounting for a pole at (0:1) exactly
@@ -128,13 +135,11 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
     pts = orbit(G, Q)
     if len(pts) != len(G):
         raise IrregularOrbit(f"orbit of {Q} has length {len(pts)} != {len(G)}")
-    value = f.eval_point(Q)
-    if value is INFINITY:
-        f = f.reciprocal()
-        value = f.eval_point(Q)
-        if value is INFINITY:
-            raise EvaluationAtPole(f"pole of both f and 1/f at {Q}")
-    h = f.shift_value(value).reciprocal()
+    vn, vd = point_values((f.num, f.den), f.degree, Q)
+    h = f
+    if vd:
+        h = RationalFunction._coprime(f.den.scale(vd),
+                                      f.num.scale(vd) - f.den.scale(vn))
     affine = [P.t for P in pts if P.s == 1]
     n = len(affine)
     ok = h.den.degree == n and not any(h.den.eval(t) for t in affine)

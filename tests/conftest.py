@@ -238,6 +238,30 @@ def vanishing_poly(p: int, roots) -> Poly:
     return out
 
 
+POLE = "pole"
+
+
+def power_sum(P: Poly, t: int) -> int:
+    """Oracle for Poly.eval: the sum of c_k t^k mod p, one power at a time."""
+    return sum(c * pow(t, k, P.p) for k, c in enumerate(P.coeffs)) % P.p
+
+
+def value_at(f: RationalFunction, Q: ProjectivePoint):
+    """Oracle for evaluating f at a canonical point Q: num/den at t for
+    (1:t); at (0:1), the same at t = 0 for f(1/t), with num and den cleared
+    by t^deg f (compose_frac); POLE where the denominator vanishes."""
+    p = f.den.p
+    num, den, t = f.num, f.den, Q.t
+    if not Q.s:
+        swap = (0, 1, 1, 0)  # t -> 1/t
+        num, den = (compose_frac(P, f.degree, swap) for P in (num, den))
+        t = 0
+    vd = power_sum(den, t)
+    if not vd:
+        return POLE
+    return power_sum(num, t) * pow(vd, -1, p) % p
+
+
 def is_invariant_under(f: RationalFunction, M: ProjectiveMatrix) -> bool:
     """Exact identity f((b+dt)/(a+ct)) == f(t) after clearing (a+ct)^deg."""
     m = f.degree

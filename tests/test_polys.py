@@ -1,12 +1,12 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galoispairs import (INFINITY, Poly, RationalFunction,
-                         is_prime, projective_line)
-from conftest import compose_frac, vanishing_poly
+from galoispairs import Poly, ProjectivePoint, RationalFunction, is_prime
+from galoispairs.polys import point_values
+from conftest import compose_frac, power_sum, vanishing_poly
 
 
 def schoolbook_mul(a, b, p):
@@ -154,26 +154,10 @@ def test_rational_function_reduction_and_monic_denominator():
     assert g.den.lead == 1  # denominator scaled monic
 
 
-def test_rational_function_evaluation():
-    p = 11
-    f = RationalFunction(Poly(p, [0, 1]), Poly(p, [10, 1]))  # t / (t - 1)
-    assert f.eval_affine(0) == 0
-    assert f.eval_affine(1) is INFINITY
-    assert f.eval_affine(2) == 2
-    assert f.eval_infinity() == 1
-    h = RationalFunction(Poly(p, [0, 0, 1]), Poly(p, [1]))  # t^2
-    assert h.eval_infinity() is INFINITY
-    line = projective_line(11)
-    assert h.eval_point(line.point(0, 1)) is INFINITY
-    assert h.eval_point(line.point(1, 4)) == 5
-
-
 def test_rational_function_degree():
     p = 11
     f = RationalFunction(Poly(p, [0, 0, 1]), Poly(p, [1, 1]))
     assert f.degree == 2
-    assert f.reciprocal().degree == 2
-    assert f.shift_value(3).degree == 2
 
 
 # a small field, and one whose products pack into slots of eight bytes or more
@@ -227,27 +211,15 @@ def test_gcd_divides_both_and_is_monic(abc):
         assert (a * c).gcd(b * c) == (g * c).monic()
 
 
-@st.composite
-def reduced_fractions(draw):
-    # small fields and short rows: shared factors, constants and the zero
-    # function are all common draws
-    p = draw(st.sampled_from([5, 7, 11, 13]))
-    coeffs = st.lists(st.integers(0, p - 1), max_size=6)
-    num, den = Poly(p, draw(coeffs)), Poly(p, draw(coeffs))
-    assume(not den.is_zero)
-    return RationalFunction(num, den), draw(st.integers(0, p - 1))
-
-
-@settings(max_examples=200, deadline=None)
-@given(reduced_fractions())
-def test_shift_and_reciprocal_match_the_reducing_constructor(fc):
-    # both skip the gcd: a reduced fraction stays reduced under either
-    f, c = fc
-    shifted = f.shift_value(c)
-    assert shifted == RationalFunction(f.num - f.den.scale(c), f.den)
-    for g in (f, shifted):
-        if g.num.is_zero:
-            with pytest.raises(ZeroDivisionError):
-                g.reciprocal()
-        else:
-            assert g.reciprocal() == RationalFunction(g.den, g.num)
+@settings(max_examples=100, deadline=None)
+@given(polys_over(3), st.integers(0, 3), st.integers())
+def test_point_values_match_power_sums(polys, extra, t):
+    # forms of degree d at or above every degree: at (1:t) the oracle sums
+    # powers of t, and at (0:1) it reads the cleared P(1/t) at t = 0
+    p = polys[0].p
+    d = max(0, *(P.degree for P in polys)) + extra
+    affine = ProjectivePoint(1, t % p)
+    assert point_values(polys, d, affine) == tuple(power_sum(P, t % p) for P in polys)
+    swap = (0, 1, 1, 0)  # t -> 1/t
+    assert point_values(polys, d, ProjectivePoint(0, 1)) == tuple(
+        power_sum(compose_frac(P, d, swap), 0) for P in polys)

@@ -2,22 +2,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (expanded_orbit_product, is_invariant_under,
-                      seeded_random_subgroups, trivial_subgroup, vanishing_poly)
-from galoispairs import (INFINITY, LABELS, PRIMES, CurveParametrization,
+from conftest import (POLE, expanded_orbit_product, is_invariant_under,
+                      seeded_random_subgroups, trivial_subgroup, value_at,
+                      vanishing_poly)
+from galoispairs import (LABELS, PRIMES, CurveParametrization,
                          EvaluationAtPole, IrregularOrbit, Poly, RationalFunction,
                          case_subgroups, check_pair, conjugate,
                          emit_parametrization, generate_closure,
                          invariant_generator, moebius_adjust, orbit,
                          projective_line, quotient)
+from galoispairs.polys import point_values
 from galoispairs.quotient import _mul_rows, _orbit_product
 
 
 def fibers(f, line):
-    """Level sets of f on the rational points, keyed by value (or INFINITY)."""
+    """Level sets of f on the rational points, keyed by value (or POLE)."""
     out = {}
     for Q in line.points():
-        out.setdefault(f.eval_point(Q), set()).add(Q)
+        out.setdefault(value_at(f, Q), set()).add(Q)
     return {k: frozenset(v) for k, v in out.items()}
 
 
@@ -59,7 +61,7 @@ def test_invariance_consistent_with_point_action():
     f = invariant_generator(G)
     for M in list(G.elements)[:6]:
         for Q in line.points():
-            assert f.eval_point(line.apply(Q, M)) == f.eval_point(Q)
+            assert value_at(f, line.apply(Q, M)) == value_at(f, Q)
 
 
 def test_moebius_adjust_trivial():
@@ -80,7 +82,7 @@ def test_moebius_adjust_full_orbit():
     assert h.den == vanishing_poly(line.p, range(11))
     # poles are exactly the orbit: every affine point is a simple root
     for t in range(11):
-        assert h.eval_affine(t) is INFINITY
+        assert value_at(h, line.point(1, t)) is POLE
 
 
 def test_moebius_adjust_partial_orbit_poles():
@@ -92,7 +94,41 @@ def test_moebius_adjust_partial_orbit_poles():
     pts = orbit(G, Q)
     assert h.den == vanishing_poly(line.p, sorted(P.t for P in pts))
     for P in line.points():
-        assert (h.eval_point(P) is INFINITY) == (P in pts)
+        assert (value_at(h, P) is POLE) == (P in pts)
+
+
+def test_bundled_groups_have_every_point_as_a_pole():
+    # the pole lemma: the invariant of a regular transitive group has all
+    # of P^1(F_p) as its polar set, so the adjustment keeps it
+    groups = [G for p in PRIMES for label in LABELS for G in case_subgroups(p, label)]
+    assert len(groups) == 18
+    for G in groups:
+        f = invariant_generator(G)
+        line = G.line
+        for Q in line.points():
+            assert point_values((f.num, f.den), f.degree, Q)[1] == 0
+            assert value_at(f, Q) is POLE
+        assert moebius_adjust(f, G, line.point(0, 1)) == f
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_moebius_adjust_matches_the_reducing_constructor(p):
+    # away from a pole, h is 1/(f - f(Q)) built by the gcd-reducing
+    # constructor from the oracle's value of f at Q; every regular orbit of
+    # the seeded groups is tried (at p = 5 each one is a polar set)
+    line = projective_line(p)
+    tried = 0
+    for G in seeded_random_subgroups(p, 30, 17 * p):
+        if len(G) % p == 0:
+            continue
+        f = invariant_generator(G)
+        for Q in line.points():
+            if len(orbit(G, Q)) == len(G):
+                c = value_at(f, Q)
+                want = f if c is POLE else RationalFunction(f.den, f.num - f.den.scale(c))
+                assert moebius_adjust(f, G, Q) == want
+                tried += c is not POLE
+    assert tried
 
 
 def test_moebius_adjust_rejects_irregular_orbit():
