@@ -257,24 +257,33 @@ def orbit(G: Subgroup, Q: ProjectivePoint) -> frozenset[ProjectivePoint]:
     return frozenset(line.apply(Q, A) for A in G.elements)
 
 
+def point_permutation(line: ProjectiveLine, A: ProjectiveMatrix) -> list[int]:
+    """The index of the image under A of every point, indexed like
+    line.points(): (0:1) at 0 and (1:t) at t + 1.
+
+    The row action sends (1:t) to (1:(b + td)/(a + tc)), or to (0:1) where
+    a + tc = 0, and (0:1) to (1:d/c), or to itself where c = 0. With the
+    inverses of line.inverses(), this costs O(p).
+    """
+    p, inv = line.p, line.inverses()
+    a, b, c, d = A
+    return ([d * inv[c] % p + 1 if c else 0]
+            + [(b + t * d) * inv[u] % p + 1 if (u := (a + t * c) % p) else 0
+               for t in range(p)])
+
+
 def orbit_labels(G: Subgroup) -> list[int]:
     """The G-orbit of every point, indexed like line.points().
 
     Two points share a label, the least index in their orbit, iff they
     share an orbit. The orbits are the connected parts of the graph with an
     edge i -> i·A for each generator A, as G is finite. Each generator is
-    read once as a list of point indices, (0:1) at 0 and (1:t) at t + 1:
-    the row action sends (1:t) to (1:(b + td)/(a + tc)), or to (0:1) where
-    a + tc = 0, and (0:1) to (1:d/c), or to itself where c = 0. With the
-    inverses of line.inverses(), this costs O(p * |generators|).
+    read once as a point_permutation, so this costs O(p * |generators|).
     """
     line = G.line
-    p, inv = line.p, line.inverses()
-    perms = [[d * inv[c] % p + 1 if c else 0]
-             + [(b + t * d) * inv[u] % p + 1 if (u := (a + t * c) % p) else 0
-                for t in range(p)] for a, b, c, d in G.generators]
-    labels = [-1] * (p + 1)
-    for i in range(p + 1):
+    perms = [point_permutation(line, A) for A in G.generators]
+    labels = [-1] * (line.p + 1)
+    for i in range(line.p + 1):
         if labels[i] < 0:
             labels[i] = i
             stack = [i]

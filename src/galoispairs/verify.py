@@ -15,7 +15,8 @@ from .criterion import check_pair_all_basepoints
 from .errors import UnknownCase
 from .field import primitive_root
 from .projline import ProjectiveLine, ProjectiveMatrix
-from .subgroups import GroupKind, Subgroup, generate_closure, orbit, recognize
+from .subgroups import (GroupKind, Subgroup, generate_closure, orbit,
+                        point_permutation, recognize)
 
 
 class CheckItem:
@@ -69,14 +70,33 @@ def word(line: ProjectiveLine, gen: dict, text: str) -> ProjectiveMatrix:
     return M
 
 
-def _block_perm(line: ProjectiveLine, A: ProjectiveMatrix,
-                blocks: tuple[frozenset, ...]) -> tuple[int, ...] | None:
-    """The index of each block's image under A, or None when some image is
-    not a block."""
-    index = {block: j for j, block in enumerate(blocks)}
-    perm = tuple(index.get(frozenset(line.apply(Q, A) for Q in block))
-                 for block in blocks)
-    return None if None in perm else perm
+def _block_action(line: ProjectiveLine, blocks: tuple[frozenset, ...]):
+    """A -> the index of each block's image under A, or None when some image
+    is not a block.
+
+    Each point is labelled once by its block, at its point_permutation
+    index. For disjoint blocks, the image of a block is the block k when
+    all its points land in block k and the two have one size.
+    """
+    label = [None] * (line.p + 1)
+    members = []
+    for j, block in enumerate(blocks):
+        members.append([P.t + 1 if P.s else 0 for P in block])
+        for i in members[-1]:
+            label[i] = j
+
+    def perm(A: ProjectiveMatrix) -> tuple[int, ...] | None:
+        image = point_permutation(line, A)
+        out = []
+        for block in members:
+            k = label[image[block[0]]]
+            if (k is None or len(members[k]) != len(block)
+                    or any(label[image[i]] != k for i in block)):
+                return None
+            out.append(k)
+        return tuple(out)
+
+    return perm
 
 
 class _Harness:
@@ -209,14 +229,15 @@ def _verify_23(h: _Harness):
 
     O = tab["o_partition"]
     T = tab["t_partition"]
+    o_perm, t_perm = _block_action(line, O), _block_action(line, T)
     h.add("blocks.o.sizes", "the four blocks each contain 6 points",
           [len(b) for b in O] == [6, 6, 6, 6])
     for letter, perm in sorted(tab["o_block_images"].items()):
         h.add(f"blocks.o.{letter}",
               f"{letter} permutes the four blocks as {perm}",
-              _block_perm(line, gen[letter], O) == perm)
+              o_perm(gen[letter]) == perm)
     # faithful: every element permutes the blocks, no two alike
-    perms = [_block_perm(line, A, O) for A in h.G1.elements]
+    perms = [o_perm(A) for A in h.G1.elements]
     h.add("blocks.o.faithful", "g1 acts faithfully on the four blocks",
           None not in perms and len(set(perms)) == len(perms))
 
@@ -236,9 +257,9 @@ def _verify_23(h: _Harness):
     for letter, perm in sorted(tab["t_block_images"].items()):
         h.add(f"blocks.t.{letter}",
               f"{letter} permutes the two blocks as {perm}",
-              _block_perm(line, gen[letter], T) == perm)
+              t_perm(gen[letter]) == perm)
     h.add("blocks.t.preserved", "every element of g3 permutes the two blocks",
-          all(_block_perm(line, A, T) is not None for A in h.G3.elements))
+          all(t_perm(A) is not None for A in h.G3.elements))
 
     cells = tab["o_t_intersections"]
     for (i, j), expected in sorted(cells.items()):

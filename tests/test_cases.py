@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -7,7 +8,7 @@ from conftest import CASE_KINDS, trivial_subgroup
 from galoispairs import (UnknownCase, case_subgroups, cases, conjugate,
                          generate_closure, recognize, verify, verify_prime)
 from galoispairs.cases import LABELS, PRIMES, prime_table
-from galoispairs.verify import _block_perm
+from galoispairs.verify import _block_action
 
 
 def test_case_subgroups_rejects_unknown():
@@ -94,15 +95,44 @@ def test_block_perm_printed_images():
     tab = prime_table(23)
     line, gen = tab["line"], tab["gen"]
     O, T = tab["o_partition"], tab["t_partition"]
-    assert _block_perm(line, line.identity, O) == (0, 1, 2, 3)
-    assert _block_perm(line, gen["s"], O) == (1, 0, 3, 2)
-    assert _block_perm(line, gen["r"], T) == (0, 1)
-    assert _block_perm(line, line.matrix([[1, 1], [0, 1]]), O) is None
+    o_perm, t_perm = _block_action(line, O), _block_action(line, T)
+    assert o_perm(line.identity) == (0, 1, 2, 3)
+    assert o_perm(gen["s"]) == (1, 0, 3, 2)
+    assert t_perm(gen["r"]) == (0, 1)
+    assert o_perm(line.matrix([[1, 1], [0, 1]])) is None
+
+
+def block_images(line, A, blocks):
+    """Oracle for _block_action: the index of each block's image, as a set
+    of points moved by line.apply, or None when some image is not a block."""
+    index = {block: j for j, block in enumerate(blocks)}
+    perm = tuple(index.get(frozenset(line.apply(Q, A) for Q in block))
+                 for block in blocks)
+    return None if None in perm else perm
+
+
+def test_block_action_matches_the_point_images():
+    # the elements of the four p = 23 groups and 300 random classes, most
+    # of which break both block systems
+    tab = prime_table(23)
+    line = tab["line"]
+    rng = random.Random(23)
+    mats = [A for G in tab["groups"] for A in G.elements]
+    while len(mats) < 24 * 4 + 300:
+        a, b, c, d = (rng.randrange(23) for _ in range(4))
+        if (a * d - b * c) % 23:
+            mats.append(line.matrix([[a, b], [c, d]]))
+    for blocks in (tab["o_partition"], tab["t_partition"]):
+        perm = _block_action(line, blocks)
+        got = [perm(A) for A in mats]
+        assert got == [block_images(line, A, blocks) for A in mats]
+        assert None in got
 
 
 def faithful_on(G, blocks):
     """Every element of G permutes the blocks, and no two alike."""
-    perms = [_block_perm(G.line, A, blocks) for A in G.elements]
+    perm = _block_action(G.line, blocks)
+    perms = [perm(A) for A in G.elements]
     return None not in perms and len(set(perms)) == len(perms)
 
 

@@ -1,18 +1,22 @@
+import random
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (POLE, expanded_orbit_product, is_invariant_under,
-                      seeded_random_subgroups, trivial_subgroup, value_at,
-                      vanishing_poly)
+from conftest import (POLE, all_subgroups, expanded_orbit_product,
+                      is_invariant_under, seeded_random_subgroups,
+                      trivial_subgroup, value_at, vanishing_poly)
 from galoispairs import (LABELS, PRIMES, CurveParametrization,
-                         EvaluationAtPole, IrregularOrbit, Poly, RationalFunction,
-                         case_subgroups, check_pair, conjugate,
-                         emit_parametrization, generate_closure,
+                         EvaluationAtPole, GroupKind, IrregularOrbit, Poly,
+                         RationalFunction, case_subgroups, check_pair,
+                         conjugate, emit_parametrization, generate_closure,
                          invariant_generator, moebius_adjust, orbit,
                          projective_line, quotient)
 from galoispairs.polys import point_values
-from galoispairs.quotient import _mul_rows, _orbit_product
+from galoispairs.quotient import (_line_poly, _mul_rows, _orbit_product,
+                                  _power_sums, _top_ratio, _vanishing)
+from galoispairs.search import _transitive_group
 
 
 def fibers(f, line):
@@ -200,11 +204,10 @@ def test_curve_json_round_trip():
         assert is_invariant_under(h1, M)
 
 
-def truncated_expansion(G, rows=None):
-    """The oracle for _orbit_product(G, rows): the top rows of the
-    O(|G|^3) expansion."""
-    expanded = expanded_orbit_product(G)
-    return expanded[-rows:] if rows else expanded
+def expanded_top_ratio(G):
+    """The oracle for _top_ratio(G): the rows X^(|G|-1) and X^|G| of the
+    O(|G|^3) expansion, reduced by the gcd-reducing constructor."""
+    return RationalFunction(*expanded_orbit_product(G)[-2:])
 
 
 def assert_orbit_product_matches_expansion(G):
@@ -212,11 +215,11 @@ def assert_orbit_product_matches_expansion(G):
     assert len(rows) == len(G) + 1
     expanded = expanded_orbit_product(G)
     assert rows == expanded
-    for r in (1, 2, 3, len(G) + 1):
-        assert _orbit_product(G, r) == expanded[-r:]
+    assert _top_ratio(G) == RationalFunction(*expanded[-2:])
     f = invariant_generator(G)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quotient, "_orbit_product", truncated_expansion)
+        mp.setattr(quotient, "_orbit_product", expanded_orbit_product)
+        mp.setattr(quotient, "_top_ratio", expanded_top_ratio)
         assert invariant_generator(G) == f
 
 
@@ -226,7 +229,7 @@ def test_orbit_product_matches_expansion_on_bundled_groups():
     for G in groups:
         assert_orbit_product_matches_expansion(G)
         # the top ratio is the invariant: no bundled group needs the full product
-        assert RationalFunction(*_orbit_product(G, 2)).degree == len(G)
+        assert _top_ratio(G).degree == len(G)
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,8 +246,126 @@ def test_seeded_groups_reach_the_full_product_fallback():
     for p in (5, 7, 11, 13, 23):
         groups = [G for G in seeded_random_subgroups(p, 30, 17 * p)
                   if len(G) % p and len(G) > 1]
-        assert any(RationalFunction(*_orbit_product(G, 2)).degree < len(G)
-                   for G in groups), p
+        assert any(_top_ratio(G).degree < len(G) for G in groups), p
+
+
+def small_prime_subgroups():
+    """Every subgroup of order coprime to p at p = 2 and 3, where p - 1
+    has one residue or two."""
+    return [G for p in (2, 3) for G in sorted(all_subgroups(p), key=len)
+            if len(G) % p]
+
+
+def affine_subgroups():
+    """Groups with non-identity elements that fix (0:1) (c = 0): the
+    scalings t -> gt and the dihedral groups they make with t -> 1/t."""
+    out = []
+    for p in (5, 7, 11, 13):
+        line = projective_line(p)
+        for g in range(2, p):
+            C = generate_closure(line, [line.matrix([[1, 0], [0, g]])])
+            out.append(C)
+            out.append(generate_closure(line, list(C.generators)
+                                        + [line.matrix([[0, 1], [1, 0]])]))
+    return out
+
+
+def test_top_ratio_matches_expansion_at_p_2_and_3_and_on_affine_groups():
+    groups = small_prime_subgroups() + affine_subgroups()
+    assert {G.line.p for G in groups} >= {2, 3}
+    assert any(c == 0 and (a, b, d) != (1, 0, 1)
+               for G in groups for a, b, c, d in G.elements)
+    for G in groups:
+        assert _top_ratio(G) == expanded_top_ratio(G)
+        f = invariant_generator(G)
+        assert f.degree == len(G)
+        for M in G.generators:
+            assert is_invariant_under(f, M)
+
+
+def direct_power_sums(p, R):
+    """Oracle for _power_sums: sum_u R[u] u^j, one power at a time, 0^0 = 1."""
+    return [sum(r * pow(u, j, p) for u, r in enumerate(R)) % p for j in range(p)]
+
+
+SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def residue_tables(draw):
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    shape = draw(st.sampled_from(["random", "sparse", "zero"]))
+    if shape == "random":
+        return p, draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
+    R = [0] * p
+    if shape == "sparse":
+        for u in draw(st.sets(st.integers(0, p - 1), max_size=3)):
+            R[u] = draw(st.integers(1, p - 1))
+    return p, R
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_tables())
+def test_power_sums_match_direct_sums(table):
+    p, R = table
+    assert _power_sums(p, R) == direct_power_sums(p, R)
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_power_sums_read_each_point_alone(p):
+    # a unit residue at one point u gives the powers of u, 0^0 = 1 included
+    for u in range(p):
+        R = [0] * p
+        R[u] = 1
+        assert _power_sums(p, R) == [pow(u, j, p) for j in range(p)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 13])
+def test_vanishing_matches_the_one_factor_oracle(p):
+    rng = random.Random(p)
+    subsets = [[], list(range(p))] + [rng.sample(range(p), rng.randrange(p + 1))
+                                      for _ in range(5)]
+    for roots in subsets:
+        assert _vanishing(p, roots) == vanishing_poly(p, roots)
+    assert _vanishing(p, range(p)) == _line_poly(p)
+
+
+@pytest.mark.parametrize("kind", [GroupKind.cyclic(402), GroupKind.dihedral(402)])
+def test_invariant_of_a_regular_group_at_401(kind):
+    line = projective_line(401)
+    G = _transitive_group(line, kind)
+    f = invariant_generator(G)
+    assert f.degree == 402
+    assert f.den == _line_poly(401)
+    for M in G.generators:
+        assert is_invariant_under(f, M)
+    assert moebius_adjust(f, G, line.point(0, 1)) == f
+
+
+def counted(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_bundled_invariants_take_no_gcd_product_or_evaluation(monkeypatch):
+    # the residues give the reduced top ratio, and at (0:1) the polar check
+    # compares coefficients: no gcd, no orbit product, no Horner evaluation
+    gcds = counted(monkeypatch, Poly, "gcd")
+    products = counted(monkeypatch, quotient, "_orbit_product")
+    evals = counted(monkeypatch, Poly, "eval")
+    for p in PRIMES:
+        for label in LABELS:
+            for G in case_subgroups(p, label):
+                f = invariant_generator(G)
+                assert moebius_adjust(f, G, G.line.point(0, 1)) == f
+    assert (gcds, products, evals) == ([], [], [])
 
 
 @settings(max_examples=60, deadline=None)
