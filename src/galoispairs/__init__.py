@@ -12,9 +12,8 @@ from .criterion import (PairCertificate, check_pair, check_pair_all_basepoints,
                         reverify, subgroups_from_dict)
 from .errors import (ClosureCapExceeded, DegenerateInvariant, EvaluationAtPole,
                      GaloisPairsError, IrregularOrbit, ModulusMismatch,
-                     ResultantVanishes, SingularMatrix, UnknownCase)
+                     SingularMatrix, UnknownCase)
 from .field import is_prime, primitive_root
-from .implicitize import implicit_degree
 from .polys import Poly, RationalFunction
 from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
                        projective_line)

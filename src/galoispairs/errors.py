@@ -35,7 +35,3 @@ class IrregularOrbit(GaloisPairsError):
 
 class EvaluationAtPole(GaloisPairsError):
     """Pole structure of an adjusted invariant does not match the orbit."""
-
-
-class ResultantVanishes(GaloisPairsError):
-    """The components of a parametrization share a factor."""

@@ -285,7 +285,8 @@ def emit_parametrization(cert: PairCertificate) -> CurveParametrization:
 
     The two coordinate projections (A : D) and (B : D) are the adjusted
     invariants of the two groups, sharing the base-point orbit as their
-    common polar set.
+    common polar set. The proof that the image curve has degree d is in
+    the docstring of the implicitize module.
     """
     if cert.verdict != "pass":
         raise ValueError("pair fails the criterion: " + "; ".join(cert.failures))

@@ -8,17 +8,18 @@ import io
 import random
 from collections import Counter
 from functools import lru_cache
+from math import gcd
 from typing import Iterator
 
 import numpy as np
 
-from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, GroupKind,
-                         PairCertificate, Poly, ProjectiveLine, ProjectiveMatrix,
+from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, CurveParametrization,
+                         GroupKind, PairCertificate, Poly, ProjectiveLine, ProjectiveMatrix,
                          ProjectivePoint, RationalFunction, SearchConfig, Subgroup,
                          check_pair_all_basepoints, generate_closure, orbit,
                          projective_line)
 from galoispairs.cli import (_cmd_check_pair, _cmd_emit_curve, _cmd_search,
-                             _cmd_verify_paper)
+                             _cmd_verify_paper, main)
 from galoispairs.search import STRATEGIES, _transitive_group
 
 # the (kind1, kind2) the paper states for each bundled case (p, label)
@@ -299,6 +300,138 @@ def expanded_orbit_product(G: Subgroup) -> list[Poly]:
     return [Poly(p, row) for row in coeffs]
 
 
+class CubicField:
+    """F_{p^3} = F_p[w]/(w^3 - a w - b) for the first (a, b) in lexicographic
+    order whose cubic has no root in F_p, and is therefore irreducible.
+
+    Element i is x0 + x1 w + x2 w^2 with (x0, x1, x2) the base-p digits of
+    i, lowest first: elements 0 to p - 1 are F_p, and element p is w. A
+    polynomial over the field is an int64 array of shape (3, n) whose
+    column j is its coefficient of t^j. Values of polynomials of degree d
+    are sums of d + 1 products of residues, exact while (d + 1) p^2 < 2^63.
+    """
+
+    def __init__(self, p: int):
+        self.p = p
+        for a in range(p):
+            values = {(w * w - a) * w % p for w in range(p)}
+            if len(values) < p:
+                self.a, self.b = a, min(set(range(p)) - values)
+                break
+        # three blocks of rows: the matrices of multiplication by 1, w, w^2
+        self.basis = np.vstack([self.times(e) for e in np.eye(3, dtype=np.int64)])
+
+    def element(self, i: int) -> tuple:
+        p = self.p
+        return i % p, i // p % p, i // p ** 2
+
+    def times(self, x) -> np.ndarray:
+        """The matrix of multiplication by x, from w^3 = a w + b."""
+        a, b = self.a, self.b
+        x0, x1, x2 = (int(c) for c in x)
+        return np.array([[x0, b * x2, b * x1], [x1, x0 + a * x2, a * x1 + b * x2],
+                         [x2, x1, x0 + a * x2]], dtype=np.int64) % self.p
+
+    def inverse(self, x) -> list:
+        """adj(M) e0 / det M for M = times(x)."""
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.times(x).tolist()
+        adj = (m11 * m22 - m12 * m21, m12 * m20 - m10 * m22, m10 * m21 - m11 * m20)
+        u = pow(m00 * adj[0] + m01 * adj[1] + m02 * adj[2], -1, self.p)
+        return [c * u for c in adj]
+
+    def powers(self, x, n: int) -> np.ndarray:
+        """x^0, ..., x^(n - 1) as the rows of an (n, 3) array, by doubling."""
+        p = self.p
+        out, X = np.array([[1, 0, 0]], dtype=np.int64), self.times(x)
+        while len(out) < n:
+            out = np.vstack([out, out @ X.T % p])
+            X = X @ X % p
+        return out[:n]
+
+    def gcd(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """A gcd of f and g by Euclid's algorithm, with g made monic before
+        it divides; f is overwritten."""
+        p = self.p
+        while g.shape[1]:
+            n = g.shape[1]
+            g = self.times(self.inverse(g[:, -1])) @ g % p
+            # row k is w^k g, flattened: lead(f) g is their combination
+            multiples = (self.basis @ g % p).reshape(3, 3 * n)
+            while f.shape[1] >= n:
+                f[:, -n:] = (f[:, -n:] - (f[:, -1] @ multiples).reshape(3, n)) % p
+                f = _trim_columns(f)
+            f, g = g, f
+        return f
+
+
+def _trim_columns(f: np.ndarray) -> np.ndarray:
+    nonzero = np.flatnonzero(f.any(axis=0))
+    return f[:, :nonzero[-1] + 1] if len(nonzero) else f[:, :0]
+
+
+def fiber_size(param: CurveParametrization, F: CubicField, t=None) -> int:
+    """The size, with multiplicity, of the fiber of t -> (A : B : D) over the
+    image of the point (1 : t) of P^1(F_{p^3}), or of (0 : 1) if t is None.
+
+    With d = max(deg A, deg B, deg D) and (a0, b0, d0) the image, the fiber
+    is cut out by the 2x2 minors of the matrix with rows (A, B, D) and
+    (a0, b0, d0): A b0 - B a0, A d0 - D a0 and B d0 - D b0. The two that
+    take a non-zero coordinate of the image span the third. The size is the
+    degree of their gcd plus the multiplicity of t = infinity, the least gap
+    d - deg M over the non-zero minors M (a minor of degree below d vanishes
+    at infinity once homogenized to degree d).
+    """
+    polys = (param.A, param.B, param.D)
+    d = max(P.degree for P in polys)
+    rows = np.zeros((3, d + 1), dtype=np.int64)
+    for row, P in zip(rows, polys):
+        row[:len(P.coeffs)] = P.coeffs
+    if t is None:  # the coefficients of t^d
+        image = np.zeros((3, 3), dtype=np.int64)
+        image[:, 0] = rows[:, d]
+    else:
+        image = rows @ F.powers(t, d + 1) % F.p
+    j = next(j for j in range(3) if image[j].any())
+    minors = [_trim_columns((np.outer(image[i], rows[j]) - np.outer(image[j], rows[i])) % F.p)
+              for i in range(3) if i != j]
+    minors = [M for M in minors if M.shape[1]]
+    g = F.gcd(*minors) if len(minors) == 2 else minors[0]
+    return g.shape[1] - 1 + min(d + 1 - M.shape[1] for M in minors)
+
+
+def image_degree(param: CurveParametrization) -> int:
+    """Oracle for implicitize.implicit_degree: the degree of the image curve
+    of t -> (A : B : D), read off fibers of the map (the tracing index of
+    Sendra, Winkler and Perez-Diaz, *Rational Algebraic Curves*, Springer
+    2008). 0 for a constant map; a ValueError if A, B and D share a factor.
+
+    The map factors as a birational map after one of degree k, and the image
+    has degree d / k. Every fiber size is k times the multiplicity of the
+    image point, which is 1 except at the singular points of the image. A
+    rational curve of degree e has at most (e - 1)(e - 2) parameters over
+    its singular points, so the map has at most (d - 1)(d - 2) parameters
+    whose fiber is larger than k. The scan takes the gcd of d and the fiber
+    sizes over the points of P^1(F_{p^3}): (0 : 1), the rest of P^1(F_p),
+    then the other points in the order of CubicField.element. It stops when
+    the gcd is 1, or after (d - 1)(d - 2) + 1 points, when the gcd is k.
+    P^1(F_p) alone can fall short: at p = 5 a map of degree 2 onto a
+    quartic can have all six rational fibers of size 4.
+    """
+    A, B, D = param.A, param.B, param.D
+    d = max(A.degree, B.degree, D.degree)
+    if d <= 0:
+        return 0
+    if A.gcd(B).gcd(D).degree > 0:
+        raise ValueError("the components A, B, D share a factor")
+    F = CubicField(param.p)
+    k = d
+    for n in range(param.p ** 3 + 1):
+        k = gcd(k, fiber_size(param, F, F.element(n - 1) if n else None))
+        if k == 1 or n == (d - 1) * (d - 2):
+            return d // k
+    raise AssertionError(f"P^1(F_{{p^3}}) has fewer than (d - 1)(d - 2) + 1 points at d = {d}")
+
+
 def canonical_matrix_array(p: int) -> np.ndarray:
     """canonical_matrices(p) as an (N, 4) int64 array."""
     return np.array(list(canonical_matrices(p)), dtype=np.int64)
@@ -448,3 +581,11 @@ def argparse_reading(argv: list[str]):
             return vars(build_parser().parse_args(argv))
         except SystemExit as exc:
             return "help" if exc.code in (0, None) else "error"
+
+
+def run_main(argv):
+    """main(argv) with its stdout and stderr captured: (exit code, out, err)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()

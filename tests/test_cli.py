@@ -6,20 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-import contextlib
-import io
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import argparse_reading
+from conftest import argparse_reading, run_main
 import galoispairs
 from galoispairs import (case_subgroups, check_pair, cli, conjugate, criterion,
                          find_cyclic_regular, projective_line)
 from galoispairs.cli import (COMMANDS, EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID,
                              EXIT_PASS, UsageError, main, parse_args)
-from galoispairs.errors import ResultantVanishes
+from galoispairs.errors import DegenerateInvariant
 
 
 def pair_document(tmp_path, G1, G2):
@@ -61,11 +58,11 @@ def test_emit_curve_implicit_degree_error_is_a_failure(tmp_path, monkeypatch,
                                                        case_11a):
     # the handler's own catch exits 1; main's catch of invalid input (exit 2)
     # never sees the error
-    def vanishes(param):
-        raise ResultantVanishes("the components share a factor")
-    monkeypatch.setattr(cli, "implicit_degree", vanishes)
+    def unproven(cert, param):
+        raise DegenerateInvariant("no degree proof")
+    monkeypatch.setattr(cli, "implicit_degree", unproven)
     rc, out, err = run_main(["emit-curve", pair_document(tmp_path, *case_11a)])
-    assert (rc, out, err) == (EXIT_FAIL, "", "error: the components share a factor\n")
+    assert (rc, out, err) == (EXIT_FAIL, "", "error: no degree proof\n")
 
 
 def test_main_lets_other_exceptions_propagate(tmp_path, monkeypatch, case_11a):
@@ -243,14 +240,6 @@ def test_cli_import_leaves_numpy_out():
             "print([m for m in ('numpy', 'argparse', 'gettext', 'dataclasses', "
             "'inspect', 'ast', 'dis', 'tokenize') if m in added])")
     assert run_python("-c", code)[:2] == (0, "[]\n")
-
-
-def run_main(argv):
-    """main(argv) with its stdout and stderr captured: (exit code, out, err)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
-    return rc, out.getvalue(), err.getvalue()
 
 
 # the argv alphabet of the parity property, one branch per sort of token so

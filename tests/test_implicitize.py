@@ -1,20 +1,28 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from galoispairs import (CurveParametrization, Poly, ResultantVanishes,
-                         SearchConfig, case_subgroups, check_pair,
-                         emit_parametrization, implicit_degree, parse_kind,
+from conftest import CubicField, canonical_matrices, fiber_size, image_degree, run_main
+from galoispairs import (CurveParametrization, DegenerateInvariant, PairCertificate, Poly,
+                         SearchConfig, case_subgroups, check_pair, conjugate,
+                         emit_parametrization, intersect, parse_kind, projective_line,
                          run_search)
+from galoispairs.cli import EXIT_EXHAUSTED, EXIT_FAIL, EXIT_INVALID, EXIT_PASS
+from galoispairs.implicitize import implicit_degree
+from galoispairs.search import _transitive_group
 
 REFERENCE_CASES = [(p, label) for p in (11, 23, 59) for label in "abc"]
 
 
+def reference_certificate(p, label):
+    return check_pair(*case_subgroups(p, label))
+
+
 def reference_parametrization(p, label):
-    G1, G2 = case_subgroups(p, label)
-    return emit_parametrization(check_pair(G1, G2))
+    return emit_parametrization(reference_certificate(p, label))
 
 
 def parametrization(p, A, B, D):
@@ -33,19 +41,20 @@ def test_implicit_degree_line():
     p = 11
     param = CurveParametrization(p, Poly(p, [0, 1]), Poly(p, [1]),
                                  Poly(p, [1]), 1)
-    assert implicit_degree(param) == 1
+    assert image_degree(param) == 1
 
 
 def test_implicit_degree_collapse_flagged():
     param = reference_parametrization(11, "a")
     collapsed = CurveParametrization(11, param.A, param.A, param.D, param.degree)
-    assert implicit_degree(collapsed) == 1 != param.degree
+    assert image_degree(collapsed) == 1 != param.degree
 
 
 @pytest.mark.parametrize("p,label", REFERENCE_CASES)
 def test_implicit_degree_reference_cases(p, label):
-    param = reference_parametrization(p, label)
-    assert implicit_degree(param) == param.degree == p + 1
+    cert = reference_certificate(p, label)
+    param = emit_parametrization(cert)
+    assert implicit_degree(cert, param) == image_degree(param) == param.degree == p + 1
 
 
 def resultant_image_degree(param):
@@ -77,9 +86,10 @@ def resultant_image_degree(param):
 
 @pytest.mark.parametrize("label", "abc")
 def test_resultant_oracle_at_11(label):
-    param = reference_parametrization(11, label)
+    cert = reference_certificate(11, label)
+    param = emit_parametrization(cert)
     assert resultant_image_degree(param) == 12
-    assert implicit_degree(param) == 12
+    assert implicit_degree(cert, param) == 12
 
 
 def c6_self_pair_at_5():
@@ -97,10 +107,113 @@ def test_resultant_oracle_reads_degree_6_on_the_c6_self_pair_at_5():
     assert resultant_image_degree(param) == 6
 
 
-@pytest.mark.xfail(strict=True, reason="the six rational fibers lie over three points "
-                   "at infinity, two each, so the fiber scan reads d/2 = 3")
-def test_implicit_degree_reads_degree_6_on_the_c6_self_pair_at_5():
-    assert implicit_degree(c6_self_pair_at_5()) == 6
+def emit_self_pair_curve(tmp_path, p, kind):
+    """search --p p --kind1 kind --kind2 kind --strategy exhaustive-cyclic,
+    then emit-curve on its certificate: (search exit code, emit-curve exit
+    code, emit-curve stdout lines)."""
+    rc, cert, _ = run_main(["search", "--p", str(p), "--kind1", kind, "--kind2", kind,
+                            "--strategy", "exhaustive-cyclic"])
+    if rc != EXIT_PASS:
+        return rc, None, None
+    path = tmp_path / "cert.json"
+    path.write_text(cert)
+    rc_emit, curve, _ = run_main(["emit-curve", str(path)])
+    return rc, rc_emit, curve.splitlines()
+
+
+def test_emit_curve_reads_degree_6_on_the_c6_self_pair_at_5(tmp_path):
+    # the six rational fibers lie over three points at infinity, two each, so
+    # P^1(F_5) alone reads d/2 = 3; the fibers over F_125 read 6
+    assert emit_self_pair_curve(tmp_path, 5, "C6") == (
+        EXIT_PASS, EXIT_PASS, [json.dumps(c6_self_pair_at_5().to_dict(), sort_keys=True),
+                               "implicit_degree=6"])
+    assert image_degree(c6_self_pair_at_5()) == 6
+
+
+SWEEP_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+
+@pytest.mark.parametrize("family", "CD")
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_emit_curve_reads_degree_p_plus_1_on_every_self_pair(tmp_path, p, family):
+    # the C and D self-pair certificates that search writes at p <= 61; D4 is
+    # the one kind with no transitive pair (search exits 3)
+    rc, rc_emit, lines = emit_self_pair_curve(tmp_path, p, f"{family}{p + 1}")
+    if (p, family) == (3, "D"):
+        assert rc == EXIT_EXHAUSTED
+        return
+    assert (rc, rc_emit, lines[-1]) == (EXIT_PASS, EXIT_PASS, f"implicit_degree={p + 1}")
+    curve = json.loads(lines[0])
+    param = CurveParametrization(p, *(Poly(p, curve[key]) for key in "ABD"), curve["degree"])
+    assert image_degree(param) == p + 1
+
+
+@pytest.mark.parametrize("family", "CD")
+@pytest.mark.parametrize("p", [401, 1009])
+def test_one_fiber_over_f_p3_reads_degree_p_plus_1_on_large_self_pairs(p, family):
+    # every fiber size is a multiple of the map degree, so one fiber of size 1
+    # proves the map birational and the image of degree d. The rational points
+    # of these curves lie over the line at infinity, most of them over nodes,
+    # so the scan would spend about p gcds of degree p + 1 before F_{p^3}
+    kind = parse_kind(f"{family}{p + 1}")
+    param = emit_parametrization(run_search(SearchConfig(p, kind, kind, "exhaustive-cyclic")))
+    F = CubicField(p)
+    assert param.degree == p + 1
+    assert fiber_size(param, F, F.element(p)) == 1  # the fiber over the image of w
+
+
+def d8_and_conjugates_at_7():
+    """D8 at p = 7, and for each size 2 and 4 the first conjugate in the
+    canonical order that meets it in that many elements."""
+    line = projective_line(7)
+    G = _transitive_group(line, parse_kind("D8"))
+    meets = {}
+    for b in canonical_matrices(7):
+        H = conjugate(G, b)
+        meets.setdefault(len(intersect(G, H)), H)
+    return G, meets
+
+
+@pytest.mark.parametrize("meet", [2, 4])
+def test_the_map_degree_is_the_intersection_order(tmp_path, meet):
+    # the degree proof needs G1 ∩ G2 = 1: a pair that meets in `meet`
+    # elements fails check-pair and emit-curve, and its parametrization, made
+    # by force, is a map of degree `meet` onto a curve of degree 8 / meet
+    G, meets = d8_and_conjugates_at_7()
+    H = meets[meet]
+    cert = check_pair(G, H)
+    assert (cert.intersection_size, cert.failures) == (meet, ("intersection not trivial",))
+    doc = {"p": 7, "g1": {"generators": [M.rows() for M in G.generators]},
+           "g2": {"generators": [M.rows() for M in H.generators]}}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert run_main(["check-pair", str(path)]) == (EXIT_FAIL, cert.to_json() + "\n", "")
+    assert run_main(["emit-curve", str(path)])[0] == EXIT_INVALID
+    forced = PairCertificate(**{key: getattr(cert, key) for key in PairCertificate.__slots__
+                                if key != "failures"}, failures=())
+    param = emit_parametrization(forced)
+    assert param.degree == 8
+    assert param.degree // image_degree(param) == meet
+
+
+def test_pinned_map_of_degree_2_onto_a_quartic_at_5():
+    # every one of the six rational fibers has size 4, so P^1(F_5) alone reads
+    # 8 / 4 = 2; the fibers over F_125 find the map degree 2
+    p = 5
+    param = parametrization(p, Poly(p, [3, 4, 0, 3, 3, 4, 0, 1, 4]), Poly(p, [3, 2, 2]),
+                            Poly(p, [2, 0, 4, 4, 4, 1, 3, 3, 2]))
+    assert image_degree(param) == 4
+
+
+def test_implicit_degree_needs_a_passing_certificate_of_the_curve_degree():
+    cert = reference_certificate(11, "a")
+    param = emit_parametrization(cert)
+    G1, _ = case_subgroups(11, "a")
+    with pytest.raises(DegenerateInvariant, match="verdict is fail"):
+        implicit_degree(check_pair(G1, G1), param)
+    line = CurveParametrization(11, Poly(11, [0, 1]), Poly(11, [1]), Poly(11, [1]), 1)
+    with pytest.raises(DegenerateInvariant, match="parametrization's degree 1"):
+        implicit_degree(cert, line)
 
 
 def test_resultant_vanishes_on_shared_factor():
@@ -108,22 +221,22 @@ def test_resultant_vanishes_on_shared_factor():
     t = Poly(p, [0, 1])
     param = CurveParametrization(11, t * Poly(p, [1, 1]), t * Poly(p, [2, 1]),
                                  t, 2)
-    with pytest.raises(ResultantVanishes):
-        implicit_degree(param)
+    with pytest.raises(ValueError):
+        image_degree(param)
 
 
 def test_point_image_raises():
     p = 11
     A = Poly(p, [3, 4, 6, 8])
-    with pytest.raises(ResultantVanishes):
-        implicit_degree(parametrization(p, A, Poly.zero(p), Poly.zero(p)))
+    with pytest.raises(ValueError):
+        image_degree(parametrization(p, A, Poly.zero(p), Poly.zero(p)))
 
 
 def test_map_onto_the_line_at_infinity():
     p = 11
     A, B = Poly(p, [1, 2, 3]), Poly(p, [5, 0, 1, 4])
     assert A.gcd(B).degree == 0
-    assert implicit_degree(parametrization(p, A, B, Poly.zero(p))) == 1
+    assert image_degree(parametrization(p, A, B, Poly.zero(p))) == 1
 
 
 def test_fiber_at_infinity_counts():
@@ -131,7 +244,7 @@ def test_fiber_at_infinity_counts():
     p = 11
     A = Poly(p, [3, 4, 6, 8])
     param = parametrization(p, A, A + Poly.const(p, 1), A.scale(10) + Poly.const(p, 4))
-    assert implicit_degree(param) == 1
+    assert image_degree(param) == 1
 
 
 def test_point_at_infinity_is_sampled():
@@ -139,7 +252,7 @@ def test_point_at_infinity_is_sampled():
     p = 5
     param = parametrization(p, Poly(p, [3, 4, 4]), Poly(p, [2, 4, 0, 0, 3]),
                             Poly(p, [2, 0, 3, 3, 1]))
-    assert implicit_degree(param) == 4
+    assert image_degree(param) == 4
 
 
 def test_fiber_sizes_combine_by_gcd():
@@ -150,7 +263,7 @@ def test_fiber_sizes_combine_by_gcd():
     base = parametrization(p, Poly(p, [1, 4]), Poly(p, [0, 0, 4, 1]),
                            Poly(p, [4, 0, 2, 2, 2, 3]))
     composed = parametrization(p, *(compose(P, h) for P in (base.A, base.B, base.D)))
-    assert implicit_degree(composed) == implicit_degree(base) == 5
+    assert image_degree(composed) == image_degree(base) == 5
 
 
 def test_quadratic_image_of_degree_two_map():
@@ -158,7 +271,7 @@ def test_quadratic_image_of_degree_two_map():
     p = 11
     param = CurveParametrization(p, Poly(p, [0, 0, 1]), Poly(p, [1, 1, 1]),
                                  Poly(p, [1]), 2)
-    assert implicit_degree(param) == 2
+    assert image_degree(param) == 2
 
 
 PRIMES = st.sampled_from([5, 7, 11, 13, 101])
@@ -180,17 +293,17 @@ def test_implicit_degree_invariant_under_reparametrization(data):
     h = data.draw(polys(p, 3, min_degree=2))
     d = max(A.degree, B.degree, D.degree)
     assume(d >= 1)
-    # the exactness bound of the fiber count, for both maps
+    # the bound under which P^1(F_p) alone decides both degrees
     assume(p + 1 > h.degree * (d - 1) * (d - 2))
     base = parametrization(p, A, B, D)
     composed = parametrization(p, *(compose(P, h) for P in (A, B, D)))
     try:
-        want = implicit_degree(base)
-    except ResultantVanishes:
-        with pytest.raises(ResultantVanishes):
-            implicit_degree(composed)
+        want = image_degree(base)
+    except ValueError:
+        with pytest.raises(ValueError):
+            image_degree(composed)
         return
-    assert implicit_degree(composed) == want
+    assert image_degree(composed) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -204,9 +317,9 @@ def test_implicit_degree_of_a_line_is_coordinate_free(data):
     line = parametrization(p, A, D.scale(c), D)
     sheared = parametrization(p, A, A + D.scale(c), D)
     try:
-        want = implicit_degree(line)
-    except ResultantVanishes:
-        with pytest.raises(ResultantVanishes):
-            implicit_degree(sheared)
+        want = image_degree(line)
+    except ValueError:
+        with pytest.raises(ValueError):
+            image_degree(sheared)
         return
-    assert implicit_degree(sheared) == want == (1 if line.degree >= 1 else 0)
+    assert image_degree(sheared) == want == (1 if line.degree >= 1 else 0)
