@@ -26,7 +26,7 @@ class UnknownCase(GaloisPairsError):
 
 
 class DegenerateInvariant(GaloisPairsError):
-    """No orbit-product coefficient reached the full invariant degree."""
+    """A parametrization whose degree its certificate does not prove."""
 
 
 class IrregularOrbit(GaloisPairsError):
@@ -34,4 +34,4 @@ class IrregularOrbit(GaloisPairsError):
 
 
 class EvaluationAtPole(GaloisPairsError):
-    """Pole structure of an adjusted invariant does not match the orbit."""
+    """The polar set of an invariant is not the base-point orbit."""

@@ -1,9 +1,9 @@
 """The degree of a certified pair's plane curve, read off its certificate.
 
 emit_parametrization turns a passing certificate for (G1, G2), of order d,
-into t -> (A : B : D) with x = A/D and y = B/D the adjusted invariants of
-G1 and G2. The image of that map is a curve of degree exactly d, and the
-certificate's checks are all the proof needs:
+into t -> (A : B : D) with x = A/D and y = B/D the invariants of G1 and G2
+anchored at the base point. The image of that map is a curve of degree
+exactly d, and the certificate's checks are all the proof needs:
 
 - Birational. x is G1-invariant of degree d = |G1|, so F_p(x) is the fixed
   field F_p(t)^G1 (Artin's theorem) and F_p(t)/F_p(x) is Galois with group
@@ -12,10 +12,11 @@ certificate's checks are all the proof needs:
   K = F_p(x, y) is such a field, and H fixes y, so H <= G2 too. The
   certificate checks G1 ∩ G2 = 1, so H = 1, K = F_p(t), and the map is
   birational onto its image.
-- No base point. moebius_adjust builds each invariant as a coprime
+- No base point. invariant_generator returns each invariant as a coprime
   quotient (RationalFunction._coprime), so gcd(A, D) = gcd(B, D) = 1, and
-  it checks that each has degree d, so max(deg A, deg B, deg D) = d: the
-  three forms of degree d share no zero on P^1, (0:1) included.
+  moebius_adjust checks that each has degree d, so max(deg A, deg B,
+  deg D) = d: the three forms of degree d share no zero on P^1, (0:1)
+  included.
 - So a general line pulls back to d parameters, one over each of its d
   points on the image, and the image has degree d.
 

@@ -207,10 +207,3 @@ class RationalFunction:
     def __repr__(self):
         return f"RationalFunction({self.num!r} / {self.den!r})"
 
-
-def point_values(polys, d: int, Q) -> tuple:
-    """Values of the polys, as forms of degree d, at the canonical point Q
-    of P^1(F_p): P(t) at (1:t), and the coefficient of t^d at (0:1)."""
-    if Q.s:
-        return tuple(P.eval(Q.t) for P in polys)
-    return tuple(P.coeffs[d] if P.degree == d else 0 for P in polys)

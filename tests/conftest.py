@@ -272,8 +272,9 @@ def is_invariant_under(f: RationalFunction, M: ProjectiveMatrix) -> bool:
 
 
 def expanded_orbit_product(G: Subgroup) -> list[Poly]:
-    """Oracle for quotient._orbit_product: prod_{g in G} (D_g X - N_g)
-    expanded one linear factor at a time, O(|G|^3) coefficient operations."""
+    """prod_{g in G} (D_g X - N_g) expanded one linear factor at a time,
+    O(|G|^3) coefficient operations: its rows X^(|G|-1) over X^|G| are the
+    oracle for quotient._top_ratio on G's own elements."""
     # cleared product prod (D_g X - N_g) with N_g = b + d t, D_g = a + c t:
     # coeffs[i] is the t-polynomial multiplying X^i
     p = G.line.p
@@ -299,6 +300,24 @@ def expanded_orbit_product(G: Subgroup) -> list[Poly]:
         coeffs = new
     return [Poly(p, row) for row in coeffs]
 
+
+
+def anchored_invariant(G: Subgroup, Q: ProjectivePoint) -> RationalFunction:
+    """Oracle for quotient.invariant_generator: -sum_g Phi(g(t)), one term at
+    a time by the gcd-reducing constructor, with Phi(x) = 1/(x - P.t) for
+    the first point P of the orbit of Q in line.points() order, or the
+    identity when P is (0:1)."""
+    line = G.line
+    p = line.p
+    pts = orbit(G, Q)
+    P = next(R for R in line.points() if R in pts)
+    acc = RationalFunction(Poly.zero(p), Poly.const(p, 1))
+    for a, b, c, d in G.elements:
+        num, den = Poly(p, [b, d]), Poly(p, [a, c])  # g(t)
+        if P.s:
+            num, den = den, num - den.scale(P.t)
+        acc = RationalFunction(acc.num * den - num * acc.den, acc.den * den)
+    return acc
 
 class CubicField:
     """F_{p^3} = F_p[w]/(w^3 - a w - b) for the first (a, b) in lexicographic

@@ -81,6 +81,22 @@ def test_emit_curve_rejects_a_failing_pair(tmp_path, capsys, case_11a):
                                        "groups not different; intersection not trivial\n")
 
 
+def test_emit_curve_anchors_a_c2_pair_at_its_shared_orbit(tmp_path):
+    # t -> -t and t -> -1/t at p = 11 share the orbit {1, 10} of (1:1), and
+    # their orbit traces are constant; anchored at (1:1) the invariants are
+    # -2/(t^2 - 1) and (t^2 - 2t - 1)/(t^2 - 1)
+    doc = {"p": 11, "g1": {"generators": [[[-1, 0], [0, 1]]]},
+           "g2": {"generators": [[[0, -1], [1, 0]]]}, "base_point": [1, 1]}
+    path = tmp_path / "c2.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run_main(["check-pair", str(path)])
+    assert (rc, err) == (EXIT_PASS, "")
+    assert run_main(["emit-curve", str(path)]) == (
+        EXIT_PASS,
+        '{"A": [9], "B": [10, 9, 1], "D": [10, 0, 1], "degree": 2, "p": 11}\n'
+        "implicit_degree=2\n", "")
+
+
 def test_check_pair_exit_codes(tmp_path, capsys, case_11a):
     G1, G2 = case_11a
     assert main(["check-pair", pair_document(tmp_path, G1, G2)]) == EXIT_PASS

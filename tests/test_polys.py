@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galoispairs import Poly, ProjectivePoint, RationalFunction, is_prime
-from galoispairs.polys import point_values
-from conftest import compose_frac, power_sum, vanishing_poly
+from galoispairs import Poly, RationalFunction, is_prime
+from conftest import compose_frac, vanishing_poly
 
 
 def schoolbook_mul(a, b, p):
@@ -209,17 +208,3 @@ def test_gcd_divides_both_and_is_monic(abc):
     # greatest: a common factor c multiplies the gcd
     if not c.is_zero:
         assert (a * c).gcd(b * c) == (g * c).monic()
-
-
-@settings(max_examples=100, deadline=None)
-@given(polys_over(3), st.integers(0, 3), st.integers())
-def test_point_values_match_power_sums(polys, extra, t):
-    # forms of degree d at or above every degree: at (1:t) the oracle sums
-    # powers of t, and at (0:1) it reads the cleared P(1/t) at t = 0
-    p = polys[0].p
-    d = max(0, *(P.degree for P in polys)) + extra
-    affine = ProjectivePoint(1, t % p)
-    assert point_values(polys, d, affine) == tuple(power_sum(P, t % p) for P in polys)
-    swap = (0, 1, 1, 0)  # t -> 1/t
-    assert point_values(polys, d, ProjectivePoint(0, 1)) == tuple(
-        power_sum(compose_frac(P, d, swap), 0) for P in polys)

@@ -1,21 +1,22 @@
+import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (POLE, all_subgroups, expanded_orbit_product,
-                      is_invariant_under, seeded_random_subgroups,
-                      trivial_subgroup, value_at, vanishing_poly)
+from conftest import (POLE, all_subgroups, anchored_invariant, canonical_matrices,
+                      expanded_orbit_product, is_invariant_under,
+                      seeded_random_subgroups, trivial_subgroup, value_at,
+                      vanishing_poly)
 from galoispairs import (LABELS, PRIMES, CurveParametrization,
                          EvaluationAtPole, GroupKind, IrregularOrbit, Poly,
-                         RationalFunction, case_subgroups, check_pair,
-                         conjugate, emit_parametrization, generate_closure,
-                         invariant_generator, moebius_adjust, orbit,
-                         projective_line, quotient)
-from galoispairs.polys import point_values
-from galoispairs.quotient import (_line_poly, _mul_rows, _orbit_product,
-                                  _power_sums, _top_ratio, _vanishing)
+                         ProjectivePoint, RationalFunction, case_subgroups,
+                         check_pair, conjugate, emit_parametrization,
+                         generate_closure, invariant_generator, moebius_adjust,
+                         orbit, projective_line, quotient)
+from galoispairs.quotient import (_line_poly, _power_sums, _top_ratio,
+                                  _vanishing)
 from galoispairs.search import _transitive_group
 
 
@@ -33,18 +34,20 @@ def negation_group(p=11):
 
 
 def test_trivial_group_invariant_is_identity_map():
+    # anchored at (0:1), the one term is minus the identity map: -t
     line = projective_line(11)
     f = invariant_generator(trivial_subgroup(line))
-    assert f.num == Poly.x(line.p)
+    assert f.num == -Poly.x(line.p)
     assert f.den == Poly(line.p, [1])
 
 
 def test_order_two_invariant():
     G = negation_group()
-    f = invariant_generator(G)
+    f = invariant_generator(G, G.line.point(1, 3))
     assert f.degree == 2
     # t -> -t invariance means only even-degree terms survive
     assert all(c == 0 for c in f.num.coeffs[1::2])
+    assert all(c == 0 for c in f.den.coeffs[1::2])
     for M in G.elements:
         assert is_invariant_under(f, M)
 
@@ -69,12 +72,17 @@ def test_invariance_consistent_with_point_action():
 
 
 def test_moebius_adjust_trivial():
+    # anchored at (1:0), the invariant of the trivial group is -1/t, with
+    # its pole at Q; -t, anchored at (0:1), fails the polar check at Q
     line = projective_line(11)
     G = trivial_subgroup(line)
-    f = invariant_generator(G)
-    h = moebius_adjust(f, G, line.point(1, 0))
-    assert h.num == Poly(line.p, [1])
-    assert h.den == Poly(line.p, [0, 1])  # h = 1/t
+    Q = line.point(1, 0)
+    h = invariant_generator(G, Q)
+    assert moebius_adjust(h, G, Q) is h
+    assert h.num == Poly(line.p, [-1])
+    assert h.den == Poly(line.p, [0, 1])
+    with pytest.raises(EvaluationAtPole):
+        moebius_adjust(invariant_generator(G), G, Q)
 
 
 def test_moebius_adjust_full_orbit():
@@ -93,7 +101,7 @@ def test_moebius_adjust_partial_orbit_poles():
     line = projective_line(11)
     G = negation_group()
     Q = line.point(1, 3)
-    h = moebius_adjust(invariant_generator(G), G, Q)
+    h = moebius_adjust(invariant_generator(G, Q), G, Q)
     assert h.degree == 2
     pts = orbit(G, Q)
     assert h.den == vanishing_poly(line.p, sorted(P.t for P in pts))
@@ -103,43 +111,54 @@ def test_moebius_adjust_partial_orbit_poles():
 
 def test_bundled_groups_have_every_point_as_a_pole():
     # the pole lemma: the invariant of a regular transitive group has all
-    # of P^1(F_p) as its polar set, so the adjustment keeps it
+    # of P^1(F_p) as its polar set, so the polar check passes at every
+    # point, and every point, in the one orbit of (0:1), anchors it there
     groups = [G for p in PRIMES for label in LABELS for G in case_subgroups(p, label)]
     assert len(groups) == 18
     for G in groups:
         f = invariant_generator(G)
         line = G.line
         for Q in line.points():
-            assert point_values((f.num, f.den), f.degree, Q)[1] == 0
             assert value_at(f, Q) is POLE
-        assert moebius_adjust(f, G, line.point(0, 1)) == f
+            assert moebius_adjust(f, G, Q) is f
+        assert invariant_generator(G, line.point(1, 1)) == f
 
 
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_moebius_adjust_matches_the_reducing_constructor(p):
-    # away from a pole, h is 1/(f - f(Q)) built by the gcd-reducing
-    # constructor from the oracle's value of f at Q; every regular orbit of
-    # the seeded groups is tried (at p = 5 each one is a polar set)
+    # the invariant anchored at every regular orbit of the seeded groups is
+    # the sum the gcd-reducing constructor builds one term at a time, and
+    # passes the polar check at every point of that orbit and no other
     line = projective_line(p)
     tried = 0
     for G in seeded_random_subgroups(p, 30, 17 * p):
         if len(G) % p == 0:
             continue
-        f = invariant_generator(G)
         for Q in line.points():
-            if len(orbit(G, Q)) == len(G):
-                c = value_at(f, Q)
-                want = f if c is POLE else RationalFunction(f.den, f.num - f.den.scale(c))
-                assert moebius_adjust(f, G, Q) == want
-                tried += c is not POLE
+            pts = orbit(G, Q)
+            if len(pts) != len(G):
+                continue
+            f = invariant_generator(G, Q)
+            assert f == anchored_invariant(G, Q)
+            assert moebius_adjust(f, G, Q) is f
+            for R in line.points():
+                if R not in pts and len(orbit(G, R)) == len(G):
+                    with pytest.raises(EvaluationAtPole):
+                        moebius_adjust(f, G, R)
+            tried += ProjectivePoint(0, 1) not in pts
     assert tried
 
 
 def test_moebius_adjust_rejects_irregular_orbit():
+    # t -> -t fixes (1:0) and (0:1)
     line = projective_line(11)
     G = negation_group()
-    with pytest.raises(IrregularOrbit):
-        moebius_adjust(invariant_generator(G), G, line.point(1, 0))
+    f = invariant_generator(G, line.point(1, 3))
+    for Q in (line.point(1, 0), line.point(0, 1)):
+        with pytest.raises(IrregularOrbit):
+            moebius_adjust(f, G, Q)
+        with pytest.raises(IrregularOrbit):
+            invariant_generator(G, Q)
 
 
 def test_moebius_adjust_rejects_a_denominator_with_the_wrong_roots():
@@ -151,7 +170,7 @@ def test_moebius_adjust_rejects_a_denominator_with_the_wrong_roots():
     G = negation_group()
     H = conjugate(G, line.matrix([[0, 1], [1, 1]]))
     Q = line.point(1, 3)
-    f = invariant_generator(H)
+    f = invariant_generator(H, Q)
     assert moebius_adjust(f, H, Q).den == vanishing_poly(line.p, [3, 10])
     with pytest.raises(EvaluationAtPole):
         moebius_adjust(f, G, Q)
@@ -167,6 +186,44 @@ def test_emit_parametrization_reference_degrees():
         assert param.B.gcd(param.D).degree == 0
 
 
+def test_paper_pairs_give_the_default_curve_at_every_base_point():
+    # (0:1) lies in the one orbit, P^1(F_p), so every point anchors there
+    for p in PRIMES:
+        for label in LABELS:
+            G1, G2 = case_subgroups(p, label)
+            default = emit_parametrization(check_pair(G1, G2)).to_dict()
+            for Q in G1.line.points():
+                assert emit_parametrization(check_pair(G1, G2, Q)).to_dict() == default
+
+
+def test_emit_parametrization_is_the_same_at_every_base_point_of_an_orbit():
+    # pairs of cyclic groups at p = 7 that share a regular orbit O avoiding
+    # (0:1): the certificate at each point of O gives one curve. Each such
+    # O has two points; assert_anchored_invariants compares the invariant
+    # across longer orbits
+    p = 7
+    line = projective_line(p)
+    by_orbit = {}
+    for G in {generate_closure(line, [A]) for A in canonical_matrices(p)}:
+        if len(G) > 1 and len(G) % p:
+            for Q in line.points():
+                O = orbit(G, Q)
+                if len(O) == len(G) and ProjectivePoint(0, 1) not in O:
+                    by_orbit.setdefault(O, set()).add(G)
+    passed = 0
+    for O, groups in by_orbit.items():
+        groups = sorted(groups, key=lambda G: sorted(G.elements))
+        for i, G1 in enumerate(groups):
+            for G2 in groups[i + 1:]:
+                certs = [check_pair(G1, G2, Q) for Q in sorted(O)]
+                if len(G1) == len(G2) and all(c.verdict == "pass" for c in certs):
+                    curves = {json.dumps(emit_parametrization(c).to_dict())
+                              for c in certs}
+                    assert len(curves) == 1
+                    passed += 1
+    assert passed > 100
+
+
 def test_emit_parametrization_rejects_failing_certificate():
     G1, _ = case_subgroups(11, "a")
     bad = check_pair(G1, G1)
@@ -178,7 +235,7 @@ def test_fibers_are_unions_of_orbits():
     line = projective_line(11)
     G = negation_group()
     Q = line.point(1, 3)
-    h = moebius_adjust(invariant_generator(G), G, Q)
+    h = moebius_adjust(invariant_generator(G, Q), G, Q)
     orbits = {frozenset(orbit(G, P)) for P in line.points()}
     for value, fiber in fibers(h, line).items():
         merged = set()
@@ -205,48 +262,52 @@ def test_curve_json_round_trip():
 
 
 def expanded_top_ratio(G):
-    """The oracle for _top_ratio(G): the rows X^(|G|-1) and X^|G| of the
-    O(|G|^3) expansion, reduced by the gcd-reducing constructor."""
+    """The oracle for _top_ratio on G's own elements: the rows X^(|G|-1)
+    and X^|G| of the O(|G|^3) expansion, reduced by the gcd-reducing
+    constructor."""
     return RationalFunction(*expanded_orbit_product(G)[-2:])
 
 
-def assert_orbit_product_matches_expansion(G):
-    rows = _orbit_product(G)
-    assert len(rows) == len(G) + 1
-    expanded = expanded_orbit_product(G)
-    assert rows == expanded
-    assert _top_ratio(G) == RationalFunction(*expanded[-2:])
-    f = invariant_generator(G)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quotient, "_orbit_product", expanded_orbit_product)
-        mp.setattr(quotient, "_top_ratio", expanded_top_ratio)
-        assert invariant_generator(G) == f
+def assert_anchored_invariants(G):
+    """Every base point Q of G: IrregularOrbit if its orbit is not regular,
+    else an invariant of degree |G| fixed by every generator, with the
+    orbit of Q as its polar set, the same at every point of that orbit, and
+    the expansion's top ratio when (0:1) is in the orbit. Returns the
+    numbers of regular and other base points."""
+    line = G.line
+    seen = {}
+    counts = [0, 0]
+    for Q in line.points():
+        pts = orbit(G, Q)
+        counts[len(pts) != len(G)] += 1
+        if len(pts) != len(G):
+            with pytest.raises(IrregularOrbit):
+                invariant_generator(G, Q)
+            continue
+        f = invariant_generator(G, Q)
+        if pts in seen:
+            assert f == seen[pts]
+            continue
+        seen[pts] = f
+        assert f.degree == len(G)
+        for M in G.generators:
+            assert is_invariant_under(f, M)
+        assert {R for R in line.points() if value_at(f, R) is POLE} == pts
+        assert moebius_adjust(f, G, Q) is f
+        if ProjectivePoint(0, 1) in pts:
+            assert f == expanded_top_ratio(G)
+    return counts
 
 
-def test_orbit_product_matches_expansion_on_bundled_groups():
-    groups = [G for p in PRIMES for label in LABELS for G in case_subgroups(p, label)]
-    assert len(groups) == 18
-    for G in groups:
-        assert_orbit_product_matches_expansion(G)
-        # the top ratio is the invariant: no bundled group needs the full product
-        assert _top_ratio(G).degree == len(G)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([5, 7, 11, 13, 23]), st.integers(0, 29))
-def test_orbit_product_matches_expansion(p, i):
-    G = seeded_random_subgroups(p, 30, 17 * p)[i]
-    assume(len(G) % p)
-    assert_orbit_product_matches_expansion(G)
-
-
-def test_seeded_groups_reach_the_full_product_fallback():
-    # the property above runs the full-product scan of invariant_generator
-    # on these groups, whose top ratio is constant
-    for p in (5, 7, 11, 13, 23):
-        groups = [G for G in seeded_random_subgroups(p, 30, 17 * p)
-                  if len(G) % p and len(G) > 1]
-        assert any(_top_ratio(G).degree < len(G) for G in groups), p
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 23])
+def test_anchored_invariants_on_seeded_groups(p):
+    counts = [0, 0]
+    for G in seeded_random_subgroups(p, 30, 17 * p):
+        if len(G) % p:
+            regular, other = assert_anchored_invariants(G)
+            counts[0] += regular
+            counts[1] += other
+    assert all(counts), counts
 
 
 def small_prime_subgroups():
@@ -276,11 +337,8 @@ def test_top_ratio_matches_expansion_at_p_2_and_3_and_on_affine_groups():
     assert any(c == 0 and (a, b, d) != (1, 0, 1)
                for G in groups for a, b, c, d in G.elements)
     for G in groups:
-        assert _top_ratio(G) == expanded_top_ratio(G)
-        f = invariant_generator(G)
-        assert f.degree == len(G)
-        for M in G.generators:
-            assert is_invariant_under(f, M)
+        assert _top_ratio(G.line, G.elements) == expanded_top_ratio(G)
+        assert_anchored_invariants(G)
 
 
 def direct_power_sums(p, R):
@@ -356,9 +414,10 @@ def counted(monkeypatch, owner, name):
 
 def test_bundled_invariants_take_no_gcd_product_or_evaluation(monkeypatch):
     # the residues give the reduced top ratio, and at (0:1) the polar check
-    # compares coefficients: no gcd, no orbit product, no Horner evaluation
+    # compares coefficients: no gcd, no product tree (every point is a
+    # pole), no Horner evaluation
     gcds = counted(monkeypatch, Poly, "gcd")
-    products = counted(monkeypatch, quotient, "_orbit_product")
+    products = counted(monkeypatch, quotient, "_tree_product")
     evals = counted(monkeypatch, Poly, "eval")
     for p in PRIMES:
         for label in LABELS:
@@ -371,42 +430,7 @@ def test_bundled_invariants_take_no_gcd_product_or_evaluation(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([5, 7, 11, 13]), st.integers(0, 29))
 def test_invariant_generator_returns_from_one_scan(p, i):
-    # the top ratio polys[n-1]/polys[n] is constant for most of these
-    # groups, so the full-product scan past it is exercised too
+    # one residue sum per base point, on a second seeded sample
     G = seeded_random_subgroups(p, 30, 31 * p)[i]
     assume(len(G) % p)
-    f = invariant_generator(G)
-    assert f.degree == len(G)
-    for M in G.generators:
-        assert is_invariant_under(f, M)
-
-
-def schoolbook_rows(A, B, p):
-    """The product of two polynomials in X given as rows of t-coefficients,
-    one coefficient product at a time."""
-    width = max(map(len, A)) + max(map(len, B)) - 1
-    out = [[0] * width for _ in range(len(A) + len(B) - 1)]
-    for i, row_a in enumerate(A):
-        for j, row_b in enumerate(B):
-            for k, x in enumerate(row_a):
-                for m, y in enumerate(row_b):
-                    out[i + j][k + m] = (out[i + j][k + m] + x * y) % p
-    return out
-
-
-@st.composite
-def row_operands(draw):
-    # at 679093949 the packed product has slots of eight bytes or more
-    p = draw(st.sampled_from([11, 679093949]))
-    rows = st.lists(st.lists(st.integers(0, p - 1), max_size=8), min_size=1, max_size=6)
-    A, B = draw(rows), draw(rows)
-    assume(any(map(any, A)) and any(map(any, B)))
-    return p, A, B
-
-
-@settings(max_examples=100, deadline=None)
-@given(row_operands())
-def test_row_product_matches_schoolbook(operands):
-    p, A, B = operands
-    got = [Poly(p, row) for row in _mul_rows(p, A, B)]
-    assert got == [Poly(p, row) for row in schoolbook_rows(A, B, p)]
+    assert_anchored_invariants(G)
