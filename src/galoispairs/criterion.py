@@ -77,15 +77,16 @@ class PairCertificate:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
-                 points: tuple[ProjectivePoint, ...]) -> PairCertificate:
-    """Certificate with orbit data at `base` and failures at each of
-    `points` in turn, every condition evaluated (no short-circuiting).
+def _certificate(G1: Subgroup, G2: Subgroup, base: int,
+                 indices: range | tuple[int, ...]) -> PairCertificate:
+    """Certificate with orbit data at the point of index `base` and failures
+    at each of `indices` in turn (indexed like line.points()), every
+    condition evaluated (no short-circuiting).
 
-    Each group's orbit partition is built once, so the orbit conditions
-    cost O(p) beyond the two partitions, at one point or at all of them.
+    The orbit conditions cost O(p) beyond the two orbit partitions. The
+    scan reads labels by index, builds a point only to name a failure, and
+    is skipped when no orbit is irregular or meets two of the other group.
     """
-    line = G1.line
     inter_size = len(intersect(G1, G2))
     d1, d2 = len(G1), len(G2)
     failures = []
@@ -102,25 +103,25 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
     meets = set(zip(lab1, lab2))
     meets1 = Counter(r1 for r1, _ in meets)
     meets2 = Counter(r2 for _, r2 in meets)
-    for Q in points:
-        i = Q.t + 1 if Q.s else 0  # the index of Q in line.points()
-        r1, r2 = lab1[i], lab2[i]
-        if size1[r1] != d1:
-            failures.append(f"orbit of G1 at {Q} has length {size1[r1]} != {d1}")
-        if size2[r2] != d2:
-            failures.append(f"orbit of G2 at {Q} has length {size2[r2]} != {d2}")
-        if meets1[r1] != 1 or meets2[r2] != 1:
-            failures.append(f"orbits at {Q} differ")
-    i = base.t + 1 if base.s else 0
-    r1, r2 = lab1[i], lab2[i]
+    if not (set(size1.values()) == {d1} and set(size2.values()) == {d2}
+            and len(meets) == len(size1) == len(size2)):
+        for i in indices:
+            r1, r2 = lab1[i], lab2[i]
+            if size1[r1] != d1:
+                failures.append(f"orbit of G1 at {_point(i)} has length {size1[r1]} != {d1}")
+            if size2[r2] != d2:
+                failures.append(f"orbit of G2 at {_point(i)} has length {size2[r2]} != {d2}")
+            if meets1[r1] != 1 or meets2[r2] != 1:
+                failures.append(f"orbits at {_point(i)} differ")
+    r1, r2 = lab1[base], lab2[base]
     return PairCertificate(
-        p=line.p,
+        p=G1.line.p,
         g1_generators=G1.generators,
         g2_generators=G2.generators,
         kind1=recognize(G1),
         kind2=recognize(G2),
         degree=d1,
-        base_point=base,
+        base_point=_point(base),
         intersection_size=inter_size,
         orbit_length=size1[r1],
         orbit_equal=meets1[r1] == 1 and meets2[r2] == 1,
@@ -128,11 +129,17 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
     )
 
 
+def _point(i: int) -> ProjectivePoint:
+    """The point of index i in line.points(): (0:1), then (1:i - 1)."""
+    return ProjectivePoint(1, i - 1) if i else DEFAULT_BASE_POINT
+
+
 def check_pair(G1: Subgroup, G2: Subgroup,
                Q: ProjectivePoint = DEFAULT_BASE_POINT) -> PairCertificate:
     """Certificate for (G1, G2) at the single base point Q."""
     Q = G1.line.point(Q.s, Q.t)
-    return _certificate(G1, G2, Q, (Q,))
+    i = Q.t + 1 if Q.s else 0
+    return _certificate(G1, G2, i, (i,))
 
 
 def check_pair_all_basepoints(G1: Subgroup, G2: Subgroup) -> PairCertificate:
@@ -142,9 +149,7 @@ def check_pair_all_basepoints(G1: Subgroup, G2: Subgroup) -> PairCertificate:
     name the base points at which a condition breaks, in the order that
     check_pair at each point of line.points() would first report them.
     """
-    line = G1.line
-    base = line.point(DEFAULT_BASE_POINT.s, DEFAULT_BASE_POINT.t)
-    return _certificate(G1, G2, base, line.points())
+    return _certificate(G1, G2, 0, range(G1.line.p + 1))
 
 
 def _is_int_pair(value) -> bool:

@@ -155,14 +155,6 @@ class Poly:
             a, b = b, a % b
         return a.monic()
 
-    def eval(self, t):
-        """Horner evaluation at a residue mod p."""
-        p = self.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * t + c) % p
-        return acc
-
 
 class RationalFunction:
     """Quotient of polynomials, reduced, with monic denominator.

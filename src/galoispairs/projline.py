@@ -18,6 +18,8 @@ from typing import NamedTuple, Sequence
 from .errors import ModulusOutOfRange, SingularMatrix
 from .field import is_prime, prime_factors
 
+new = tuple.__new__  # new(ProjectiveMatrix, (a, b, c, d)), skipping NamedTuple's Python __new__
+
 
 class ProjectivePoint(NamedTuple):
     s: int
@@ -67,13 +69,10 @@ class ProjectiveLine:
     def point(self, s: int, t: int) -> ProjectivePoint:
         """Canonical point (s:t); (0,0) is rejected."""
         p = self.p
-        s %= p
-        t %= p
+        s, t = s % p, t % p
         if s == 0 and t == 0:
             raise ValueError("(0:0) is not a projective point")
-        if s == 0:
-            return ProjectivePoint(0, 1)
-        return ProjectivePoint(1, t * pow(s, -1, p) % p)
+        return new(ProjectivePoint, (1, t * pow(s, -1, p) % p) if s else (0, 1))
 
     def matrix(self, rows: Sequence[Sequence[int]] | ProjectiveMatrix) -> ProjectiveMatrix:
         """Canonical class representative of a raw 2x2 integer matrix.
@@ -86,23 +85,19 @@ class ProjectiveLine:
             a, b, c, d = rows
         else:
             (a, b), (c, d) = rows
-        a %= p
-        b %= p
-        c %= p
-        d %= p
+        a, b, c, d = a % p, b % p, c % p, d % p
         if (a * d - b * c) % p == 0:
             raise SingularMatrix(f"[[{a},{b}],[{c},{d}]] is singular mod {p}")
         u = pow(a or b, -1, p)
-        return ProjectiveMatrix(a * u % p, b * u % p, c * u % p, d * u % p)
+        return new(ProjectiveMatrix, (a * u % p, b * u % p, c * u % p, d * u % p))
 
     identity = ProjectiveMatrix(1, 0, 0, 1)
 
     def points(self) -> tuple[ProjectivePoint, ...]:
         """All p+1 rational points: (0:1) first, then (1:t) for t = 0..p-1."""
         if self._points is None:
-            pts = [ProjectivePoint(0, 1)]
-            pts.extend(ProjectivePoint(1, t) for t in range(self.p))
-            self._points = tuple(pts)
+            self._points = tuple([new(ProjectivePoint, (1, t - 1) if t else (0, 1))
+                                  for t in range(self.p + 1)])
         return self._points
 
     def inverses(self) -> list[int]:
@@ -125,7 +120,7 @@ class ProjectiveLine:
         c = (A.c * B.a + A.d * B.c) % p
         d = (A.c * B.b + A.d * B.d) % p
         u = pow(a or b, -1, p)
-        return ProjectiveMatrix(a * u % p, b * u % p, c * u % p, d * u % p)
+        return new(ProjectiveMatrix, (a * u % p, b * u % p, c * u % p, d * u % p))
 
     def inverse(self, A: ProjectiveMatrix) -> ProjectiveMatrix:
         """Class inverse via the adjugate (determinant scaling is absorbed)."""

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ClosureCapExceeded, ModulusMismatch
-from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint
+from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint, new
 
 DEFAULT_CLOSURE_CAP = 600
 
@@ -126,40 +126,59 @@ class Subgroup:
 
 def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix],
                      cap: int | None = None) -> Subgroup:
-    """Breadth-first closure of the generators under composition.
+    """Closure of the generators under composition, by Dimino's algorithm
+    (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
+    1991). Each generator, raw rows or a ProjectiveMatrix, is kept as its
+    canonical class, in the given order with repeats.
 
-    Each generator, raw rows or a ProjectiveMatrix, is kept as its
-    canonical class. Raises ClosureCapExceeded as soon as more than `cap`
-    elements appear (inverses come for free in a finite group, so
-    right-multiplication by generators suffices). The default cap is
-    max(DEFAULT_CLOSURE_CAP, 2(p + 1)). Every subgroup of order coprime to
-    p is cyclic, dihedral (up to D_{2(p+1)}), A4, S4 or A5, so it closes
-    under 2(p + 1) or 60 elements; the floor of DEFAULT_CLOSURE_CAP keeps
-    small-p groups of order divisible by p (the Borel subgroup at p = 11,
-    of order 110) closable too.
+    H starts as the powers of the first generator. For each further
+    generator s, the right cosets H·s, then H·(r·t) for each coset
+    representative r and generator t so far with r·t not yet found, are
+    added whole, each product brought to canonical form in one loop (times).
+    Right cosets suffice, as (H·r)·t = H·(r·t): their union is closed under
+    right multiplication by the generators, so it is the finite group they
+    generate. This costs |G| products plus k probes per coset
+    representative, for k generators, where a breadth-first search costs k
+    products and k probes per element.
+
+    ClosureCapExceeded is raised once more than `cap` elements appear, as
+    checked after the powers (at most cap + 1) and after each coset block.
+    The default cap, max(DEFAULT_CLOSURE_CAP, 2(p + 1)), closes every
+    subgroup of order prime to p (cyclic, dihedral up to D_{2(p+1)}, A4, S4
+    or A5) and, for small p, some of order divisible by p.
     """
     gens = [line.matrix(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator required")
+    p, I = line.p, line.identity
     if cap is None:
-        cap = max(DEFAULT_CLOSURE_CAP, 2 * (line.p + 1))
+        cap = max(DEFAULT_CLOSURE_CAP, 2 * (p + 1))
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    els = {line.identity}
-    frontier = [line.identity]
-    compose = line.compose
-    while frontier:
-        new = []
-        for B in frontier:
-            for A in gens:
-                C = compose(B, A)
-                if C not in els:
-                    els.add(C)
-                    if len(els) > cap:
-                        raise ClosureCapExceeded(
-                            f"closure of {len(gens)} generators exceeded cap {cap}")
-                    new.append(C)
-        frontier = new
+
+    def times(H, R, out):
+        # h·R for the first cap h in H (H may be out) up to I, which ends the powers
+        A, B, C, D = R
+        for a, b, c, d in islice(H, cap):
+            x, y = (a * A + b * C) % p, (a * B + b * D) % p
+            u = pow(x or y, -1, p)
+            M = new(ProjectiveMatrix, (x * u % p, y * u % p, (c * A + d * C) * u % p,
+                                       (c * B + d * D) * u % p))
+            if M == I:
+                break
+            out.append(M)
+        return out
+
+    powers = [I]
+    els = set(times(powers, gens[0], powers))
+    for k, s in enumerate(gens):
+        H, reps = tuple(els), [s]
+        for r in reps:
+            if len(els) > cap:
+                raise ClosureCapExceeded(f"closure of {len(gens)} generators exceeded cap {cap}")
+            if r not in els:  # add the coset H·r, which does not hold I
+                els.update(times(H, r, []))
+                reps += [line.compose(r, t) for t in gens[:k + 1]]
     return Subgroup(line, gens, frozenset(els))
 
 
@@ -244,17 +263,22 @@ def _conjugator(line: ProjectiveLine, C: ProjectiveMatrix):
         g, h = al * c - ga * a, al * d - ga * b
         a, b = (e * al + f * ga) % p, (e * be + f * de) % p
         u = pow(a or b, -1, p)  # the first row of a class is never zero
-        return ProjectiveMatrix(a * u % p, b * u % p, (g * al + h * ga) * u % p,
-                                (g * be + h * de) * u % p)
+        return new(ProjectiveMatrix, (a * u % p, b * u % p, (g * al + h * ga) * u % p,
+                                      (g * be + h * de) * u % p))
 
     return conj
 
 
 def orbit(G: Subgroup, Q: ProjectivePoint) -> frozenset[ProjectivePoint]:
-    """{Q·A : A in G}."""
-    line = G.line
-    Q = _check_point(line, Q)
-    return frozenset(line.apply(Q, A) for A in G.elements)
+    """{Q·A : A in G}. The image of Q = (s:t) is (x:y) = (s·a + t·c : s·b + t·d),
+    that is (1 : y/x), or (0:1) where x = 0."""
+    p = G.line.p
+    if not (0 <= Q.s < p and 0 <= Q.t < p):
+        raise ModulusMismatch(f"point {Q} is not reduced mod {p}")
+    s, t = G.line.point(Q.s, Q.t)
+    return frozenset([new(ProjectivePoint, (1, (s * b + t * d) * pow(x, -1, p) % p)
+                          if (x := (s * a + t * c) % p) else (0, 1))
+                      for a, b, c, d in G.elements])
 
 
 def point_permutation(line: ProjectiveLine, A: ProjectiveMatrix) -> list[int]:
@@ -295,9 +319,3 @@ def orbit_labels(G: Subgroup) -> list[int]:
                         labels[k] = i
                         stack.append(k)
     return labels
-
-
-def _check_point(line: ProjectiveLine, Q: ProjectivePoint) -> ProjectivePoint:
-    if not (0 <= Q.s < line.p and 0 <= Q.t < line.p):
-        raise ModulusMismatch(f"point {Q} is not reduced mod {line.p}")
-    return line.point(Q.s, Q.t)

@@ -16,11 +16,12 @@ import numpy as np
 from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, CurveParametrization,
                          GroupKind, PairCertificate, Poly, ProjectiveLine, ProjectiveMatrix,
                          ProjectivePoint, RationalFunction, SearchConfig, Subgroup,
-                         check_pair_all_basepoints, generate_closure, orbit,
-                         projective_line)
+                         check_pair_all_basepoints, generate_closure, intersect, orbit,
+                         orbit_labels, projective_line, recognize)
 from galoispairs.cli import (_cmd_check_pair, _cmd_emit_curve, _cmd_search,
                              _cmd_verify_paper, main)
 from galoispairs.search import STRATEGIES, _transitive_group
+from galoispairs.subgroups import DEFAULT_CLOSURE_CAP
 
 # the (kind1, kind2) the paper states for each bundled case (p, label)
 CASE_KINDS = {
@@ -195,6 +196,72 @@ def all_subgroups(p: int) -> frozenset[Subgroup]:
                      for C in cyclic for h in elements)
 
 
+def reference_closure(line: ProjectiveLine, generators, cap: int | None = None) -> Subgroup:
+    """Oracle for generate_closure: breadth-first closure under right
+    multiplication by each generator, k products and k probes per element,
+    raising ClosureCapExceeded as soon as more than `cap` elements appear."""
+    gens = [line.matrix(g) for g in generators]
+    if not gens:
+        raise ValueError("at least one generator required")
+    if cap is None:
+        cap = max(DEFAULT_CLOSURE_CAP, 2 * (line.p + 1))
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    els = {line.identity}
+    frontier = [line.identity]
+    while frontier:
+        new = []
+        for B in frontier:
+            for A in gens:
+                C = line.compose(B, A)
+                if C not in els:
+                    els.add(C)
+                    if len(els) > cap:
+                        raise ClosureCapExceeded(
+                            f"closure of {len(gens)} generators exceeded cap {cap}")
+                    new.append(C)
+        frontier = new
+    return Subgroup(line, gens, frozenset(els))
+
+
+def reference_certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
+                          points) -> PairCertificate:
+    """Oracle for check_pair and check_pair_all_basepoints: orbit data at
+    `base` and the failures at each of `points` in turn, read from the two
+    orbit partitions point by point, with no scan skipped."""
+    line = G1.line
+    inter_size = len(intersect(G1, G2))
+    d1, d2 = len(G1), len(G2)
+    failures = []
+    if G1.elements == G2.elements:
+        failures.append("groups not different")
+    if d2 != d1:
+        failures.append("orders differ")
+    if inter_size != 1:
+        failures.append("intersection not trivial")
+    lab1, lab2 = orbit_labels(G1), orbit_labels(G2)
+    size1, size2 = Counter(lab1), Counter(lab2)
+    meets = set(zip(lab1, lab2))
+    meets1 = Counter(r1 for r1, _ in meets)
+    meets2 = Counter(r2 for _, r2 in meets)
+    for Q in points:
+        i = Q.t + 1 if Q.s else 0  # the index of Q in line.points()
+        r1, r2 = lab1[i], lab2[i]
+        if size1[r1] != d1:
+            failures.append(f"orbit of G1 at {Q} has length {size1[r1]} != {d1}")
+        if size2[r2] != d2:
+            failures.append(f"orbit of G2 at {Q} has length {size2[r2]} != {d2}")
+        if meets1[r1] != 1 or meets2[r2] != 1:
+            failures.append(f"orbits at {Q} differ")
+    i = base.t + 1 if base.s else 0
+    r1, r2 = lab1[i], lab2[i]
+    return PairCertificate(
+        p=line.p, g1_generators=G1.generators, g2_generators=G2.generators,
+        kind1=recognize(G1), kind2=recognize(G2), degree=d1, base_point=base,
+        intersection_size=inter_size, orbit_length=size1[r1],
+        orbit_equal=meets1[r1] == 1 and meets2[r2] == 1, failures=tuple(failures))
+
+
 def trivial_subgroup(line: ProjectiveLine) -> Subgroup:
     return Subgroup(line, (line.identity,), frozenset({line.identity}))
 
@@ -243,7 +310,7 @@ POLE = "pole"
 
 
 def power_sum(P: Poly, t: int) -> int:
-    """Oracle for Poly.eval: the sum of c_k t^k mod p, one power at a time."""
+    """P(t) mod p as the sum of c_k t^k, one power at a time."""
     return sum(c * pow(t, k, P.p) for k, c in enumerate(P.coeffs)) % P.p
 
 

@@ -54,6 +54,18 @@ def test_emit_curve_out_to_an_unwritable_path_is_invalid_input(tmp_path, capsys,
         "", f"error: cannot write {out}: {os.strerror(errno.ENOENT)}\n")
 
 
+def test_check_pair_past_the_closure_cap_is_invalid_input(tmp_path, capsys):
+    # [[1,1],[0,1]] and [[0,1],[1,0]] generate PGL(2, 11), of 1,320 elements;
+    # the default cap at p = 11 is 600
+    path = tmp_path / "pgl.json"
+    path.write_text(json.dumps({"p": 11,
+                                "g1": {"generators": [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]},
+                                "g2": {"generators": [[[0, -1], [1, 0]]]}}))
+    assert main(["check-pair", str(path)]) == EXIT_INVALID
+    assert capsys.readouterr() == (
+        "", f"error: {path}: closure of 2 generators exceeded cap 600\n")
+
+
 def test_emit_curve_implicit_degree_error_is_a_failure(tmp_path, monkeypatch,
                                                        case_11a):
     # the handler's own catch exits 1; main's catch of invalid input (exit 2)

@@ -1,13 +1,16 @@
 import json
+import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import seeded_random_subgroups, trivial_subgroup
+from conftest import (canonical_matrices, reference_certificate, seeded_random_subgroups,
+                      trivial_subgroup)
 from galoispairs import (GroupKind, ModulusMismatch, PairCertificate,
                          case_subgroups, check_pair, check_pair_all_basepoints,
-                         conjugate, generate_closure, intersect, orbit,
+                         conjugate, find_cyclic_regular, generate_closure, intersect, orbit,
                          projective_line, recognize, reverify,
                          subgroups_from_dict)
 
@@ -223,3 +226,36 @@ def test_all_basepoints_matches_per_point_orbits(data):
                                          line.points()).to_json())
         assert (check_pair(H1, H2, Q).to_json()
                 == per_point_certificate(H1, H2, Q, [Q]).to_json())
+
+
+@pytest.mark.parametrize("p,seed", [(5, 21), (7, 22), (11, 23), (13, 24)])
+def test_all_basepoints_scan_matches_the_point_by_point_reference(p, seed):
+    # seeded cyclic groups, each against three conjugates of itself and
+    # against each of them: a cyclic group's orbits are regular off its fixed
+    # points, so some pairs fail at some points and not at others, which
+    # pins the order of the failures; others pass, with the scan skipped
+    line = projective_line(p)
+    rng = random.Random(seed)
+    matrices = list(canonical_matrices(p))
+    cyclic = [generate_closure(line, [g]) for g in rng.sample(matrices, 8)]
+    pairs = [(G, conjugate(G, b)) for G in cyclic for b in rng.sample(matrices, 3)]
+    pairs += [(G, H) for G in cyclic for H in cyclic]
+    # C_{p+1} is regular at every point and shares its one orbit with
+    # D_{2(p+1)} = <r, s>, s r s = r^-1, whose orbit is irregular everywhere
+    C = find_cyclic_regular(line)
+    r = C.generators[0]
+    D = generate_closure(line, [r, line.matrix([[1, 0], [r.d, -1]])])
+    assert len(D) == 2 * (p + 1)
+    pairs += [(C, D), (D, C)]
+    partial = passed = 0
+    for G1, G2 in pairs:
+        cert = check_pair_all_basepoints(G1, G2)
+        assert cert.to_json() == reference_certificate(
+            G1, G2, line.point(0, 1), line.points()).to_json()
+        named = set(re.findall(r" at (\(\d+:\d+\))", " ".join(cert.failures)))
+        partial += 0 < len(named) < p + 1
+        passed += cert.verdict == "pass"
+        for Q in line.points()[:3]:
+            assert (check_pair(G1, G2, Q).to_json()
+                    == reference_certificate(G1, G2, Q, [Q]).to_json())
+    assert partial and passed

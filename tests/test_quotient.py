@@ -414,17 +414,16 @@ def counted(monkeypatch, owner, name):
 
 def test_bundled_invariants_take_no_gcd_product_or_evaluation(monkeypatch):
     # the residues give the reduced top ratio, and at (0:1) the polar check
-    # compares coefficients: no gcd, no product tree (every point is a
-    # pole), no Horner evaluation
+    # compares coefficients: no gcd and no product tree (every point is a
+    # pole); Poly has no evaluation method left to call
     gcds = counted(monkeypatch, Poly, "gcd")
     products = counted(monkeypatch, quotient, "_tree_product")
-    evals = counted(monkeypatch, Poly, "eval")
     for p in PRIMES:
         for label in LABELS:
             for G in case_subgroups(p, label):
                 f = invariant_generator(G)
                 assert moebius_adjust(f, G, G.line.point(0, 1)) == f
-    assert (gcds, products, evals) == ([], [], [])
+    assert (gcds, products) == ([], [])
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_subgroups, canonical_matrices, raw_conjugate,
+from conftest import (all_subgroups, canonical_matrices, raw_conjugate, reference_closure,
                       seeded_random_subgroups, stabilizer, trivial_subgroup)
 from galoispairs import (LABELS, ClosureCapExceeded, GroupKind, ModulusMismatch,
-                         ProjectiveMatrix, case_subgroups, check_pair, conjugate,
-                         find_cyclic_regular, generate_closure, intersect, orbit,
+                         ProjectiveMatrix, ProjectivePoint, case_subgroups, check_pair,
+                         conjugate, find_cyclic_regular, generate_closure, intersect, orbit,
                          orbit_labels, parse_kind, projective_line, recognize,
                          reverify)
 from galoispairs.cases import prime_table
+from galoispairs.search import _transitive_group
 
 
 def order_multiset(G):
@@ -44,6 +45,62 @@ def test_closure_cap_exceeded():
     gens = [line.matrix([[1, 1], [0, 1]]), line.matrix([[0, 1], [1, 0]])]
     with pytest.raises(ClosureCapExceeded):
         generate_closure(line, gens, cap=600)
+
+
+def closure_outcome(close, line, gens, cap):
+    """The generators and elements close() returns, or the type and message
+    of what it raises."""
+    try:
+        G = close(line, gens, cap)
+    except (ClosureCapExceeded, ValueError) as exc:
+        return type(exc), str(exc)
+    return G.generators, G.elements
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closure_matches_the_breadth_first_reference(data):
+    # generators as raw rows, with scalar identities, repeats and products of
+    # earlier generators among them; caps just below, at and above |G|
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    line = projective_line(p)
+    unit = st.integers(1, p - 1)
+    entries = st.tuples(*[st.integers(0, p - 1)] * 4).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p)
+    gens = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        how = data.draw(st.sampled_from(["entries", "identity", "repeat", "product"]))
+        if how == "identity":
+            c = data.draw(unit)
+            gens.append([[c, 0], [0, c]])
+        elif how == "repeat" and gens:
+            gens.append(data.draw(st.sampled_from(gens)))
+        elif how == "product" and gens:
+            A, B = (line.matrix(data.draw(st.sampled_from(gens))) for _ in range(2))
+            gens.append(line.compose(A, B).rows())
+        else:
+            a, b, c, d = data.draw(entries)
+            gens.append([[a, b], [c, d]])
+    n = len(reference_closure(line, gens, cap=p ** 3 - p))
+    cap = data.draw(st.sampled_from([None, n - 1, n, 600]))
+    assert (closure_outcome(generate_closure, line, gens, cap)
+            == closure_outcome(reference_closure, line, gens, cap))
+
+
+def test_closure_cap_stops_the_powers_at_the_largest_prime():
+    # [[1, 1], [0, 1]] has order p = 2**31 - 1: its powers stop after the cap
+    line = projective_line(2 ** 31 - 1)
+    with pytest.raises(ClosureCapExceeded, match="closure of 1 generators exceeded cap 600"):
+        generate_closure(line, [[[1, 1], [0, 1]]], cap=600)
+
+
+def test_closure_matches_the_breadth_first_reference_on_transitive_groups():
+    groups = list(suite_groups())
+    for p in (101, 199):
+        groups += [find_cyclic_regular(p),
+                   _transitive_group(projective_line(p), GroupKind.dihedral(p + 1))]
+    for G in groups:
+        assert reference_closure(G.line, G.generators).elements == G.elements
 
 
 def test_closure_is_closed_and_lagrange():
@@ -186,6 +243,17 @@ def test_orbit():
     assert len(orb) == 3
     O = tab["o_partition"]
     assert orb <= O[1] | O[2] | O[3]
+
+
+@pytest.mark.parametrize("p,seed", [(2, 11), (3, 12), (5, 13), (7, 14), (11, 15), (13, 16)])
+def test_orbit_is_the_image_of_the_point_under_every_element(p, seed):
+    line = projective_line(p)
+    for G in seeded_random_subgroups(p, 20, seed):
+        for Q in line.points():
+            images = frozenset(line.apply(Q, A) for A in G.elements)
+            # Q as given, and as the reduced representative (-s : -t)
+            assert orbit(G, Q) == images
+            assert orbit(G, ProjectivePoint(-Q.s % p, -Q.t % p)) == images
 
 
 def test_stabilizer():
