@@ -14,7 +14,8 @@ class ModulusOutOfRange(GaloisPairsError, ValueError):
 
 
 class ModulusMismatch(GaloisPairsError):
-    """Operands live over different prime fields."""
+    """Operands live over different prime fields (subgroups.intersect), or a
+    point is not reduced mod p (subgroups.orbit)."""
 
 
 class ClosureCapExceeded(GaloisPairsError):
@@ -34,4 +35,6 @@ class IrregularOrbit(GaloisPairsError):
 
 
 class EvaluationAtPole(GaloisPairsError):
-    """The polar set of an invariant is not the base-point orbit."""
+    """The polar set of an invariant is not the base-point orbit: raised by
+    quotient.moebius_adjust for each invariant, and by emit_parametrization
+    when a pair's two invariants have different denominators."""

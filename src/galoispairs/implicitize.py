@@ -12,11 +12,11 @@ exactly d, and the certificate's checks are all the proof needs:
   K = F_p(x, y) is such a field, and H fixes y, so H <= G2 too. The
   certificate checks G1 ∩ G2 = 1, so H = 1, K = F_p(t), and the map is
   birational onto its image.
-- No base point. invariant_generator returns each invariant as a coprime
-  quotient (RationalFunction._coprime), so gcd(A, D) = gcd(B, D) = 1, and
-  moebius_adjust checks that each has degree d, so max(deg A, deg B,
-  deg D) = d: the three forms of degree d share no zero on P^1, (0:1)
-  included.
+- No base point. Each invariant is coprime by construction: _top_ratio
+  reads it in lowest terms off its residues, so gcd(A, D) = gcd(B, D) = 1.
+  invariant_generator checks its polar set and its degree d through
+  moebius_adjust before returning it, so max(deg A, deg B, deg D) = d: the
+  three forms of degree d share no zero on P^1, (0:1) included.
 - So a general line pulls back to d parameters, one over each of its d
   points on the image, and the image has degree d.
 

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over F_p and reduced rational functions.
+"""Dense univariate polynomials over F_p and coprime rational functions.
 
 Coefficients are plain ints in [0, p), stored lowest degree first with no
 trailing zeros. Every product is one Kronecker substitution (von zur
@@ -45,10 +45,6 @@ class Poly:
     def const(cls, p: int, c) -> "Poly":
         c %= p
         return cls._raw(p, (c,) if c else ())
-
-    @classmethod
-    def x(cls, p: int) -> "Poly":
-        return cls._raw(p, (0, 1))
 
     @property
     def degree(self) -> int:
@@ -157,35 +153,18 @@ class Poly:
 
 
 class RationalFunction:
-    """Quotient of polynomials, reduced, with monic denominator.
-
-    The constructor divides out the gcd; _coprime takes a pair known to be
-    coprime and only makes the denominator monic.
-    """
+    """num/den for a coprime pair, with the denominator made monic and no
+    gcd taken: the package builds every pair coprime (quotient._top_ratio).
+    The oracle reduced_fraction in tests/conftest.py reduces any pair."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num // g
-            den = den // g
         u = pow(den.lead, -1, den.p)
         self.num = num.scale(u)
         self.den = den.scale(u)
-
-    @classmethod
-    def _coprime(cls, num: Poly, den: Poly) -> "RationalFunction":
-        """num/den for coprime num and den, with no gcd."""
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        out = object.__new__(cls)
-        u = pow(den.lead, -1, den.p)
-        out.num = num.scale(u)
-        out.den = den.scale(u)
-        return out
 
     @property
     def degree(self) -> int:

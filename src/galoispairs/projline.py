@@ -55,12 +55,6 @@ class ProjectiveLine:
         self._inverses: list[int] | None = None
         self._orders: dict[int, int] = {}  # tau = tr^2/det -> class order
 
-    def __eq__(self, other):
-        return isinstance(other, ProjectiveLine) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("ProjectiveLine", self.p))
-
     def __repr__(self):
         return f"ProjectiveLine({self.p})"
 

@@ -21,7 +21,8 @@ x -> 1/(x - P.t). It gives both coordinates of a curve:
   roots of unity. The terms with a pole at an orbit point u are
   Phi(s(g(t))) = z_s Phi(g(t)) + b_s, for one g that sends u to P, so
   their residues are r z_s, which sum to 0. h_Q has no pole and is
-  constant, and the orbit is regular exactly when deg h_Q = |G|.
+  constant, and the orbit is regular exactly when deg h_Q = |G|: the
+  orbit-length test of moebius_adjust is the degree test.
 When (0:1) lies in the orbit, Phi is the identity and h_Q is minus the
 orbit trace. For regular transitive G every point of F_p is the pole of
 exactly one g, so that invariant has all of P^1(F_p) as its polar set.
@@ -63,11 +64,11 @@ from .projline import (ProjectiveLine, ProjectiveMatrix, ProjectivePoint,
 from .subgroups import Subgroup, generate_closure, orbit
 
 
-def _tree_product(level: list, mul):
+def _tree_product(level: list):
     """Balanced product tree: the factors are multiplied pairwise, level by
     level, an odd one out carried up to the next level."""
     while len(level) > 1:
-        paired = [mul(A, B) for A, B in zip(level[::2], level[1::2])]
+        paired = [A * B for A, B in zip(level[::2], level[1::2])]
         if len(level) % 2:
             paired.append(level[-1])
         level = paired
@@ -77,7 +78,7 @@ def _tree_product(level: list, mul):
 def _vanishing(p: int, roots) -> Poly:
     """prod_{z in roots} (t - z) by a _tree_product; 1 for no roots."""
     return _tree_product([Poly._raw(p, (-z % p, 1)) for z in roots]
-                         or [Poly.const(p, 1)], Poly.__mul__)
+                         or [Poly.const(p, 1)])
 
 
 def _line_poly(p: int) -> Poly:
@@ -143,49 +144,45 @@ def _top_ratio(line: ProjectiveLine, elements) -> RationalFunction:
     if zeros:
         C = _vanishing(p, zeros)
         E, N = E // C, N // C
-    return RationalFunction._coprime(-(N + Poly(p, (c0, c1)) * E), E)
+    return RationalFunction(-(N + Poly(p, (c0, c1)) * E), E)
 
 
 def invariant_generator(G: Subgroup,
                         Q: ProjectivePoint = DEFAULT_BASE_POINT) -> RationalFunction:
     """h_Q = -sum_g Phi(g(t)), the invariant of G anchored at the orbit of Q
-    (module docstring): of degree |G|, with the orbit of Q as its simple
-    polar set.
+    (module docstring), returned once moebius_adjust checks that it has
+    degree |G| and the orbit of Q as its simple polar set.
 
-    The anchor P is the first orbit point in line.points() order, found
-    with no orbit walk when Q is (0:1), and Phi = (-P.t, 1, 1, 0) sends it
-    to (0:1); _top_ratio sums the maps g then Phi. Raises IrregularOrbit
-    when the orbit is not regular, which is exactly when h_Q has degree
-    below |G|.
+    The anchor P = min(orbit(G, Q)) is (0:1), with no orbit walk, when Q
+    is (0:1), and Phi = (-P.t, 1, 1, 0) sends it to (0:1); _top_ratio sums
+    the maps g then Phi. Raises ValueError when p divides |G|, and
+    IrregularOrbit or EvaluationAtPole from moebius_adjust.
     """
     line = G.line
-    n = len(G)
-    if n % line.p == 0:
+    if len(G) % line.p == 0:
         raise ValueError("group order must be coprime to p")
     Q = line.point(Q.s, Q.t)
     elements = G.elements
     if Q.s:
-        P = min(line.apply(Q, A) for A in elements)
+        P = min(orbit(G, Q))
         if P.s:
             phi = ProjectiveMatrix(-P.t, 1, 1, 0)
             elements = [line.compose(A, phi) for A in elements]
-    f = _top_ratio(line, elements)
-    if f.degree != n:
-        raise IrregularOrbit(f"orbit of {Q} is not regular: its anchored "
-                             f"invariant has degree {f.degree} != {n}")
-    return f
+    return moebius_adjust(_top_ratio(line, elements), G, Q)
 
 
 def moebius_adjust(f: RationalFunction, G: Subgroup,
                    Q: ProjectivePoint) -> RationalFunction:
     """f, once its polar set is checked to be the orbit of Q, simple.
 
-    Requires the orbit to be regular (length |G|). The reduced denominator
-    must be the monic vanishing polynomial of the orbit's affine points,
-    with the degree excess accounting for a pole at (0:1) exactly when the
-    orbit contains it. That polynomial is (t^p - t) divided by the product
-    over the other points of F_p, which is 1 when the orbit holds all of
-    F_p: a comparison of coefficients, with no evaluation.
+    Raises IrregularOrbit unless the orbit is regular (length |G|). The
+    reduced denominator must be the monic vanishing polynomial of the
+    orbit's affine points, with the degree excess accounting for a pole at
+    (0:1) exactly when the orbit contains it, or EvaluationAtPole is
+    raised. That polynomial is (t^p - t) divided by the product over the
+    other points of F_p, which is 1 when the orbit holds all of F_p: a
+    comparison of coefficients, with no evaluation. invariant_generator
+    calls it on every invariant it returns, the tests on other functions.
     """
     line = G.line
     Q = line.point(Q.s, Q.t)
@@ -198,12 +195,9 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
     polar = _line_poly(p)
     if n < p:
         polar = polar // _vanishing(p, [z for z in range(p) if z not in affine])
-    ok = f.den == polar
-    if n < len(pts):  # (0:1) is in the orbit
-        ok = ok and f.num.degree == n + 1
-    else:
-        ok = ok and f.num.degree <= n
-    if not ok or f.degree != len(G):
+    # with deg f.den = n, deg f = |G| puts the excess pole at (0:1) exactly
+    # when the orbit holds it: deg f.num = n + 1 then, and <= n otherwise
+    if f.den != polar or f.degree != len(G):
         raise EvaluationAtPole(f"polar set of the invariant is not the orbit of {Q}")
     return f
 
@@ -234,8 +228,8 @@ def emit_parametrization(cert: PairCertificate) -> CurveParametrization:
     """Degree-d plane parametrization witnessing a passing certificate.
 
     The two coordinate projections (A : D) and (B : D) are the invariants
-    of the two groups anchored at the base point, sharing its orbit as
-    their common polar set. The proof that the image curve has degree d is in
+    of the two groups anchored at the base point, each checked to have its
+    orbit as polar set. The proof that the image curve has degree d is in
     the docstring of the implicitize module.
     """
     if cert.verdict != "pass":
@@ -244,8 +238,8 @@ def emit_parametrization(cert: PairCertificate) -> CurveParametrization:
     G1 = generate_closure(line, cert.g1_generators)
     G2 = generate_closure(line, cert.g2_generators)
     Q = cert.base_point
-    h1 = moebius_adjust(invariant_generator(G1, Q), G1, Q)
-    h2 = moebius_adjust(invariant_generator(G2, Q), G2, Q)
+    h1 = invariant_generator(G1, Q)
+    h2 = invariant_generator(G2, Q)
     if h1.den != h2.den:
         raise EvaluationAtPole("the two invariants disagree on the common "
                                "denominator")

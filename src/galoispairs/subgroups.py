@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ClosureCapExceeded, ModulusMismatch
 from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint, new
@@ -106,9 +106,6 @@ class Subgroup:
 
     def __len__(self):
         return len(self.elements)
-
-    def __iter__(self) -> Iterator[ProjectiveMatrix]:
-        return iter(sorted(self.elements))
 
     def __contains__(self, M: ProjectiveMatrix):
         return M in self.elements

@@ -74,27 +74,18 @@ def _block_action(line: ProjectiveLine, blocks: tuple[frozenset, ...]):
     """A -> the index of each block's image under A, or None when some image
     is not a block.
 
-    Each point is labelled once by its block, at its point_permutation
-    index. For disjoint blocks, the image of a block is the block k when
-    all its points land in block k and the two have one size.
+    Each block is kept once as the frozenset of its points'
+    point_permutation indices, keyed to its position, so each image is one
+    set of indices and one dict lookup.
     """
-    label = [None] * (line.p + 1)
-    members = []
-    for j, block in enumerate(blocks):
-        members.append([P.t + 1 if P.s else 0 for P in block])
-        for i in members[-1]:
-            label[i] = j
+    members = [frozenset([P.t + 1 if P.s else 0 for P in block]) for block in blocks]
+    index = {block: j for j, block in enumerate(members)}
 
     def perm(A: ProjectiveMatrix) -> tuple[int, ...] | None:
         image = point_permutation(line, A)
-        out = []
-        for block in members:
-            k = label[image[block[0]]]
-            if (k is None or len(members[k]) != len(block)
-                    or any(label[image[i]] != k for i in block)):
-                return None
-            out.append(k)
-        return tuple(out)
+        out = tuple([index.get(frozenset([image[i] for i in block]))
+                     for block in members])
+        return None if None in out else out
 
     return perm
 

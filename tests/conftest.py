@@ -369,21 +369,31 @@ def expanded_orbit_product(G: Subgroup) -> list[Poly]:
 
 
 
+def reduced_fraction(num: Poly, den: Poly) -> RationalFunction:
+    """Oracle for the coprime pairs that the package builds its
+    RationalFunctions from: num/den in lowest terms, the monic Poly.gcd
+    (Euclid's algorithm by %) divided out, with the denominator made monic."""
+    g = num.gcd(den)
+    if g.degree > 0:
+        num, den = num // g, den // g
+    return RationalFunction(num, den)
+
+
 def anchored_invariant(G: Subgroup, Q: ProjectivePoint) -> RationalFunction:
     """Oracle for quotient.invariant_generator: -sum_g Phi(g(t)), one term at
-    a time by the gcd-reducing constructor, with Phi(x) = 1/(x - P.t) for
+    a time by reduced_fraction, with Phi(x) = 1/(x - P.t) for
     the first point P of the orbit of Q in line.points() order, or the
     identity when P is (0:1)."""
     line = G.line
     p = line.p
     pts = orbit(G, Q)
     P = next(R for R in line.points() if R in pts)
-    acc = RationalFunction(Poly.zero(p), Poly.const(p, 1))
+    acc = reduced_fraction(Poly.zero(p), Poly.const(p, 1))
     for a, b, c, d in G.elements:
         num, den = Poly(p, [b, d]), Poly(p, [a, c])  # g(t)
         if P.s:
             num, den = den, num - den.scale(P.t)
-        acc = RationalFunction(acc.num * den - num * acc.den, acc.den * den)
+        acc = reduced_fraction(acc.num * den - num * acc.den, acc.den * den)
     return acc
 
 class CubicField:

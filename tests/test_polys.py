@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galoispairs import Poly, RationalFunction, is_prime
-from conftest import compose_frac, power_sum, vanishing_poly
+from conftest import compose_frac, power_sum, reduced_fraction, vanishing_poly
 
 
 def schoolbook_mul(a, b, p):
@@ -116,7 +116,7 @@ def test_derivative():
 
 def test_compose_frac():
     p = 11
-    t = Poly.x(p)
+    t = Poly(p, [0, 1])
     # the identity matrix clears to P itself
     f = Poly(p, [3, 1, 4])
     assert compose_frac(f, 2, (1, 0, 0, 1)) == f
@@ -136,10 +136,12 @@ def test_vanishing_poly():
 
 
 def test_rational_function_reduction_and_monic_denominator():
+    # reduced_fraction divides out the gcd; the constructor only makes the
+    # denominator monic
     p = 11
     num = Poly(p, [-1, 0, 1])   # t^2 - 1
     den = Poly(p, [-1, 1])      # t - 1
-    f = RationalFunction(num, den)
+    f = reduced_fraction(num, den)
     assert f.num == Poly(p, [1, 1]) and f.den == Poly(p, [1])
     g = RationalFunction(Poly(p, [1]), Poly(p, [0, 3]))
     assert g.den.lead == 1  # denominator scaled monic

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import (POLE, all_subgroups, anchored_invariant, canonical_matrices,
                       expanded_orbit_product, is_invariant_under,
-                      seeded_random_subgroups, trivial_subgroup, value_at,
-                      vanishing_poly)
+                      reduced_fraction, seeded_random_subgroups,
+                      trivial_subgroup, value_at, vanishing_poly)
 from galoispairs import (LABELS, PRIMES, CurveParametrization,
                          EvaluationAtPole, GroupKind, IrregularOrbit, Poly,
                          ProjectivePoint, RationalFunction, case_subgroups,
@@ -37,7 +37,7 @@ def test_trivial_group_invariant_is_identity_map():
     # anchored at (0:1), the one term is minus the identity map: -t
     line = projective_line(11)
     f = invariant_generator(trivial_subgroup(line))
-    assert f.num == -Poly.x(line.p)
+    assert f.num == -Poly(line.p, [0, 1])
     assert f.den == Poly(line.p, [1])
 
 
@@ -127,7 +127,7 @@ def test_bundled_groups_have_every_point_as_a_pole():
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_moebius_adjust_matches_the_reducing_constructor(p):
     # the invariant anchored at every regular orbit of the seeded groups is
-    # the sum the gcd-reducing constructor builds one term at a time, and
+    # the sum reduced_fraction builds one term at a time, and
     # passes the polar check at every point of that orbit and no other
     line = projective_line(p)
     tried = 0
@@ -174,6 +174,27 @@ def test_moebius_adjust_rejects_a_denominator_with_the_wrong_roots():
     assert moebius_adjust(f, H, Q).den == vanishing_poly(line.p, [3, 10])
     with pytest.raises(EvaluationAtPole):
         moebius_adjust(f, G, Q)
+
+
+def test_invariant_generator_returns_only_checked_invariants(monkeypatch):
+    # a sum with the wrong polar set, the H-invariant of the test above,
+    # never leaves invariant_generator for G
+    line = projective_line(11)
+    G = negation_group()
+    H = conjugate(G, line.matrix([[0, 1], [1, 1]]))
+    Q = line.point(1, 3)
+    f = invariant_generator(H, Q)
+    monkeypatch.setattr(quotient, "_top_ratio", lambda line, elements: f)
+    with pytest.raises(EvaluationAtPole):
+        invariant_generator(G, Q)
+
+
+def test_emit_parametrization_checks_each_invariant_once(monkeypatch):
+    G1, G2 = case_subgroups(11, "a")
+    cert = check_pair(G1, G2)
+    checks = counted(monkeypatch, quotient, "moebius_adjust")
+    emit_parametrization(cert)
+    assert checks == ["moebius_adjust"] * 2
 
 
 def test_emit_parametrization_reference_degrees():
@@ -263,9 +284,8 @@ def test_curve_json_round_trip():
 
 def expanded_top_ratio(G):
     """The oracle for _top_ratio on G's own elements: the rows X^(|G|-1)
-    and X^|G| of the O(|G|^3) expansion, reduced by the gcd-reducing
-    constructor."""
-    return RationalFunction(*expanded_orbit_product(G)[-2:])
+    and X^|G| of the O(|G|^3) expansion, reduced by reduced_fraction."""
+    return reduced_fraction(*expanded_orbit_product(G)[-2:])
 
 
 def assert_anchored_invariants(G):
