@@ -48,8 +48,7 @@ import random
 
 from .criterion import PairCertificate, check_pair_all_basepoints
 from .projline import ProjectiveLine, ProjectiveMatrix, projective_line
-from .subgroups import (GroupKind, Subgroup, _conjugator, conjugate, generate_closure,
-                        orbit, recognize)
+from .subgroups import GroupKind, Subgroup, conjugate, generate_closure
 
 STRATEGIES = ("scaling", "random", "exhaustive-cyclic")
 
@@ -95,15 +94,18 @@ def find_scaling_conjugates(G: Subgroup) -> list[int]:
     c is rejected iff conj_c(M) = N for some M != I and N in G, where
     conj_c is conjugation by diag(c, 1) on canonical classes,
     (a, b, x, d) to (a, b/c, xc, d) rescaled to canonical form
-    (subgroups._conjugator). conj_c keeps these invariants of (a, b, x, d):
+    (subgroups.conjugate). conj_c keeps these invariants of (a, b, x, d):
       a = 1, to (1, b/c, xc, d): d, bx, and which of b, x is zero;
       a = 0, to (0, 1, xc^2, dc): whether d = 0 and, if d != 0, x/d^2
       (x != 0 always, as the determinant is -x).
     So M and N lie in one bucket of equal invariants. Each element also
     has a scale coordinate u that conj_c multiplies by c: x when a = 1
     and x != 0, 1/b when a = 1 and x = 0, and d when a = 0 and d != 0.
-    So each pair (M, N) pins c to one scalar, u_N/u_M, which is checked
-    by applying conj_c(M) == N; c = 1 is never a candidate. Two classes
+    An element is fixed by its bucket key and its scale coordinate: x and
+    bx give b; 1/b gives b; d and x/d^2 give x. conj_c keeps the key and
+    multiplies the coordinate by c, so conj_c(M) = N exactly when
+    c = u_N/u_M, and every pair (M, N) of one bucket rejects that scalar.
+    M = N gives c = 1, which lies outside the range returned. Two classes
     need no pair:
       a non-identity diagonal (1, 0, 0, d) commutes with every diag(c, 1),
       so then no c is returned;
@@ -117,8 +119,8 @@ def find_scaling_conjugates(G: Subgroup) -> list[int]:
         raise ValueError("need |G| >= 2")
     p = G.line.p
     bad = set()
-    # invariants -> [(M, u, 1/u)]
-    buckets: dict[tuple, list[tuple[ProjectiveMatrix, int, int]]] = {}
+    # invariants -> [(u, 1/u)]
+    buckets: dict[tuple, list[tuple[int, int]]] = {}
     for M in G.elements:
         a, b, x, d = M
         if a:
@@ -137,14 +139,9 @@ def find_scaling_conjugates(G: Subgroup) -> list[int]:
         else:
             bad.add(p - 1)  # the involution (0, 1, x, 0)
             continue
-        buckets.setdefault(key, []).append((M, u, u_inv))
-    for bucket in buckets.values():
-        for M, _, u_inv in bucket:
-            for N, u, _ in bucket:
-                c = u * u_inv % p
-                if (c != 1 and c not in bad
-                        and _conjugator(G.line, ProjectiveMatrix(c, 0, 0, 1))(M) == N):
-                    bad.add(c)
+        buckets.setdefault(key, []).append((u, u_inv))
+    for bucket in buckets.values():  # c = u_N/u_M for M, N in one bucket
+        bad.update(u * u_inv % p for _, u_inv in bucket for u, _ in bucket)
     return [c for c in range(2, p) if c not in bad]
 
 
@@ -169,7 +166,7 @@ def _singer(line: ProjectiveLine) -> ProjectiveMatrix:
     return next(M for M in block if line.element_order(M) == p + 1)
 
 
-def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
+def find_cyclic_regular(line: ProjectiveLine) -> Subgroup:
     """<r> for the first class r of order p+1 in scan order (_singer); it
     acts regularly on the p+1 points.
 
@@ -181,9 +178,7 @@ def find_cyclic_regular(line: ProjectiveLine | int) -> Subgroup:
     rational eigenvector and fixes no rational point. Hence <r> acts
     freely, and so regularly, on the p + 1 points.
     """
-    if isinstance(line, int):
-        line = projective_line(line)
-    return generate_closure(line, [_singer(line)], cap=line.p + 1)
+    return generate_closure(line, [_singer(line)])
 
 
 # (a, b) of A4, S4 and A5, keyed by kind family (_transitive_group)
@@ -214,24 +209,21 @@ def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
     other prime passes the order check. Each (a, b) is the first a of order
     2 and b of order 3 in canonical order with ab of order k, as
     reference_transitive_group in tests/conftest.py re-derives from a scan
-    of all of PGL(2, p). The kind and transitivity are asserted.
+    of all of PGL(2, p). Each group has p + 1 elements, below the default
+    closure cap, and test_transitive_group_has_its_kind_and_is_transitive
+    in tests/test_search.py checks the order, kind and transitivity.
     """
     if kind.order != line.p + 1:
         return None
     if kind.family == "C":
         return find_cyclic_regular(line)  # regular by its lemma
-    base = line.points()[0]
     if kind.family == "D":
         r = _singer(line)
         s = line.matrix([[1, 0], [r.d, -1]])
-        G = generate_closure(line, [line.compose(r, r), line.compose(s, r)],
-                             cap=kind.order)
-    elif kind.family in _POLYHEDRAL_GENERATORS:
-        G = generate_closure(line, _POLYHEDRAL_GENERATORS[kind.family], cap=kind.order)
-    else:  # other: of order p + 1, prime to p, only the kinds above exist
-        return None
-    assert recognize(G) == kind and len(orbit(G, base)) == kind.order, kind
-    return G
+        return generate_closure(line, [line.compose(r, r), line.compose(s, r)])
+    if kind.family in _POLYHEDRAL_GENERATORS:
+        return generate_closure(line, _POLYHEDRAL_GENERATORS[kind.family])
+    return None  # other: of order p + 1, prime to p, only the kinds above exist
 
 
 def run_search(cfg: SearchConfig) -> PairCertificate | None:

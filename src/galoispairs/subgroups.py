@@ -239,19 +239,12 @@ def conjugate(G: Subgroup, C: ProjectiveMatrix) -> Subgroup:
     Under the row action this realizes the transformation conjugation
     "C then A then C^-1" on points, which is what gluing a conjugated
     group onto the same orbit structure requires. Each element is the
-    product adj(C)·A·C, scaled once to canonical form (_conjugator): the
-    adjugate is C^-1 up to the scalar det C, which the class absorbs.
+    product adj(C)·A·C, scaled once to canonical form: the adjugate is
+    C^-1 up to the scalar det C, which the class absorbs.
     """
     line = G.line
-    conj = _conjugator(line, line.matrix(C))
-    return Subgroup(line, tuple(map(conj, G.generators)),
-                    frozenset(map(conj, G.elements)))
-
-
-def _conjugator(line: ProjectiveLine, C: ProjectiveMatrix):
-    """A -> the canonical class of adj(C)·A·C."""
     p = line.p
-    al, be, ga, de = C
+    al, be, ga, de = line.matrix(C)
 
     def conj(A):
         a, b, c, d = A
@@ -263,7 +256,8 @@ def _conjugator(line: ProjectiveLine, C: ProjectiveMatrix):
         return new(ProjectiveMatrix, (a * u % p, b * u % p, (g * al + h * ga) * u % p,
                                       (g * be + h * de) * u % p))
 
-    return conj
+    return Subgroup(line, tuple(map(conj, G.generators)),
+                    frozenset(map(conj, G.elements)))
 
 
 def orbit(G: Subgroup, Q: ProjectivePoint) -> frozenset[ProjectivePoint]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .cases import LABELS, PRIMES, prime_table
+from .cases import LABELS, prime_table
 from .criterion import check_pair_all_basepoints
 from .errors import UnknownCase
 from .field import primitive_root
@@ -300,11 +300,9 @@ def verify_prime(p: int, case: str | None = None) -> VerificationReport:
     With `case` in {"a", "b", "c"} only that pair's proposition items are
     kept; the shared lemma items always run (every case depends on them).
     """
-    if p not in PRIMES:
-        raise UnknownCase(f"no reference data for p={p}")
+    h = _Harness(p)  # prime_table raises UnknownCase for an unbundled p
     if case is not None and case not in LABELS:
         raise UnknownCase(f"no reference case label {case!r}")
-    h = _Harness(p)
     {11: _verify_11, 23: _verify_23, 59: _verify_59}[p](h)
     items = h.items
     if case is not None:

@@ -1,6 +1,6 @@
 """Static checks on the package source, read with ast: no import that its
-module never reads, and no private top-level function or class that
-nothing in the package references."""
+module never reads, no private top-level function or class that nothing
+in the package references, and no assert statement."""
 
 import ast
 from pathlib import Path
@@ -64,6 +64,14 @@ def unreferenced_private_defs(trees: dict) -> list:
     return out
 
 
+def assert_statements(name: str, tree) -> list:
+    """Every assert statement of one module. python -O strips them, so a
+    check in the package raises an explicit error, and a proved fact is
+    tested in tests/."""
+    return [f"{name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
 def test_every_import_is_read():
     trees = modules()
     assert [bad for name, tree in trees.items()
@@ -74,11 +82,18 @@ def test_every_private_definition_is_referenced():
     assert unreferenced_private_defs(modules()) == []
 
 
+def test_the_package_holds_no_assert():
+    assert [bad for name, tree in modules().items()
+            for bad in assert_statements(name, tree)] == []
+
+
 def test_the_checks_flag_what_they_look_for():
     tree = ast.parse("from __future__ import annotations\n"
                      "import json\nfrom typing import Iterator, Sequence\n"
                      "def _used(x: Sequence): return x\n"
                      "def _unused(): return _unused()\n"
-                     "y = _used(1)\n")
+                     "y = _used(1)\n"
+                     "assert y, y\n")
     assert unread_imports("m.py", tree) == ["m.py:2 json", "m.py:3 Iterator"]
     assert unreferenced_private_defs({"m.py": tree}) == ["m.py:5 _unused"]
+    assert assert_statements("m.py", tree) == ["m.py:7"]

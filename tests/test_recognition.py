@@ -121,7 +121,7 @@ def test_recognize_agrees_with_oracle_on_psl_2_7():
 
 def test_recognize_reads_one_order_on_the_singer_cycle(monkeypatch):
     # C402 has one involution, and its generator has order 402
-    G = find_cyclic_regular(401)
+    G = find_cyclic_regular(projective_line(401))
     calls = count_element_orders(monkeypatch)
     assert recognize(G) == GroupKind.cyclic(402)
     assert len(calls) <= 1

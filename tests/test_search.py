@@ -82,7 +82,13 @@ def test_scaling_conjugates_match_the_sweep_on_bundled_groups():
 
 @pytest.mark.parametrize("p", [q for q in range(2, 102) if is_prime(q)])
 def test_scaling_conjugates_match_the_sweep_on_singer_cycles(p):
-    G = find_cyclic_regular(p)
+    G = find_cyclic_regular(projective_line(p))
+    assert find_scaling_conjugates(G) == brute_force_scaling_sweep(G)
+
+
+@pytest.mark.parametrize("p", [q for q in range(3, 62) if is_prime(q)])
+def test_scaling_conjugates_match_the_sweep_on_dihedral_groups(p):
+    G = _transitive_group(projective_line(p), GroupKind.dihedral(p + 1))
     assert find_scaling_conjugates(G) == brute_force_scaling_sweep(G)
 
 
@@ -117,7 +123,7 @@ def test_scaling_conjugates_match_the_sweep_on_groups_fixing_0_1(p):
 def test_scaling_conjugates_match_the_sweep_on_a_singer_cycle_at_401():
     # this conjugate of the scanned Singer cycle holds the involution
     # (0, 1, 62, 0), which diag(-1, 1) fixes: c = 400 is the one rejection
-    G0 = find_cyclic_regular(401)
+    G0 = find_cyclic_regular(projective_line(401))
     G = conjugate(G0, G0.line.matrix([[0, 1], [1, 201]]))
     found = find_scaling_conjugates(G)
     assert found == list(range(2, 400))
@@ -141,22 +147,23 @@ def test_diagonal_conjugate_matches_conjugate(p):
 
 @pytest.mark.parametrize("p", [5, 7, 11, 23])
 def test_find_cyclic_regular(p):
-    G = find_cyclic_regular(p)
+    G = find_cyclic_regular(projective_line(p))
     line = G.line
     assert len(G) == p + 1
     assert recognize(G) == GroupKind.cyclic(p + 1)
     assert orbit(G, line.points()[0]) == frozenset(line.points())
     assert len(stabilizer(G, line.points()[0])) == 1
     # deterministic scan: same subgroup every time
-    assert find_cyclic_regular(p).elements == G.elements
+    assert find_cyclic_regular(line).elements == G.elements
 
 
 def test_find_cyclic_regular_matches_the_scan():
     # the walk reads only the classes (0, 1, c, d), which hold the first
     # class of order p+1 in the scan of all of PGL(2, p)
     for p in (q for q in range(2, 500) if is_prime(q)):
-        want = scanned_cyclic_regular(projective_line(p))
-        assert find_cyclic_regular(p).generators == want.generators, p
+        line = projective_line(p)
+        want = scanned_cyclic_regular(line)
+        assert find_cyclic_regular(line).generators == want.generators, p
         assert want.generators[0].a == 0
 
 
@@ -180,8 +187,9 @@ def row_scanned_singer(line):
 
 def test_find_cyclic_regular_matches_the_row_scan():
     for p in (q for q in range(2, 2000) if is_prime(q)):
-        want = row_scanned_singer(projective_line(p))
-        assert find_cyclic_regular(p).generators == (want,), p
+        line = projective_line(p)
+        want = row_scanned_singer(line)
+        assert find_cyclic_regular(line).generators == (want,), p
 
 
 def test_search_config_validation():
@@ -339,6 +347,25 @@ def test_transitive_group_matches_the_scans(p, kind):
     assert orbit(G, line.points()[0]) == frozenset(line.points())
 
 
+# C_{p+1} and D_{p+1} at every odd prime to 61 and at the primes that the
+# benchmark and CI search, and A4, S4 and A5 at their one prime each
+TRANSITIVE_PRIMES = [q for q in range(3, 62) if is_prime(q)] + [101, 199, 401, 1009]
+TRANSITIVE_KINDS = ([(p, make(p + 1)) for make in (GroupKind.cyclic, GroupKind.dihedral)
+                     for p in TRANSITIVE_PRIMES]
+                    + [(11, GroupKind.alt4()), (23, GroupKind.sym4()), (59, GroupKind.alt5())])
+
+
+@pytest.mark.parametrize("p,kind", TRANSITIVE_KINDS, ids=str)
+def test_transitive_group_has_its_kind_and_is_transitive(p, kind):
+    # the regularity lemma, the D lemma and the Coxeter-Moser presentation
+    # prove all three; _transitive_group builds the group unchecked
+    line = projective_line(p)
+    G = _transitive_group(line, kind)
+    assert len(G) == p + 1
+    assert recognize(G) == kind
+    assert orbit(G, line.point(0, 1)) == frozenset(line.points())
+
+
 def test_kinds_of_another_order_find_none_at_once(capsys, monkeypatch):
     # the order lemma: no pair of order other than p + 1 passes, so no
     # group is built
@@ -385,9 +412,9 @@ def count_closures(monkeypatch) -> list:
     """Record the generators of every generate_closure call made in search."""
     calls = []
 
-    def counted(line, gens, **kwargs):
+    def counted(line, gens):
         calls.append(gens)
-        return generate_closure(line, gens, **kwargs)
+        return generate_closure(line, gens)
 
     monkeypatch.setattr(search, "generate_closure", counted)
     return calls
@@ -398,7 +425,7 @@ def test_polyhedral_kinds_are_one_closure_and_no_order(monkeypatch, p, kind):
     # the generators are tabled: no pair is scanned for them
     line = projective_line(p)
     closures, orders = count_closures(monkeypatch), count_element_orders(monkeypatch)
-    _transitive_group(line, parse_kind(kind))  # asserts the kind and transitivity
+    _transitive_group(line, parse_kind(kind))
     assert (len(closures), len(orders)) == (1, 0)
 
 
@@ -407,7 +434,7 @@ def test_dihedral_kind_is_one_closure(monkeypatch, p):
     # <r^2, s r> is closed at once; <r^2, s> is never tried (the D lemma)
     line = projective_line(p)
     closures = count_closures(monkeypatch)
-    _transitive_group(line, GroupKind.dihedral(p + 1))  # asserts the kind and transitivity
+    _transitive_group(line, GroupKind.dihedral(p + 1))
     assert len(closures) == 1
 
 

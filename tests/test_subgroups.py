@@ -97,8 +97,8 @@ def test_closure_cap_stops_the_powers_at_the_largest_prime():
 def test_closure_matches_the_breadth_first_reference_on_transitive_groups():
     groups = list(suite_groups())
     for p in (101, 199):
-        groups += [find_cyclic_regular(p),
-                   _transitive_group(projective_line(p), GroupKind.dihedral(p + 1))]
+        line = projective_line(p)
+        groups += [find_cyclic_regular(line), _transitive_group(line, GroupKind.dihedral(p + 1))]
     for G in groups:
         assert reference_closure(G.line, G.generators).elements == G.elements
 
