@@ -19,7 +19,7 @@ class ModulusMismatch(GaloisPairsError):
 
 
 class ClosureCapExceeded(GaloisPairsError):
-    """Subgroup closure grew past the configured cap."""
+    """Subgroup closure grew past its prime's cap."""
 
 
 class UnknownCase(GaloisPairsError):

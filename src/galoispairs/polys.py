@@ -65,9 +65,6 @@ class Poly:
         return (isinstance(other, Poly) and other.p == self.p
                 and other.coeffs == self.coeffs)
 
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
 

@@ -209,7 +209,7 @@ def _transitive_group(line: ProjectiveLine, kind: GroupKind) -> Subgroup | None:
     other prime passes the order check. Each (a, b) is the first a of order
     2 and b of order 3 in canonical order with ab of order k, as
     reference_transitive_group in tests/conftest.py re-derives from a scan
-    of all of PGL(2, p). Each group has p + 1 elements, below the default
+    of all of PGL(2, p). Each group has p + 1 elements, below the
     closure cap, and test_transitive_group_has_its_kind_and_is_transitive
     in tests/test_search.py checks the order, kind and transitivity.
     """

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import ClosureCapExceeded, ModulusMismatch
@@ -121,8 +121,7 @@ class Subgroup:
         return f"Subgroup(p={self.line.p}, order={len(self.elements)})"
 
 
-def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix],
-                     cap: int | None = None) -> Subgroup:
+def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix]) -> Subgroup:
     """Closure of the generators under composition, by Dimino's algorithm
     (G. Butler, Fundamental Algorithms for Permutation Groups, LNCS 559,
     1991). Each generator, raw rows or a ProjectiveMatrix, is kept as its
@@ -138,25 +137,25 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
     representative, for k generators, where a breadth-first search costs k
     products and k probes per element.
 
-    ClosureCapExceeded is raised once more than `cap` elements appear, as
-    checked after the powers (at most cap + 1) and after each coset block.
-    The default cap, max(DEFAULT_CLOSURE_CAP, 2(p + 1)), closes every
-    subgroup of order prime to p (cyclic, dihedral up to D_{2(p+1)}, A4, S4
-    or A5) and, for small p, some of order divisible by p.
+    ClosureCapExceeded is raised once more than cap = max(DEFAULT_CLOSURE_CAP,
+    2(p + 1)) elements appear, which closes every subgroup of order prime to
+    p (Dickson, Linear Groups, 1901: cyclic, dihedral up to D_{2(p+1)}, A4,
+    S4 or A5) and, for small p, some of order divisible by p. The check
+    before each coset representative is the only bound: every class has
+    order dividing p - 1, p or p + 1 (ProjectiveLine._class_order), so the
+    powers reach I within p + 1 < cap products, and each block is formed
+    from an H that passed the check, |H| <= cap.
     """
     gens = [line.matrix(g) for g in generators]
     if not gens:
         raise ValueError("at least one generator required")
     p, I = line.p, line.identity
-    if cap is None:
-        cap = max(DEFAULT_CLOSURE_CAP, 2 * (p + 1))
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    cap = max(DEFAULT_CLOSURE_CAP, 2 * (p + 1))
 
     def times(H, R, out):
-        # h·R for the first cap h in H (H may be out) up to I, which ends the powers
+        # h·R for each h in H (H may be out) up to I, which ends the powers
         A, B, C, D = R
-        for a, b, c, d in islice(H, cap):
+        for a, b, c, d in H:
             x, y = (a * A + b * C) % p, (a * B + b * D) % p
             u = pow(x or y, -1, p)
             M = new(ProjectiveMatrix, (x * u % p, y * u % p, (c * A + d * C) * u % p,

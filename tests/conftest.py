@@ -17,7 +17,7 @@ from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, CurveParametrizatio
                          GroupKind, PairCertificate, Poly, ProjectiveLine, ProjectiveMatrix,
                          ProjectivePoint, RationalFunction, SearchConfig, Subgroup,
                          check_pair_all_basepoints, generate_closure, intersect, orbit,
-                         orbit_labels, projective_line, recognize)
+                         projective_line, recognize)
 from galoispairs.cli import (_cmd_check_pair, _cmd_emit_curve, _cmd_search,
                              _cmd_verify_paper, main)
 from galoispairs.search import STRATEGIES, _transitive_group
@@ -224,42 +224,33 @@ def reference_closure(line: ProjectiveLine, generators, cap: int | None = None) 
     return Subgroup(line, gens, frozenset(els))
 
 
-def reference_certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
+def per_point_certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
                           points) -> PairCertificate:
-    """Oracle for check_pair and check_pair_all_basepoints: orbit data at
-    `base` and the failures at each of `points` in turn, read from the two
-    orbit partitions point by point, with no scan skipped."""
+    """Oracle for check_pair and check_pair_all_basepoints: both orbits
+    rebuilt from the element sets at each of `points`, failures kept in
+    first-occurrence order, orbit data at `base`."""
     line = G1.line
-    inter_size = len(intersect(G1, G2))
-    d1, d2 = len(G1), len(G2)
+    d, inter_size = len(G1), len(intersect(G1, G2))
     failures = []
     if G1.elements == G2.elements:
         failures.append("groups not different")
-    if d2 != d1:
+    if len(G2) != d:
         failures.append("orders differ")
     if inter_size != 1:
         failures.append("intersection not trivial")
-    lab1, lab2 = orbit_labels(G1), orbit_labels(G2)
-    size1, size2 = Counter(lab1), Counter(lab2)
-    meets = set(zip(lab1, lab2))
-    meets1 = Counter(r1 for r1, _ in meets)
-    meets2 = Counter(r2 for _, r2 in meets)
     for Q in points:
-        i = Q.t + 1 if Q.s else 0  # the index of Q in line.points()
-        r1, r2 = lab1[i], lab2[i]
-        if size1[r1] != d1:
-            failures.append(f"orbit of G1 at {Q} has length {size1[r1]} != {d1}")
-        if size2[r2] != d2:
-            failures.append(f"orbit of G2 at {Q} has length {size2[r2]} != {d2}")
-        if meets1[r1] != 1 or meets2[r2] != 1:
+        o1, o2 = orbit(G1, Q), orbit(G2, Q)
+        if len(o1) != d:
+            failures.append(f"orbit of G1 at {Q} has length {len(o1)} != {d}")
+        if len(o2) != len(G2):
+            failures.append(f"orbit of G2 at {Q} has length {len(o2)} != {len(G2)}")
+        if o1 != o2:
             failures.append(f"orbits at {Q} differ")
-    i = base.t + 1 if base.s else 0
-    r1, r2 = lab1[i], lab2[i]
     return PairCertificate(
         p=line.p, g1_generators=G1.generators, g2_generators=G2.generators,
-        kind1=recognize(G1), kind2=recognize(G2), degree=d1, base_point=base,
-        intersection_size=inter_size, orbit_length=size1[r1],
-        orbit_equal=meets1[r1] == 1 and meets2[r2] == 1, failures=tuple(failures))
+        kind1=recognize(G1), kind2=recognize(G2), degree=d, base_point=base,
+        intersection_size=inter_size, orbit_length=len(orbit(G1, base)),
+        orbit_equal=orbit(G1, base) == orbit(G2, base), failures=tuple(failures))
 
 
 def trivial_subgroup(line: ProjectiveLine) -> Subgroup:
@@ -619,7 +610,7 @@ def seeded_random_subgroups(p: int, count: int, seed: int,
             if (a * d - b * c) % p:
                 gens.append(line.matrix([[a, b], [c, d]]))
         try:
-            out.append(generate_closure(line, gens, cap=cap))
+            out.append(reference_closure(line, gens, cap=cap))
         except ClosureCapExceeded:
             continue
     return tuple(out)

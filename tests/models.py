@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Hashable, Sequence
 
-from galoispairs import (ClosureCapExceeded, GroupKind, ProjectiveLine,
+from galoispairs import (GroupKind, ProjectiveLine,
                          ProjectiveMatrix, Subgroup, generate_closure)
 
 
@@ -124,7 +124,7 @@ def minimal_generators(G: Subgroup) -> list[ProjectiveMatrix]:
         if A in closure:
             continue
         gens.append(A)
-        closure = set(generate_closure(line, gens, cap=len(G)).elements)
+        closure = set(generate_closure(line, gens).elements)
         if len(closure) == len(G):
             return gens
     raise AssertionError("generators never closed; broken subgroup")

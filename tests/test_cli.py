@@ -56,7 +56,7 @@ def test_emit_curve_out_to_an_unwritable_path_is_invalid_input(tmp_path, capsys,
 
 def test_check_pair_past_the_closure_cap_is_invalid_input(tmp_path, capsys):
     # [[1,1],[0,1]] and [[0,1],[1,0]] generate PGL(2, 11), of 1,320 elements;
-    # the default cap at p = 11 is 600
+    # the closure cap at p = 11 is 600
     path = tmp_path / "pgl.json"
     path.write_text(json.dumps({"p": 11,
                                 "g1": {"generators": [[[1, 1], [0, 1]], [[0, 1], [1, 0]]]},
@@ -245,6 +245,23 @@ def test_paper_output_is_pinned(job, tmp_path, capsys):
     assert main(paper_argv(job, tmp_path)) == EXIT_PASS
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PAPER_DIGESTS[job]
+
+
+@pytest.mark.parametrize("p", [11, 23, 59])
+def test_verify_paper_text_lists_the_json_items(p):
+    def text(items):
+        return ([f"[PASS] {p}/{i['id']}: {i['claim']}" for i in items]
+                + [f"p={p}: {len(items)}/{len(items)} items pass"])
+
+    items = json.loads(run_main(["verify-paper", "--p", str(p), "--json"])[1])["items"]
+    rc, out, err = run_main(["verify-paper", "--p", str(p)])
+    assert (rc, err) == (EXIT_PASS, "") and out.splitlines() == text(items)
+    # --case a keeps the shared items and, of the pair items, exactly pair.a.*
+    kept = [i for i in items
+            if not i["id"].startswith("pair.") or i["id"].startswith("pair.a.")]
+    assert any(i["id"].startswith("pair.a.") for i in kept) and len(kept) < len(items)
+    rc, out, err = run_main(["verify-paper", "--p", str(p), "--case", "a"])
+    assert (rc, err) == (EXIT_PASS, "") and out.splitlines() == text(kept)
 
 
 def run_python(*args):

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (canonical_matrices, reference_certificate, seeded_random_subgroups,
+from conftest import (canonical_matrices, per_point_certificate, seeded_random_subgroups,
                       trivial_subgroup)
-from galoispairs import (GroupKind, ModulusMismatch, PairCertificate,
-                         case_subgroups, check_pair, check_pair_all_basepoints,
-                         conjugate, find_cyclic_regular, generate_closure, intersect, orbit,
-                         projective_line, recognize, reverify,
+from galoispairs import (GroupKind, ModulusMismatch, case_subgroups, check_pair,
+                         check_pair_all_basepoints, conjugate, find_cyclic_regular,
+                         generate_closure, intersect, projective_line, reverify,
                          subgroups_from_dict)
 
 SCHEMA_KEYS = {"p", "g1", "g2", "kind1", "kind2", "degree", "base_point",
@@ -168,34 +167,6 @@ def test_failures_name_offending_basepoints():
     assert any("orbit" in f for f in cert.failures)
 
 
-def per_point_certificate(G1, G2, base, points) -> PairCertificate:
-    """Oracle for check_pair and check_pair_all_basepoints: both orbits
-    rebuilt from the element sets at each of `points`, failures kept in
-    first-occurrence order, orbit data at `base`."""
-    line = G1.line
-    d, inter_size = len(G1), len(intersect(G1, G2))
-    failures = []
-    if G1.elements == G2.elements:
-        failures.append("groups not different")
-    if len(G2) != d:
-        failures.append("orders differ")
-    if inter_size != 1:
-        failures.append("intersection not trivial")
-    for Q in points:
-        o1, o2 = orbit(G1, Q), orbit(G2, Q)
-        if len(o1) != d:
-            failures.append(f"orbit of G1 at {Q} has length {len(o1)} != {d}")
-        if len(o2) != len(G2):
-            failures.append(f"orbit of G2 at {Q} has length {len(o2)} != {len(G2)}")
-        if o1 != o2:
-            failures.append(f"orbits at {Q} differ")
-    return PairCertificate(
-        p=line.p, g1_generators=G1.generators, g2_generators=G2.generators,
-        kind1=recognize(G1), kind2=recognize(G2), degree=d, base_point=base,
-        intersection_size=inter_size, orbit_length=len(orbit(G1, base)),
-        orbit_equal=orbit(G1, base) == orbit(G2, base), failures=tuple(failures))
-
-
 def test_all_basepoints_matches_per_point_orbits_on_reference_pairs():
     for p in (11, 23):
         for label in "abc":
@@ -250,12 +221,12 @@ def test_all_basepoints_scan_matches_the_point_by_point_reference(p, seed):
     partial = passed = 0
     for G1, G2 in pairs:
         cert = check_pair_all_basepoints(G1, G2)
-        assert cert.to_json() == reference_certificate(
+        assert cert.to_json() == per_point_certificate(
             G1, G2, line.point(0, 1), line.points()).to_json()
         named = set(re.findall(r" at (\(\d+:\d+\))", " ".join(cert.failures)))
         partial += 0 < len(named) < p + 1
         passed += cert.verdict == "pass"
         for Q in line.points()[:3]:
             assert (check_pair(G1, G2, Q).to_json()
-                    == reference_certificate(G1, G2, Q, [Q]).to_json())
+                    == per_point_certificate(G1, G2, Q, [Q]).to_json())
     assert partial and passed

@@ -1,6 +1,7 @@
 """Static checks on the package source, read with ast: no import that its
 module never reads, no private top-level function or class that nothing
-in the package references, and no assert statement."""
+in the package references, no definition that nothing in the package
+reads but those a benchmark file names, and no assert statement."""
 
 import ast
 from pathlib import Path
@@ -64,6 +65,38 @@ def unreferenced_private_defs(trees: dict) -> list:
     return out
 
 
+# the definitions that no package module reads, each kept because a file of
+# the benchmark under perfbench/ names it
+UNREAD_BUT_PINNED = [
+    "cases.case_subgroups",  # perfbench/tracing.py SPANS
+    "polys.Poly.gcd",  # perfbench/tracing.py METHODS
+    "search.find_scaling_conjugates",  # perfbench/tracing.py SPANS, perfbench/child.py run_job
+]
+
+
+def unread_definitions(trees: dict) -> list:
+    """The top-level functions and classes and the methods of top-level
+    classes, dunders excepted, that no module of the package names outside
+    their own definition, as module.name or module.Class.name; the
+    re-exports of __init__.py are not reads."""
+    readers = [tree for name, tree in trees.items() if name != "__init__.py"]
+    out = []
+    for name, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                defs += [(f"{top.name}.{node.name}", node) for node in top.body
+                         if isinstance(node, ast.FunctionDef)]
+            for qualname, node in defs:
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if not any(node.name in names_read(other, skip=node) for other in readers):
+                    out.append(f"{name[:-3]}.{qualname}")
+    return sorted(out)
+
+
 def assert_statements(name: str, tree) -> list:
     """Every assert statement of one module. python -O strips them, so a
     check in the package raises an explicit error, and a proved fact is
@@ -82,6 +115,10 @@ def test_every_private_definition_is_referenced():
     assert unreferenced_private_defs(modules()) == []
 
 
+def test_every_definition_is_read_or_pinned_by_the_benchmark():
+    assert unread_definitions(modules()) == UNREAD_BUT_PINNED
+
+
 def test_the_package_holds_no_assert():
     assert [bad for name, tree in modules().items()
             for bad in assert_statements(name, tree)] == []
@@ -97,3 +134,15 @@ def test_the_checks_flag_what_they_look_for():
     assert unread_imports("m.py", tree) == ["m.py:2 json", "m.py:3 Iterator"]
     assert unreferenced_private_defs({"m.py": tree}) == ["m.py:5 _unused"]
     assert assert_statements("m.py", tree) == ["m.py:7"]
+
+
+def test_the_definition_check_flags_what_nothing_reads():
+    tree = ast.parse("class K:\n"
+                     "    def __init__(self): self.used()\n"
+                     "    def used(self): return 1\n"
+                     "    def unused(self): return self.unused()\n"
+                     "def top(): return K()\n"
+                     "def lone(): return top()\n")
+    exports = ast.parse("from .m import K, lone\n")
+    assert unread_definitions({"m.py": tree, "__init__.py": exports}) == ["m.K.unused",
+                                                                          "m.lone"]

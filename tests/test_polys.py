@@ -147,6 +147,13 @@ def test_rational_function_reduction_and_monic_denominator():
     assert g.den.lead == 1  # denominator scaled monic
 
 
+def test_zero_polynomial_has_no_lead_and_is_no_denominator():
+    with pytest.raises(ValueError, match="zero polynomial has no leading coefficient"):
+        Poly(11, []).lead
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RationalFunction(Poly(11, [1]), Poly(11, []))
+
+
 def test_rational_function_degree():
     p = 11
     f = RationalFunction(Poly(p, [0, 0, 1]), Poly(p, [1, 1]))

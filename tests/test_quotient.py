@@ -10,7 +10,7 @@ from conftest import (POLE, all_subgroups, anchored_invariant, canonical_matrice
                       reduced_fraction, seeded_random_subgroups,
                       trivial_subgroup, value_at, vanishing_poly)
 from galoispairs import (LABELS, PRIMES, CurveParametrization,
-                         EvaluationAtPole, GroupKind, IrregularOrbit, Poly,
+                         EvaluationAtPole, GroupKind, IrregularOrbit, PairCertificate, Poly,
                          ProjectivePoint, RationalFunction, case_subgroups,
                          check_pair, conjugate, emit_parametrization,
                          generate_closure, invariant_generator, moebius_adjust,
@@ -176,6 +176,14 @@ def test_moebius_adjust_rejects_a_denominator_with_the_wrong_roots():
         moebius_adjust(f, G, Q)
 
 
+def test_invariant_generator_rejects_an_order_divisible_by_p():
+    # <t -> t + 1> has order p = 11
+    line = projective_line(11)
+    G = generate_closure(line, [[[1, 1], [0, 1]]])
+    with pytest.raises(ValueError, match="group order must be coprime to p"):
+        invariant_generator(G)
+
+
 def test_invariant_generator_returns_only_checked_invariants(monkeypatch):
     # a sum with the wrong polar set, the H-invariant of the test above,
     # never leaves invariant_generator for G
@@ -250,6 +258,25 @@ def test_emit_parametrization_rejects_failing_certificate():
     bad = check_pair(G1, G1)
     with pytest.raises(ValueError):
         emit_parametrization(bad)
+
+
+def test_emit_parametrization_rejects_invariants_with_different_denominators():
+    # t -> -t and t -> 1/t at p = 11 are both regular at (1:2), with the
+    # orbits {2, 9} and {2, 6}: a certificate that claims a pass anyway
+    # gives two invariants whose denominators differ
+    line = projective_line(11)
+    G1 = generate_closure(line, [[[-1, 0], [0, 1]]])
+    G2 = generate_closure(line, [[[0, 1], [1, 0]]])
+    Q = line.point(1, 2)
+    assert (len(orbit(G1, Q)), len(orbit(G2, Q))) == (2, 2)
+    assert orbit(G1, Q) != orbit(G2, Q)
+    cert = PairCertificate(p=11, g1_generators=G1.generators, g2_generators=G2.generators,
+                           kind1=GroupKind.cyclic(2), kind2=GroupKind.cyclic(2), degree=2,
+                           base_point=Q, intersection_size=1, orbit_length=2,
+                           orbit_equal=False, failures=())
+    assert cert.verdict == "pass"
+    with pytest.raises(EvaluationAtPole, match="the two invariants disagree"):
+        emit_parametrization(cert)
 
 
 def test_fibers_are_unions_of_orbits():

@@ -44,15 +44,20 @@ def test_closure_cap_exceeded():
     line = projective_line(11)
     gens = [line.matrix([[1, 1], [0, 1]]), line.matrix([[0, 1], [1, 0]])]
     with pytest.raises(ClosureCapExceeded):
-        generate_closure(line, gens, cap=600)
+        generate_closure(line, gens)
 
 
-def closure_outcome(close, line, gens, cap):
+def test_closure_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator required"):
+        generate_closure(projective_line(11), [])
+
+
+def closure_outcome(close, line, gens):
     """The generators and elements close() returns, or the type and message
     of what it raises."""
     try:
-        G = close(line, gens, cap)
-    except (ClosureCapExceeded, ValueError) as exc:
+        G = close(line, gens)
+    except ClosureCapExceeded as exc:
         return type(exc), str(exc)
     return G.generators, G.elements
 
@@ -61,7 +66,8 @@ def closure_outcome(close, line, gens, cap):
 @given(st.data())
 def test_closure_matches_the_breadth_first_reference(data):
     # generators as raw rows, with scalar identities, repeats and products of
-    # earlier generators among them; caps just below, at and above |G|
+    # earlier generators among them; at p = 11 and 13 some closures, PGL(2, p)
+    # among them, exceed the cap 600
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
     line = projective_line(p)
     unit = st.integers(1, p - 1)
@@ -81,17 +87,8 @@ def test_closure_matches_the_breadth_first_reference(data):
         else:
             a, b, c, d = data.draw(entries)
             gens.append([[a, b], [c, d]])
-    n = len(reference_closure(line, gens, cap=p ** 3 - p))
-    cap = data.draw(st.sampled_from([None, n - 1, n, 600]))
-    assert (closure_outcome(generate_closure, line, gens, cap)
-            == closure_outcome(reference_closure, line, gens, cap))
-
-
-def test_closure_cap_stops_the_powers_at_the_largest_prime():
-    # [[1, 1], [0, 1]] has order p = 2**31 - 1: its powers stop after the cap
-    line = projective_line(2 ** 31 - 1)
-    with pytest.raises(ClosureCapExceeded, match="closure of 1 generators exceeded cap 600"):
-        generate_closure(line, [[[1, 1], [0, 1]]], cap=600)
+    assert (closure_outcome(generate_closure, line, gens)
+            == closure_outcome(reference_closure, line, gens))
 
 
 def test_closure_matches_the_breadth_first_reference_on_transitive_groups():
@@ -322,8 +319,15 @@ def test_orbit_labels_match_orbits_on_random_generator_sets(data):
     gens = data.draw(st.lists(entries, min_size=1, max_size=3))
     # the closure is all of the group, PGL(2, 11) included, so orbit() sees
     # every element
-    G = generate_closure(line, [[m[:2], m[2:]] for m in gens], cap=p ** 3 - p)
+    G = reference_closure(line, [[m[:2], m[2:]] for m in gens], cap=p ** 3 - p)
     assert_orbit_labels_match_orbits(G)
+
+
+def test_orbit_rejects_a_point_not_reduced_mod_p():
+    line = projective_line(11)
+    G = generate_closure(line, [[[-1, 0], [0, 1]]])
+    with pytest.raises(ModulusMismatch, match=r"point \(11:0\) is not reduced mod 11"):
+        orbit(G, ProjectivePoint(11, 0))
 
 
 def test_parse_kind():
