@@ -7,17 +7,21 @@ checked-and-failed, 2 invalid input (a bad command line prints `usage:` and
 `error:` lines on stderr), 3 search exhausted. A handler raises ValueError or
 UnknownCase on invalid input, and `main` prints its one `error:` line and
 returns 2; any other exception propagates. All JSON on stdout is emitted
-with sorted keys so equal runs are byte-identical. Argv grammar: `--p 11` or
-`--p=11`; any unique prefix of a long option (`--all`; `--s` is ambiguous in
-search); the last repeat wins; a token that starts with `-` is an option
-unless it is a negative number or holds a space (`--seed -1` is fine,
-`--kind1 --kind2` is not); every token after the first `--` is a value.
+with sorted keys so equal runs are byte-identical. Where the platform has
+SIGPIPE, the command (`entrypoint`) is killed by it on a write to a closed
+stdout, as `cat` is, with no traceback and none of the codes above: so
+`galois-pairs verify-paper --p 59 | head -1` prints one line. Argv grammar:
+`--p 11` or `--p=11`; any unique prefix of a long option (`--all`; `--s` is
+ambiguous in search); the last repeat wins; a token that starts with `-` is
+an option unless it is a negative number or holds a space (`--seed -1` is
+fine, `--kind1 --kind2` is not); every token after the first `--` is a value.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import signal
 import sys
 from types import SimpleNamespace
 
@@ -238,4 +242,6 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
+    if hasattr(signal, "SIGPIPE"):  # Python starts with it ignored: writes raise BrokenPipeError
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -177,6 +177,10 @@ def find_cyclic_regular(line: ProjectiveLine) -> Subgroup:
     otherwise lambda^pj = lambda^j, and r^j would be scalar. So r^j has no
     rational eigenvector and fixes no rational point. Hence <r> acts
     freely, and so regularly, on the p + 1 points.
+
+    As r has order p + 1, generate_closure lists <r> in closed form, as
+    the classes of I + uN for u in F_p and of N = r - aI (its torus
+    lemma), with no power of r multiplied out.
     """
     return generate_closure(line, [_singer(line)])
 

@@ -127,24 +127,39 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
     1991). Each generator, raw rows or a ProjectiveMatrix, is kept as its
     canonical class, in the given order with repeats.
 
-    H starts as the powers of the first generator. For each further
-    generator s, the right cosets H·s, then H·(r·t) for each coset
+    The generators are walked by descending element order (a stable sort),
+    so H starts as the largest cycle <A>, A the first of the walk. For each
+    further generator s, the right cosets H·s, then H·(r·t) for each coset
     representative r and generator t so far with r·t not yet found, are
     added whole, each product brought to canonical form in one loop (times).
     Right cosets suffice, as (H·r)·t = H·(r·t): their union is closed under
     right multiplication by the generators, so it is the finite group they
-    generate. This costs |G| products plus k probes per coset
-    representative, for k generators, where a breadth-first search costs k
-    products and k probes per element.
+    generate, whatever their order. This costs |G| products plus k probes
+    per coset representative, for k generators, where a breadth-first
+    search costs k products and k probes per element.
+
+    <A> is the powers of A, I first, unless A has order p + 1. The torus
+    lemma: then <A> is the classes of I + uN for u in F_p and of N, where
+    N = A - aI = (0, b, c, d - a), listed in O(p) scalar products with one
+    pow, not p + 1 matrix products each with a pow. By _class_order, only
+    an elliptic class has order p + 1 (p + 1 divides neither p - 1 nor p),
+    so the characteristic polynomial of A has no root in F_p and
+    F_p[A] = span(I, N) is the field F_{p^2}. Its nonzero elements are all
+    units, and modulo F_p^* they form a cyclic group of order
+    (p^2 - 1)/(p - 1) = p + 1 that holds <A>, so the two are equal: every
+    class of <A> is that of a nonzero alpha I + beta N, that is of N or of
+    I + uN with u = beta/alpha. I + uN = (1, ub, uc, 1 + u(d - a)) is
+    canonical as it stands, u = 0 giving I; N is brought to canonical form
+    by line.matrix.
 
     ClosureCapExceeded is raised once more than cap = max(DEFAULT_CLOSURE_CAP,
     2(p + 1)) elements appear, which closes every subgroup of order prime to
     p (Dickson, Linear Groups, 1901: cyclic, dihedral up to D_{2(p+1)}, A4,
     S4 or A5) and, for small p, some of order divisible by p. The check
     before each coset representative is the only bound: every class has
-    order dividing p - 1, p or p + 1 (ProjectiveLine._class_order), so the
-    powers reach I within p + 1 < cap products, and each block is formed
-    from an H that passed the check, |H| <= cap.
+    order dividing p - 1, p or p + 1 (ProjectiveLine._class_order), so
+    |<A>| <= p + 1 < cap, and each block is formed from an H that passed
+    the check, |H| <= cap.
     """
     gens = [line.matrix(g) for g in generators]
     if not gens:
@@ -165,16 +180,24 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
             out.append(M)
         return out
 
-    powers = [I]
-    els = set(times(powers, gens[0], powers))
-    for k, s in enumerate(gens):
+    walk = sorted(gens, key=line.element_order, reverse=True)
+    if line.element_order(walk[0]) == p + 1:  # the torus lemma
+        a, b, c, d = walk[0]
+        e = d - a
+        els = {new(ProjectiveMatrix, (1, b * u % p, c * u % p, (1 + e * u) % p))
+               for u in range(p)}
+        els.add(line.matrix([[0, b], [c, e]]))  # N
+    else:
+        powers = [I]
+        els = set(times(powers, walk[0], powers))
+    for k, s in enumerate(walk):
         H, reps = tuple(els), [s]
         for r in reps:
             if len(els) > cap:
                 raise ClosureCapExceeded(f"closure of {len(gens)} generators exceeded cap {cap}")
             if r not in els:  # add the coset H·r, which does not hold I
                 els.update(times(H, r, []))
-                reps += [line.compose(r, t) for t in gens[:k + 1]]
+                reps += [line.compose(r, t) for t in walk[:k + 1]]
     return Subgroup(line, gens, frozenset(els))
 
 

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -264,14 +265,35 @@ def test_verify_paper_text_lists_the_json_items(p):
     assert (rc, err) == (EXIT_PASS, "") and out.splitlines() == text(kept)
 
 
+def package_env():
+    """The environment with this package's source directory first on
+    PYTHONPATH, for a fresh interpreter that imports it."""
+    src = str(Path(galoispairs.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_python(*args):
     """A fresh interpreter that imports this package: (exit code, out, err)."""
-    src = str(Path(galoispairs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, *args], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, *args], env=package_env(), capture_output=True,
                           text=True)
     return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_a_closed_stdout_ends_the_command_by_sigpipe():
+    # in `verify-paper --p 59 | head -1` a race decides whether a write meets
+    # the closed pipe, as the report fits the pipe; a reader closed before
+    # the command writes makes it meet one every time. The command is killed
+    # by SIGPIPE, as cat is, with no BrokenPipeError traceback and no exit 1.
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-m", "galoispairs", "verify-paper", "--p", "59"],
+                              env=package_env(), stdout=w, stderr=subprocess.PIPE)
+    finally:
+        os.close(w)
+    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")
 
 
 def test_cli_import_leaves_numpy_out():

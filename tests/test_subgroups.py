@@ -12,7 +12,8 @@ from galoispairs import (LABELS, ClosureCapExceeded, GroupKind, ModulusMismatch,
                          orbit_labels, parse_kind, projective_line, recognize,
                          reverify)
 from galoispairs.cases import prime_table
-from galoispairs.search import _transitive_group
+from galoispairs.field import is_prime
+from galoispairs.search import _POLYHEDRAL_GENERATORS, _singer, _transitive_group
 
 
 def order_multiset(G):
@@ -98,6 +99,55 @@ def test_closure_matches_the_breadth_first_reference_on_transitive_groups():
         groups += [find_cyclic_regular(line), _transitive_group(line, GroupKind.dihedral(p + 1))]
     for G in groups:
         assert reference_closure(G.line, G.generators).elements == G.elements
+
+
+@pytest.mark.parametrize("p", [q for q in range(2, 32) if is_prime(q)])
+def test_closure_of_every_class_of_order_p_plus_1_matches_the_reference(p):
+    # the torus lemma: <A> listed as I + uN and N, N = A - aI
+    line = projective_line(p)
+    singers = [A for A in canonical_matrices(p) if line.element_order(A) == p + 1]
+    assert singers
+    for A in singers:
+        assert generate_closure(line, [A]).elements == reference_closure(line, [A]).elements
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([q for q in range(2, 3000) if is_prime(q)]), st.data())
+def test_closure_of_a_conjugated_singer_cycle_matches_the_reference(p, data):
+    line = projective_line(p)
+    entries = st.tuples(*[st.integers(0, p - 1)] * 4).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p)
+    C = line.matrix(ProjectiveMatrix(*data.draw(entries)))
+    A = line.compose(line.compose(line.inverse(C), _singer(line)), C)
+    G = generate_closure(line, [A])
+    assert len(G) == p + 1
+    assert G.elements == reference_closure(line, [A]).elements
+
+
+@pytest.mark.parametrize("p", [5, 11, 59, 401])
+def test_dihedral_closure_is_the_torus_and_one_coset(monkeypatch, p):
+    # f = (1, 0, d, -1) inverts A = (0, 1, c, d): <f, A> = D_{2(p+1)}, walked
+    # from A, so the one coset A's torus misses is found with two products
+    line = projective_line(p)
+    A = _singer(line)
+    f = line.matrix([[1, 0], [A.d, -1]])
+    products = []
+    compose = line.compose
+    monkeypatch.setattr(line, "compose", lambda X, Y: products.append(1) or compose(X, Y))
+    G = generate_closure(line, [f, A])
+    monkeypatch.undo()
+    assert len(products) == 2
+    assert len(G) == 2 * (p + 1)
+    assert G.elements == reference_closure(line, [f, A]).elements
+
+
+def test_closure_keeps_the_given_order_of_its_generators():
+    # the walk starts from the largest cycle; the generators stay as given
+    line = projective_line(59)
+    a, b = _POLYHEDRAL_GENERATORS["A5"]
+    G = generate_closure(line, [a.rows(), b, a, line.identity])
+    assert G.generators == (a, b, a, line.identity)
+    assert G.elements == reference_closure(line, [a, b]).elements
 
 
 def test_closure_is_closed_and_lagrange():
