@@ -8,7 +8,8 @@ are G1 and G2; the quotient module turns it into an explicit parametrization.
 One function, _certificate, makes every certificate: it reads the orbit
 conditions off the orbit partition of each group (subgroups.orbit_labels),
 at the one base point of check_pair or at every point for
-check_pair_all_basepoints.
+check_pair_all_basepoints. The two orbits of a point are equal iff its
+G1-label is not among the labels of the points whose two labels differ.
 """
 
 from __future__ import annotations
@@ -83,9 +84,14 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: int,
     at each of `indices` in turn (indexed like line.points()), every
     condition evaluated (no short-circuiting).
 
-    The orbit conditions cost O(p) beyond the two orbit partitions. The
-    scan reads labels by index, builds a point only to name a failure, and
-    is skipped when no orbit is irregular or meets two of the other group.
+    The orbit conditions cost O(p) beyond the two orbit partitions. split
+    holds both labels of each point whose two labels differ. As labels are
+    least indices, the two orbits of i are equal iff m = lab1[i] is not in
+    split: if they are equal, each j with either label m lies in that one
+    orbit, so both its labels are m; if m is not in split, lab2[i] = m,
+    and each point of either orbit has label m in both labelings. The scan
+    reads labels by index, builds a point only to name a failure, and is
+    skipped when the partitions are equal and regular.
     """
     inter_size = len(intersect(G1, G2))
     d1, d2 = len(G1), len(G2)
@@ -98,22 +104,16 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: int,
         failures.append("intersection not trivial")
     lab1, lab2 = orbit_labels(G1), orbit_labels(G2)
     size1, size2 = Counter(lab1), Counter(lab2)
-    # the G1-orbit and the G2-orbit of a point agree iff neither meets
-    # another orbit of the other group
-    meets = set(zip(lab1, lab2))
-    meets1 = Counter(r1 for r1, _ in meets)
-    meets2 = Counter(r2 for _, r2 in meets)
-    if not (set(size1.values()) == {d1} and set(size2.values()) == {d2}
-            and len(meets) == len(size1) == len(size2)):
+    split = {r for r1, r2 in zip(lab1, lab2) if r1 != r2 for r in (r1, r2)}
+    if split or d2 != d1 or set(size1.values()) != {d1}:
         for i in indices:
             r1, r2 = lab1[i], lab2[i]
             if size1[r1] != d1:
                 failures.append(f"orbit of G1 at {_point(i)} has length {size1[r1]} != {d1}")
             if size2[r2] != d2:
                 failures.append(f"orbit of G2 at {_point(i)} has length {size2[r2]} != {d2}")
-            if meets1[r1] != 1 or meets2[r2] != 1:
+            if r1 in split:
                 failures.append(f"orbits at {_point(i)} differ")
-    r1, r2 = lab1[base], lab2[base]
     return PairCertificate(
         p=G1.line.p,
         g1_generators=G1.generators,
@@ -123,8 +123,8 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: int,
         degree=d1,
         base_point=_point(base),
         intersection_size=inter_size,
-        orbit_length=size1[r1],
-        orbit_equal=meets1[r1] == 1 and meets2[r2] == 1,
+        orbit_length=size1[lab1[base]],
+        orbit_equal=lab1[base] not in split,
         failures=tuple(failures),
     )
 

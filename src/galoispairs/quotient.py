@@ -179,8 +179,8 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
     reduced denominator must be the monic vanishing polynomial of the
     orbit's affine points, with the degree excess accounting for a pole at
     (0:1) exactly when the orbit contains it, or EvaluationAtPole is
-    raised. That polynomial is (t^p - t) divided by the product over the
-    other points of F_p, which is 1 when the orbit holds all of F_p: a
+    raised. That polynomial is t^p - t when the orbit holds all of F_p,
+    else the product tree over the orbit's at most |G| affine points: a
     comparison of coefficients, with no evaluation. invariant_generator
     calls it on every invariant it returns, the tests on other functions.
     """
@@ -190,13 +190,10 @@ def moebius_adjust(f: RationalFunction, G: Subgroup,
     if len(pts) != len(G):
         raise IrregularOrbit(f"orbit of {Q} has length {len(pts)} != {len(G)}")
     p = line.p
-    affine = {P.t for P in pts if P.s == 1}
-    n = len(affine)
-    polar = _line_poly(p)
-    if n < p:
-        polar = polar // _vanishing(p, [z for z in range(p) if z not in affine])
-    # with deg f.den = n, deg f = |G| puts the excess pole at (0:1) exactly
-    # when the orbit holds it: deg f.num = n + 1 then, and <= n otherwise
+    affine = [P.t for P in pts if P.s == 1]
+    polar = _line_poly(p) if len(affine) == p else _vanishing(p, affine)
+    # with deg f.den = len(affine), deg f = |G| puts the excess pole at (0:1)
+    # exactly when the orbit holds it: deg f.num is one more then, else no more
     if f.den != polar or f.degree != len(G):
         raise EvaluationAtPole(f"polar set of the invariant is not the orbit of {Q}")
     return f

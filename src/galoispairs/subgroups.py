@@ -10,9 +10,8 @@ from .projline import ProjectiveLine, ProjectiveMatrix, ProjectivePoint, new
 
 DEFAULT_CLOSURE_CAP = 600
 
-# A4, S4 and A5: name -> (order, k), where <a, b | a^2 = b^3 = (ab)^k = 1>
-# presents the group (Coxeter and Moser, 1957)
-POLYHEDRAL = {"A4": (12, 3), "S4": (24, 4), "A5": (60, 5)}
+# A4, S4 and A5: name -> order (search._transitive_group presents each)
+POLYHEDRAL = {"A4": 12, "S4": 24, "A5": 60}
 
 
 class GroupKind:
@@ -56,15 +55,15 @@ class GroupKind:
 
     @classmethod
     def alt4(cls) -> "GroupKind":
-        return cls("A4", POLYHEDRAL["A4"][0])
+        return cls("A4", POLYHEDRAL["A4"])
 
     @classmethod
     def sym4(cls) -> "GroupKind":
-        return cls("S4", POLYHEDRAL["S4"][0])
+        return cls("S4", POLYHEDRAL["S4"])
 
     @classmethod
     def alt5(cls) -> "GroupKind":
-        return cls("A5", POLYHEDRAL["A5"][0])
+        return cls("A5", POLYHEDRAL["A5"])
 
     @classmethod
     def other(cls, n: int) -> "GroupKind":
@@ -82,7 +81,7 @@ def parse_kind(text: str) -> GroupKind:
     """Parse a CLI-style kind flag: A4, S4, A5, C<n>, D<n>."""
     text = text.strip()
     if text in POLYHEDRAL:
-        return GroupKind(text, POLYHEDRAL[text][0])
+        return GroupKind(text, POLYHEDRAL[text])
     if len(text) > 1 and text[0] in ("C", "D") and text[1:].isdecimal():
         n = int(text[1:])
         if text[0] == "C":
@@ -241,7 +240,7 @@ def recognize(G: Subgroup) -> GroupKind:
         return GroupKind.cyclic(n)
     if 2 * involutions >= n:
         return GroupKind.dihedral(n)
-    for name, (order, _) in POLYHEDRAL.items():
+    for name, order in POLYHEDRAL.items():
         if order == n:
             return GroupKind(name, n)
     return GroupKind.other(n)

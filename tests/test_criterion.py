@@ -10,8 +10,8 @@ from conftest import (canonical_matrices, per_point_certificate, seeded_random_s
                       trivial_subgroup)
 from galoispairs import (GroupKind, ModulusMismatch, case_subgroups, check_pair,
                          check_pair_all_basepoints, conjugate, find_cyclic_regular,
-                         generate_closure, intersect, projective_line, reverify,
-                         subgroups_from_dict)
+                         generate_closure, intersect, orbit_labels, projective_line,
+                         reverify, subgroups_from_dict)
 
 SCHEMA_KEYS = {"p", "g1", "g2", "kind1", "kind2", "degree", "base_point",
                "intersection_size", "orbit_equal", "orbit_length", "verdict",
@@ -165,6 +165,23 @@ def test_failures_name_offending_basepoints():
     cert = check_pair_all_basepoints(A, B)
     assert cert.verdict == "fail"
     assert any("orbit" in f for f in cert.failures)
+
+
+def test_orbits_differ_at_a_point_whose_two_labels_agree():
+    # both labels of (0:1) are 0, yet its G1-orbit {(0:1), (1:0)} is not
+    # its G2-orbit {(0:1), (1:2)}: comparing a point's own two labels
+    # would miss it, looking its label up among the split labels does not
+    line = projective_line(3)
+    G1 = generate_closure(line, [line.matrix([[0, 1], [2, 0]])])
+    G2 = generate_closure(line, [line.matrix([[1, 1], [1, 2]])])
+    assert (orbit_labels(G1), orbit_labels(G2)) == ([0, 0, 2, 2], [0, 1, 1, 0])
+    Q = line.point(0, 1)
+    cert = check_pair(G1, G2, Q)
+    assert cert.failures == ("orbits at (0:1) differ",) and not cert.orbit_equal
+    assert cert.to_json() == per_point_certificate(G1, G2, Q, [Q]).to_json()
+    cert = check_pair_all_basepoints(G1, G2)
+    assert cert.failures == tuple(f"orbits at {P} differ" for P in line.points())
+    assert cert.to_json() == per_point_certificate(G1, G2, Q, line.points()).to_json()
 
 
 def test_all_basepoints_matches_per_point_orbits_on_reference_pairs():

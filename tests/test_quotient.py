@@ -447,6 +447,25 @@ def test_invariant_of_a_regular_group_at_401(kind):
     assert moebius_adjust(f, G, line.point(0, 1)) == f
 
 
+@pytest.mark.parametrize("p", [1009, 10007])
+def test_polar_check_builds_its_tree_over_the_orbit_alone(monkeypatch, p):
+    # anchored at (1:1), the invariant of <t -> -t> has the orbit {1, -1}
+    # as its polar set; _top_ratio's tree runs over the p - 2 points of
+    # zero residue, the polar check's over the two orbit points alone
+    sizes = []
+
+    def vanishing(p, roots):
+        sizes.append(len(roots))
+        return _vanishing(p, roots)
+
+    monkeypatch.setattr(quotient, "_vanishing", vanishing)
+    line = projective_line(p)
+    G = generate_closure(line, [line.matrix([[-1, 0], [0, 1]])])
+    f = invariant_generator(G, line.point(1, 1))
+    assert f.den == Poly(p, [p - 1, 0, 1])
+    assert sizes == [p - 2, 2]
+
+
 def counted(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)

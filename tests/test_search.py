@@ -401,7 +401,7 @@ def test_tau_0_and_1_are_the_classes_of_order_2_and_3(p):
 @pytest.mark.parametrize("family", sorted(_POLYHEDRAL_GENERATORS))
 def test_tabled_generators_present_the_polyhedral_kind(family):
     # <a, b | a^2 = b^3 = (ab)^k = 1> at the one prime p = |kind| - 1
-    order, k = POLYHEDRAL[family]
+    order, k = POLYHEDRAL[family], {"A4": 3, "S4": 4, "A5": 5}[family]
     line = projective_line(order - 1)
     a, b = _POLYHEDRAL_GENERATORS[family]
     assert (tau(line, a), tau(line, b)) == (0, 1)
