@@ -91,12 +91,13 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: int,
     orbit, so both its labels are m; if m is not in split, lab2[i] = m,
     and each point of either orbit has label m in both labelings. The scan
     reads labels by index, builds a point only to name a failure, and is
-    skipped when the partitions are equal and regular.
+    skipped when the partitions are equal and regular. The groups are
+    equal as element sets iff their intersection has the order of both.
     """
     inter_size = len(intersect(G1, G2))
     d1, d2 = len(G1), len(G2)
     failures = []
-    if G1.elements == G2.elements:
+    if inter_size == d1 == d2:
         failures.append("groups not different")
     if d2 != d1:
         failures.append("orders differ")

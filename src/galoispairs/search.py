@@ -178,9 +178,10 @@ def find_cyclic_regular(line: ProjectiveLine) -> Subgroup:
     rational eigenvector and fixes no rational point. Hence <r> acts
     freely, and so regularly, on the p + 1 points.
 
-    As r has order p + 1, generate_closure lists <r> in closed form, as
-    the classes of I + uN for u in F_p and of N = r - aI (its torus
-    lemma), with no power of r multiplied out.
+    As r has order p + 1, generate_closure returns <r> unlisted, as the
+    torus of r (subgroups.Subgroup), whose orbit labels, kind, conjugates
+    and intersections are read off r by the torus, membership and two-tori
+    lemmas; its elements are listed in O(p) only when read.
     """
     return generate_closure(line, [_singer(line)])
 

@@ -93,21 +93,73 @@ def parse_kind(text: str) -> GroupKind:
 
 
 class Subgroup:
-    """A fully enumerated subgroup: generators plus closed element set."""
+    """A subgroup: its generators and its element set.
 
-    __slots__ = ("line", "generators", "elements")
+    A C_{p+1} torus <A>, for A of order p + 1, keeps A in `torus` and lists
+    its elements only when `elements` is read; its order, membership, kind,
+    orbits, conjugates and intersections are read off A. Let
+    N = A - aI = (0, b, c, d - a).
+
+    The torus lemma. By ProjectiveLine._class_order, only an elliptic class
+    has order p + 1 (p + 1 divides neither p - 1 nor p), so the
+    characteristic polynomial of A has no root in F_p and
+    F_p[A] = span(I, N) is the field F_{p^2}. Its nonzero elements are all
+    units, and modulo F_p^* they form a cyclic group of order
+    (p^2 - 1)/(p - 1) = p + 1 that holds <A>, so the two are equal: every
+    class of <A> is that of a nonzero alpha I + beta N, that is of N or of
+    I + uN with u = beta/alpha. I + uN = (1, ub, uc, 1 + u(d - a)) is
+    canonical as it stands, u = 0 giving I; N is brought to canonical form
+    by line.matrix. So the listing costs O(p) scalar products and one pow.
+
+    The membership lemma. M = (m_a, m_b, m_c, m_d) lies in <A> iff
+    (m_b, m_c, m_d - m_a) is parallel to (b, c, d - a). By the torus lemma
+    M is in <A> iff M lies in F_p[A] = span(I, N), that is iff
+    M - m_a I = (0, m_b, m_c, m_d - m_a) does; as N has 0 in its top-left
+    entry, that is iff M - m_a I = yN for some y. The zero vector is I, and
+    the condition does not change under scaling, so it holds for classes.
+    As b != 0 (A would fix (1:0) otherwise, and it fixes no point, by
+    search.find_cyclic_regular's regularity lemma), it reads
+    b m_c = c m_b and b (m_d - m_a) = (d - a) m_b.
+
+    The two-tori lemma. Two tori <A1> and <A2> meet in 1 class or in all
+    p + 1, and they are equal iff A2 (!= 1) lies in <A1>. Let g != 1 lie in
+    both. g is not scalar, so F_p[g] = span(I, g) is 2-dimensional and lies
+    in both F_p[A1] and F_p[A2], which are 2-dimensional too: all three are
+    equal, and so are the two tori, by the torus lemma.
+    """
+
+    __slots__ = ("line", "generators", "torus", "_elements")
 
     def __init__(self, line: ProjectiveLine, generators: Sequence[ProjectiveMatrix],
-                 elements: frozenset[ProjectiveMatrix]):
+                 elements: frozenset[ProjectiveMatrix] | None = None,
+                 torus: ProjectiveMatrix | None = None):
         self.line = line
         self.generators = tuple(generators)
-        self.elements = elements
+        self.torus = torus  # A, for the torus <A>; else None
+        self._elements = elements  # None for a torus until first read
+
+    @property
+    def elements(self) -> frozenset[ProjectiveMatrix]:
+        if self._elements is None:  # the torus lemma
+            p = self.line.p
+            a, b, c, d = self.torus
+            e = d - a
+            els = [new(ProjectiveMatrix, (1, b * u % p, c * u % p, (1 + e * u) % p))
+                   for u in range(p)]
+            els.append(self.line.matrix([[0, b], [c, e]]))  # N
+            self._elements = frozenset(els)
+        return self._elements
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.elements) if self.torus is None else self.line.p + 1
 
     def __contains__(self, M: ProjectiveMatrix):
-        return M in self.elements
+        if self.torus is None:
+            return M in self.elements
+        p = self.line.p
+        a, b, c, d = self.torus
+        x = M[1]  # the membership lemma
+        return not ((b * M[2] - c * x) % p or (b * (M[3] - M[0]) - (d - a) * x) % p)
 
     def __eq__(self, other):
         return (isinstance(other, Subgroup) and other.line.p == self.line.p
@@ -117,7 +169,7 @@ class Subgroup:
         return hash((self.line.p, self.elements))
 
     def __repr__(self):
-        return f"Subgroup(p={self.line.p}, order={len(self.elements)})"
+        return f"Subgroup(p={self.line.p}, order={len(self)})"
 
 
 def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix]) -> Subgroup:
@@ -137,19 +189,11 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
     per coset representative, for k generators, where a breadth-first
     search costs k products and k probes per element.
 
-    <A> is the powers of A, I first, unless A has order p + 1. The torus
-    lemma: then <A> is the classes of I + uN for u in F_p and of N, where
-    N = A - aI = (0, b, c, d - a), listed in O(p) scalar products with one
-    pow, not p + 1 matrix products each with a pow. By _class_order, only
-    an elliptic class has order p + 1 (p + 1 divides neither p - 1 nor p),
-    so the characteristic polynomial of A has no root in F_p and
-    F_p[A] = span(I, N) is the field F_{p^2}. Its nonzero elements are all
-    units, and modulo F_p^* they form a cyclic group of order
-    (p^2 - 1)/(p - 1) = p + 1 that holds <A>, so the two are equal: every
-    class of <A> is that of a nonzero alpha I + beta N, that is of N or of
-    I + uN with u = beta/alpha. I + uN = (1, ub, uc, 1 + u(d - a)) is
-    canonical as it stands, u = 0 giving I; N is brought to canonical form
-    by line.matrix.
+    <A> is the powers of A, I first, unless A has order p + 1: then it is
+    the torus <A> (Subgroup), and if every generator lies in it (the
+    membership lemma) it is returned unlisted, as Subgroup(line, gens,
+    torus=A); else its listing is the first block, with no power of A
+    multiplied out.
 
     ClosureCapExceeded is raised once more than cap = max(DEFAULT_CLOSURE_CAP,
     2(p + 1)) elements appear, which closes every subgroup of order prime to
@@ -180,12 +224,11 @@ def generate_closure(line: ProjectiveLine, generators: Iterable[ProjectiveMatrix
         return out
 
     walk = sorted(gens, key=line.element_order, reverse=True)
-    if line.element_order(walk[0]) == p + 1:  # the torus lemma
-        a, b, c, d = walk[0]
-        e = d - a
-        els = {new(ProjectiveMatrix, (1, b * u % p, c * u % p, (1 + e * u) % p))
-               for u in range(p)}
-        els.add(line.matrix([[0, b], [c, e]]))  # N
+    if line.element_order(walk[0]) == p + 1:
+        T = Subgroup(line, gens, torus=walk[0])
+        if all(g in T for g in walk):
+            return T
+        els = set(T.elements)
     else:
         powers = [I]
         els = set(times(powers, walk[0], powers))
@@ -212,6 +255,7 @@ def recognize(G: Subgroup) -> GroupKind:
     tau = 0 = 4 for p = 2). A cyclic group has at most one involution, so
     only with at most one is an element of order n sought, among
     G.generators first, where this package's groups keep it, then in G.
+    A torus (Subgroup) is C_{p+1} by the torus lemma, with nothing read.
 
     The ladder is exact on subgroups of PGL(2, p) (Dickson, Linear Groups,
     1901). One of order prime to p is cyclic, dihedral, A4, S4 or A5. Only
@@ -233,6 +277,8 @@ def recognize(G: Subgroup) -> GroupKind:
     """
     n, line = len(G), G.line
     p = line.p
+    if G.torus is not None:
+        return GroupKind.cyclic(n)
     # at p = 2 the identity has trace 2 = 0 too
     involutions = sum(1 for a, _, _, d in G.elements if (a + d) % p == 0) - (p == 2)
     if involutions < 2 and any(line.element_order(A) == n
@@ -247,11 +293,23 @@ def recognize(G: Subgroup) -> GroupKind:
 
 
 def intersect(G: Subgroup, H: Subgroup) -> Subgroup:
-    """Subgroup on the set intersection of canonical forms."""
+    """Subgroup on the set intersection of canonical forms, generated by
+    its sorted elements. With a torus T (Subgroup) among the two, it is the
+    elements of the other that pass T's O(1) membership test (the
+    membership lemma); of two tori it is T itself if they are equal, else
+    the trivial group (the two-tori lemma)."""
     if G.line.p != H.line.p:
         raise ModulusMismatch(f"p={G.line.p} vs p={H.line.p}")
-    els = G.elements & H.elements
-    return Subgroup(G.line, tuple(sorted(els)), frozenset(els))
+    T, H = (G, H) if G.torus is not None else (H, G)
+    if T.torus is None:
+        els = T.elements & H.elements
+    elif H.torus is None:
+        els = frozenset([M for M in H.elements if M in T])
+    elif H.torus in T:
+        return T
+    else:
+        els = frozenset([T.line.identity])
+    return Subgroup(G.line, tuple(sorted(els)), els)
 
 
 def conjugate(G: Subgroup, C: ProjectiveMatrix) -> Subgroup:
@@ -261,7 +319,8 @@ def conjugate(G: Subgroup, C: ProjectiveMatrix) -> Subgroup:
     "C then A then C^-1" on points, which is what gluing a conjugated
     group onto the same orbit structure requires. Each element is the
     product adj(C)·A·C, scaled once to canonical form: the adjugate is
-    C^-1 up to the scalar det C, which the class absorbs.
+    C^-1 up to the scalar det C, which the class absorbs. A torus <A>
+    (Subgroup) goes to the torus of C^-1 A C, with nothing listed.
     """
     line = G.line
     p = line.p
@@ -277,8 +336,10 @@ def conjugate(G: Subgroup, C: ProjectiveMatrix) -> Subgroup:
         return new(ProjectiveMatrix, (a * u % p, b * u % p, (g * al + h * ga) * u % p,
                                       (g * be + h * de) * u % p))
 
-    return Subgroup(line, tuple(map(conj, G.generators)),
-                    frozenset(map(conj, G.elements)))
+    gens = tuple(map(conj, G.generators))
+    if G.torus is not None:
+        return Subgroup(line, gens, torus=conj(G.torus))
+    return Subgroup(line, gens, frozenset(map(conj, G.elements)))
 
 
 def orbit(G: Subgroup, Q: ProjectivePoint) -> frozenset[ProjectivePoint]:
@@ -315,8 +376,12 @@ def orbit_labels(G: Subgroup) -> list[int]:
     share an orbit. The orbits are the connected parts of the graph with an
     edge i -> i·A for each generator A, as G is finite. Each generator is
     read once as a point_permutation, so this costs O(p * |generators|).
+    A torus (Subgroup) is regular by search.find_cyclic_regular's
+    regularity lemma, so all its labels are 0.
     """
     line = G.line
+    if G.torus is not None:
+        return [0] * (line.p + 1)
     perms = [point_permutation(line, A) for A in G.generators]
     labels = [-1] * (line.p + 1)
     for i in range(line.p + 1):

@@ -264,6 +264,79 @@ def stabilizer(G: Subgroup, Q: ProjectivePoint) -> Subgroup:
     return Subgroup(line, tuple(sorted(els)), els)
 
 
+def torus_by_powers(line: ProjectiveLine, A: ProjectiveMatrix) -> frozenset[ProjectiveMatrix]:
+    """Oracle for the torus <A> of subgroups.Subgroup: the powers of A, one
+    product each, until the identity class comes back."""
+    els, M = {line.identity}, A
+    while M != line.identity:
+        els.add(M)
+        M = line.compose(M, A)
+    return frozenset(els)
+
+
+def listed_twin(G: Subgroup) -> Subgroup:
+    """G with its element set given, a torus listed by torus_by_powers: the
+    twin reads every fact off its elements, as a non-torus group does."""
+    els = G.elements if G.torus is None else torus_by_powers(G.line, G.torus)
+    return Subgroup(G.line, G.generators, frozenset(els))
+
+
+def made_subgroups(monkeypatch) -> list[Subgroup]:
+    """Record every Subgroup built from here on; the list grows as they are
+    made."""
+    made = []
+    init = Subgroup.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Subgroup, "__init__", recorded)
+    return made
+
+
+def conjugated(line: ProjectiveLine, A: ProjectiveMatrix, C: ProjectiveMatrix) -> ProjectiveMatrix:
+    """C^-1 A C as a class."""
+    return line.compose(line.compose(line.inverse(C), A), C)
+
+
+@lru_cache(maxsize=None)
+def singer_documents(p: int, seed: int) -> dict[str, dict]:
+    """A passing and a failing pair document on one Singer cycle x at p, as
+    perfbench/gen.py's singer_cycle and scale_jobs build them: x is the
+    companion matrix (0, 1, -n, t) of an irreducible z^2 - tz + n, of order
+    p + 1, and f the Frobenius (1, 0, t, -1), both conjugated by one random
+    class. "fail" pairs x with x^f = x^-1; "pass" pairs it with the first
+    conjugate of x by a random class whose powers meet those of x in I
+    alone, which passes as both groups act regularly."""
+    line = projective_line(p)
+    rng = random.Random(seed)
+
+    def random_class():
+        while True:
+            a, b, c, d = (rng.randrange(p) for _ in range(4))
+            if (a * d - b * c) % p:
+                return line.matrix([[a, b], [c, d]])
+
+    while True:
+        t, n = rng.randrange(p), rng.randrange(1, p)
+        if pow((t * t - 4 * n) % p, (p - 1) // 2, p) == p - 1:
+            M = line.matrix([[0, 1], [-n, t]])
+            if line.element_order(M) == p + 1:
+                break
+    P = random_class()
+    x, f = conjugated(line, M, P), conjugated(line, line.matrix([[1, 0], [t, -1]]), P)
+    assert conjugated(line, x, f) == line.inverse(x)
+    powers = torus_by_powers(line, x)
+    while True:
+        x_pass = conjugated(line, x, random_class())
+        if len(powers & torus_by_powers(line, x_pass)) == 1:
+            break
+    return {verdict: {"p": p, "g1": {"generators": [x.rows()]},
+                      "g2": {"generators": [g2.rows()]}}
+            for verdict, g2 in (("pass", x_pass), ("fail", conjugated(line, x, f)))}
+
+
 def compose_frac(P: Poly, m: int, abcd: tuple) -> Poly:
     """(a + c t)**m * P((b + d t)/(a + c t)) for m >= deg P.
 

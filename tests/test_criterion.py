@@ -6,12 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (canonical_matrices, per_point_certificate, seeded_random_subgroups,
-                      trivial_subgroup)
-from galoispairs import (GroupKind, ModulusMismatch, case_subgroups, check_pair,
-                         check_pair_all_basepoints, conjugate, find_cyclic_regular,
-                         generate_closure, intersect, orbit_labels, projective_line,
-                         reverify, subgroups_from_dict)
+from conftest import (b_element, canonical_matrices, listed_twin, per_point_certificate,
+                      seeded_random_subgroups, singer_documents, trivial_subgroup)
+from galoispairs import (GroupKind, ModulusMismatch, SearchConfig, case_subgroups,
+                         check_pair, check_pair_all_basepoints, conjugate,
+                         find_cyclic_regular, find_scaling_conjugates, generate_closure,
+                         intersect, orbit_labels, projective_line, reverify, run_search,
+                         subgroups_from_dict)
+from galoispairs.search import _transitive_group
 
 SCHEMA_KEYS = {"p", "g1", "g2", "kind1", "kind2", "degree", "base_point",
                "intersection_size", "orbit_equal", "orbit_length", "verdict",
@@ -247,3 +249,63 @@ def test_all_basepoints_scan_matches_the_point_by_point_reference(p, seed):
             assert (check_pair(G1, G2, Q).to_json()
                     == per_point_certificate(G1, G2, Q, [Q]).to_json())
     assert partial and passed
+
+
+def assert_certificates_match_listed_twins(G1, G2):
+    """A torus read off its generator gives the certificate bytes of its
+    twin listed by powers (conftest.listed_twin), alone or beside the other
+    group's twin, in either order, at every base point and at (0:1)."""
+    L1, L2 = listed_twin(G1), listed_twin(G2)
+    for H1, H2, K1, K2 in ((G1, G2, L1, L2), (G2, G1, L2, L1)):
+        for check in (check_pair_all_basepoints, check_pair):
+            want = check(K1, K2).to_json()
+            assert check(H1, H2).to_json() == want
+            assert check(H1, K2).to_json() == want
+            assert check(K1, H2).to_json() == want
+
+
+@pytest.mark.parametrize("verdict", ["pass", "fail"])
+@pytest.mark.parametrize("p", [101, 199, 401])
+def test_singer_certificates_match_their_listed_twins(p, verdict):
+    # the scale benchmark's pairs: x against a passing conjugate, or x^-1
+    G1, G2, _ = subgroups_from_dict(singer_documents(p, p)[verdict])
+    assert G1.torus is not None and G2.torus is not None
+    assert check_pair_all_basepoints(G1, G2).verdict == verdict
+    assert_certificates_match_listed_twins(G1, G2)
+
+
+@pytest.mark.parametrize("p", [11, 23, 59])
+def test_paper_a_pair_certificates_match_their_listed_twins(p):
+    G1, G2 = case_subgroups(p, "a")
+    assert G2.torus is not None
+    assert check_pair_all_basepoints(G1, G2).verdict == "pass"
+    assert_certificates_match_listed_twins(G1, G2)
+
+
+@pytest.mark.parametrize("p", [11, 101, 199])
+def test_torus_and_dihedral_certificates_match_their_listed_twins(p):
+    # the first conjugates of D_{p+1} in the B walk, and the first that passes
+    line = projective_line(p)
+    T = find_cyclic_regular(line)
+    C, D = GroupKind.cyclic(p + 1), GroupKind.dihedral(p + 1)
+    found = run_search(SearchConfig(p, C, D, strategy="exhaustive-cyclic"))
+    dihedral = _transitive_group(line, D)
+    conjugates = [generate_closure(line, found.g2_generators)]
+    conjugates += [conjugate(dihedral, b_element(p, i)) for i in range(4)]
+    for H in conjugates:
+        assert_certificates_match_listed_twins(T, H)
+
+
+@pytest.mark.parametrize("p", [11, 101, 199])
+def test_scaling_certificates_match_their_listed_twins(p):
+    # every diagonal conjugate diag(c, 1): c = 1 gives T itself, which
+    # fails, and c = 2, ..., p - 1 pass exactly when find_scaling_conjugates
+    # lists them
+    line = projective_line(p)
+    T = find_cyclic_regular(line)
+    passing = find_scaling_conjugates(listed_twin(T))
+    for c in range(1, p):
+        H = conjugate(T, [[c, 0], [0, 1]])
+        assert H.torus is not None
+        assert (check_pair_all_basepoints(T, H).verdict == "pass") == (c in passing)
+        assert_certificates_match_listed_twins(T, H)

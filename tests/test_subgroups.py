@@ -1,16 +1,18 @@
 from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (all_subgroups, canonical_matrices, raw_conjugate, reference_closure,
-                      seeded_random_subgroups, stabilizer, trivial_subgroup)
+from conftest import (all_subgroups, canonical_matrices, conjugated, made_subgroups,
+                      raw_conjugate, reference_closure, seeded_random_subgroups,
+                      singer_documents, stabilizer, torus_by_powers, trivial_subgroup)
 from galoispairs import (LABELS, ClosureCapExceeded, GroupKind, ModulusMismatch,
-                         ProjectiveMatrix, ProjectivePoint, case_subgroups, check_pair,
-                         conjugate, find_cyclic_regular, generate_closure, intersect, orbit,
-                         orbit_labels, parse_kind, projective_line, recognize,
-                         reverify)
+                         ProjectiveMatrix, ProjectivePoint, SearchConfig, Subgroup,
+                         case_subgroups, check_pair, conjugate, find_cyclic_regular,
+                         generate_closure, intersect, orbit, orbit_labels, parse_kind,
+                         projective_line, recognize, reverify, run_search)
 from galoispairs.cases import prime_table
 from galoispairs.field import is_prime
 from galoispairs.search import _POLYHEDRAL_GENERATORS, _singer, _transitive_group
@@ -139,6 +141,93 @@ def test_dihedral_closure_is_the_torus_and_one_coset(monkeypatch, p):
     assert len(products) == 2
     assert len(G) == 2 * (p + 1)
     assert G.elements == reference_closure(line, [f, A]).elements
+
+
+def generators_by_torus(p):
+    """Every class of order p + 1 at p, grouped by its torus as
+    conftest.torus_by_powers lists it."""
+    line = projective_line(p)
+    tori = {}
+    for A in canonical_matrices(p):
+        if line.element_order(A) == p + 1:
+            tori.setdefault(torus_by_powers(line, A), []).append(A)
+    return tori
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_torus_membership_matches_the_powers_for_every_generator_and_class(p):
+    # the membership lemma, for every class A of order p + 1 and every class M
+    line = projective_line(p)
+    classes = list(canonical_matrices(p))
+    for powers, gens in generators_by_torus(p).items():
+        want = [M in powers for M in classes]
+        for A in gens:
+            T = generate_closure(line, [A])
+            assert T.torus == A and len(T) == p + 1
+            assert [M in T for M in classes] == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_two_tori_meet_in_one_class_or_all_and_intersect_agrees(p):
+    # the two-tori lemma on every pair of tori, each closed from one of its
+    # generators and the other from another where it has one; intersect
+    # agrees with the set intersection of the powers, on the unlisted tori
+    # and on a torus beside a listed twin
+    line = projective_line(p)
+    tori = generators_by_torus(p)
+    for L1, gens1 in tori.items():
+        T1 = generate_closure(line, [gens1[0]])
+        for L2, gens2 in tori.items():
+            T2 = generate_closure(line, [gens2[-1]])
+            want = L1 & L2
+            assert len(want) == (p + 1 if L1 == L2 else 1)
+            assert intersect(T1, T2).elements == want
+            assert intersect(T1, Subgroup(line, T2.generators, L2)).elements == want
+            assert intersect(Subgroup(line, T1.generators, L1), T2).elements == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([q for q in range(2, 402) if is_prime(q)]), st.data())
+def test_torus_lemmas_hold_on_conjugated_singer_cycles(p, data):
+    # A1 a conjugate of the Singer cycle; A2 a power of A1 prime to p + 1,
+    # of the same torus, or another conjugate of A1
+    line = projective_line(p)
+    entries = st.tuples(*[st.integers(0, p - 1)] * 4).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p)
+    C1, C2, M = (line.matrix(ProjectiveMatrix(*data.draw(entries))) for _ in range(3))
+    A1 = conjugated(line, _singer(line), C1)
+    k = data.draw(st.integers(1, p).filter(lambda k: gcd(k, p + 1) == 1))
+    A2 = line.power(A1, k) if data.draw(st.booleans()) else conjugated(line, A1, C2)
+    T1, T2 = generate_closure(line, [A1]), generate_closure(line, [A2])
+    L1, L2 = torus_by_powers(line, A1), torus_by_powers(line, A2)
+    assert (M in T1) == (M in L1)
+    assert all(A in T1 for A in L1)
+    want = L1 & L2
+    assert len(want) in (1, p + 1)
+    assert intersect(T1, T2).elements == want
+    assert intersect(T1, Subgroup(line, T2.generators, L2)).elements == want
+
+
+@pytest.mark.parametrize("verdict", ["pass", "fail"])
+def test_reverify_never_lists_a_singer_torus(monkeypatch, verdict):
+    # the check reads order, kind, orbits and intersection off each generator
+    doc = singer_documents(401, 401)[verdict]
+    made = made_subgroups(monkeypatch)
+    assert reverify(doc, all_basepoints=True).verdict == verdict
+    tori = [G for G in made if G.torus is not None]
+    assert len(tori) == 2
+    assert all(G._elements is None for G in tori)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive-cyclic", "scaling"])
+def test_search_never_lists_a_singer_torus(monkeypatch, strategy):
+    # G1 and every conjugate the walk visits stay unlisted
+    made = made_subgroups(monkeypatch)
+    kind = GroupKind.cyclic(402)
+    assert run_search(SearchConfig(401, kind, kind, strategy=strategy)).verdict == "pass"
+    tori = [G for G in made if G.torus is not None]
+    assert len(tori) >= 2
+    assert all(G._elements is None for G in tori)
 
 
 def test_closure_keeps_the_given_order_of_its_generators():
