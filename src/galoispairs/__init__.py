@@ -22,7 +22,7 @@ from .quotient import (CurveParametrization, emit_parametrization,
 from .search import (SearchConfig, find_cyclic_regular, find_scaling_conjugates,
                      run_search)
 from .subgroups import (GroupKind, Subgroup, conjugate, generate_closure,
-                        intersect, orbit, orbit_labels, parse_kind, recognize)
+                        intersect, orbit, orbit_partition, parse_kind, recognize)
 from .verify import VerificationReport, verify_prime
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ degree d = |G1| = |G2| with two distinct outer Galois points whose groups
 are G1 and G2; the quotient module turns it into an explicit parametrization.
 
 One function, _certificate, makes every certificate: it reads the orbit
-conditions off the orbit partition of each group (subgroups.orbit_labels),
+conditions off the orbit partition of each group (subgroups.orbit_partition),
 at the one base point of check_pair or at every point for
 check_pair_all_basepoints. The two orbits of a point are equal iff its
 G1-label is not among the labels of the points whose two labels differ.
@@ -15,12 +15,11 @@ G1-label is not among the labels of the points whose two labels differ.
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 from .errors import ModulusOutOfRange
 from .projline import ProjectiveMatrix, ProjectivePoint, projective_line
 from .subgroups import (GroupKind, Subgroup, generate_closure, intersect,
-                        orbit_labels, recognize)
+                        orbit_partition, recognize)
 
 DEFAULT_BASE_POINT = ProjectivePoint(0, 1)
 
@@ -84,15 +83,18 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: int,
     at each of `indices` in turn (indexed like line.points()), every
     condition evaluated (no short-circuiting).
 
-    The orbit conditions cost O(p) beyond the two orbit partitions. split
-    holds both labels of each point whose two labels differ. As labels are
-    least indices, the two orbits of i are equal iff m = lab1[i] is not in
-    split: if they are equal, each j with either label m lies in that one
-    orbit, so both its labels are m; if m is not in split, lab2[i] = m,
-    and each point of either orbit has label m in both labelings. The scan
-    reads labels by index, builds a point only to name a failure, and is
-    skipped when the partitions are equal and regular. The groups are
-    equal as element sets iff their intersection has the order of both.
+    Beyond the two orbit partitions and one compare of their label lists,
+    the orbit conditions cost O(number of orbits) when the partitions are
+    equal and regular, and O(p) otherwise. split holds both labels of each
+    point whose two labels differ; it is empty, and not built, when the
+    label lists are equal. As labels are least indices, the two orbits of
+    i are equal iff m = lab1[i] is not in split: if they are equal, each j
+    with either label m lies in that one orbit, so both its labels are m;
+    if m is not in split, lab2[i] = m, and each point of either orbit has
+    label m in both labelings. The scan reads labels by index, builds a
+    point only to name a failure, and is skipped when the partitions are
+    equal and regular. The groups are equal as element sets iff their
+    intersection has the order of both.
     """
     inter_size = len(intersect(G1, G2))
     d1, d2 = len(G1), len(G2)
@@ -103,9 +105,9 @@ def _certificate(G1: Subgroup, G2: Subgroup, base: int,
         failures.append("orders differ")
     if inter_size != 1:
         failures.append("intersection not trivial")
-    lab1, lab2 = orbit_labels(G1), orbit_labels(G2)
-    size1, size2 = Counter(lab1), Counter(lab2)
-    split = {r for r1, r2 in zip(lab1, lab2) if r1 != r2 for r in (r1, r2)}
+    (lab1, size1), (lab2, size2) = orbit_partition(G1), orbit_partition(G2)
+    split = (set() if lab1 == lab2 else
+             {r for r1, r2 in zip(lab1, lab2) if r1 != r2 for r in (r1, r2)})
     if split or d2 != d1 or set(size1.values()) != {d1}:
         for i in indices:
             r1, r2 = lab1[i], lab2[i]

@@ -179,7 +179,7 @@ def find_cyclic_regular(line: ProjectiveLine) -> Subgroup:
     freely, and so regularly, on the p + 1 points.
 
     As r has order p + 1, generate_closure returns <r> unlisted, as the
-    torus of r (subgroups.Subgroup), whose orbit labels, kind, conjugates
+    torus of r (subgroups.Subgroup), whose orbit partition, kind, conjugates
     and intersections are read off r by the torus, membership and two-tori
     lemmas; its elements are listed in O(p) only when read.
     """

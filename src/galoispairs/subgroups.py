@@ -369,30 +369,35 @@ def point_permutation(line: ProjectiveLine, A: ProjectiveMatrix) -> list[int]:
                for t in range(p)])
 
 
-def orbit_labels(G: Subgroup) -> list[int]:
-    """The G-orbit of every point, indexed like line.points().
+def orbit_partition(G: Subgroup) -> tuple[list[int], dict[int, int]]:
+    """The G-orbit of every point, indexed like line.points(), and the
+    length of each orbit, keyed by its label.
 
     Two points share a label, the least index in their orbit, iff they
     share an orbit. The orbits are the connected parts of the graph with an
     edge i -> i·A for each generator A, as G is finite. Each generator is
     read once as a point_permutation, so this costs O(p * |generators|).
+    Each orbit's length is that of the list its walk builds, with no second
+    pass: a Counter would make one, and its first call in each process also
+    walks the ABC registry (isinstance(labels, Mapping)), which costs more
+    than a whole partition at small p.
     A torus (Subgroup) is regular by search.find_cyclic_regular's
     regularity lemma, so all its labels are 0.
     """
     line = G.line
     if G.torus is not None:
-        return [0] * (line.p + 1)
+        return [0] * (line.p + 1), {0: line.p + 1}
     perms = [point_permutation(line, A) for A in G.generators]
-    labels = [-1] * (line.p + 1)
+    labels, sizes = [-1] * (line.p + 1), {}
     for i in range(line.p + 1):
         if labels[i] < 0:
             labels[i] = i
-            stack = [i]
-            while stack:
-                j = stack.pop()
+            block = [i]
+            for j in block:  # block grows as the walk labels its points
                 for perm in perms:
                     k = perm[j]
                     if labels[k] < 0:
                         labels[k] = i
-                        stack.append(k)
-    return labels
+                        block.append(k)
+            sizes[i] = len(block)
+    return labels, sizes

@@ -17,7 +17,7 @@ from galoispairs import (LABELS, PRIMES, ClosureCapExceeded, CurveParametrizatio
                          GroupKind, PairCertificate, Poly, ProjectiveLine, ProjectiveMatrix,
                          ProjectivePoint, RationalFunction, SearchConfig, Subgroup,
                          check_pair_all_basepoints, generate_closure, intersect, orbit,
-                         projective_line, recognize)
+                         orbit_partition, projective_line, recognize)
 from galoispairs.cli import (_cmd_check_pair, _cmd_emit_curve, _cmd_search,
                              _cmd_verify_paper, main)
 from galoispairs.search import STRATEGIES, _transitive_group
@@ -251,6 +251,39 @@ def per_point_certificate(G1: Subgroup, G2: Subgroup, base: ProjectivePoint,
         kind1=recognize(G1), kind2=recognize(G2), degree=d, base_point=base,
         intersection_size=inter_size, orbit_length=len(orbit(G1, base)),
         orbit_equal=orbit(G1, base) == orbit(G2, base), failures=tuple(failures))
+
+
+def counted_certificate(G1: Subgroup, G2: Subgroup, base: int, indices) -> PairCertificate:
+    """Oracle twin for criterion._certificate, with the same arguments: the
+    orbit sizes counted off the labels with Counter, and split built by a
+    pass over every pair of labels, tori and equal partitions included;
+    the failure loop runs at each of `indices`, never skipped."""
+    points = G1.line.points()
+    inter_size = len(intersect(G1, G2))
+    d1, d2 = len(G1), len(G2)
+    failures = []
+    if inter_size == d1 == d2:
+        failures.append("groups not different")
+    if d2 != d1:
+        failures.append("orders differ")
+    if inter_size != 1:
+        failures.append("intersection not trivial")
+    lab1, lab2 = orbit_partition(G1)[0], orbit_partition(G2)[0]
+    size1, size2 = Counter(lab1), Counter(lab2)
+    split = {r for r1, r2 in zip(lab1, lab2) if r1 != r2 for r in (r1, r2)}
+    for i in indices:
+        r1, r2 = lab1[i], lab2[i]
+        if size1[r1] != d1:
+            failures.append(f"orbit of G1 at {points[i]} has length {size1[r1]} != {d1}")
+        if size2[r2] != d2:
+            failures.append(f"orbit of G2 at {points[i]} has length {size2[r2]} != {d2}")
+        if r1 in split:
+            failures.append(f"orbits at {points[i]} differ")
+    return PairCertificate(
+        p=G1.line.p, g1_generators=G1.generators, g2_generators=G2.generators,
+        kind1=recognize(G1), kind2=recognize(G2), degree=d1, base_point=points[base],
+        intersection_size=inter_size, orbit_length=size1[lab1[base]],
+        orbit_equal=lab1[base] not in split, failures=tuple(failures))
 
 
 def trivial_subgroup(line: ProjectiveLine) -> Subgroup:

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (b_element, canonical_matrices, listed_twin, per_point_certificate,
+from conftest import (all_subgroups, b_element, canonical_matrices, counted_certificate,
+                      listed_twin, per_point_certificate, reference_closure,
                       seeded_random_subgroups, singer_documents, trivial_subgroup)
-from galoispairs import (GroupKind, ModulusMismatch, SearchConfig, case_subgroups,
-                         check_pair, check_pair_all_basepoints, conjugate,
+from galoispairs import (ClosureCapExceeded, GroupKind, ModulusMismatch, SearchConfig,
+                         case_subgroups, check_pair, check_pair_all_basepoints, conjugate,
                          find_cyclic_regular, find_scaling_conjugates, generate_closure,
-                         intersect, orbit_labels, projective_line, reverify, run_search,
-                         subgroups_from_dict)
+                         intersect, orbit_partition, projective_line, reverify,
+                         run_search, subgroups_from_dict)
 from galoispairs.search import _transitive_group
 
 SCHEMA_KEYS = {"p", "g1", "g2", "kind1", "kind2", "degree", "base_point",
@@ -176,7 +177,7 @@ def test_orbits_differ_at_a_point_whose_two_labels_agree():
     line = projective_line(3)
     G1 = generate_closure(line, [line.matrix([[0, 1], [2, 0]])])
     G2 = generate_closure(line, [line.matrix([[1, 1], [1, 2]])])
-    assert (orbit_labels(G1), orbit_labels(G2)) == ([0, 0, 2, 2], [0, 1, 1, 0])
+    assert (orbit_partition(G1)[0], orbit_partition(G2)[0]) == ([0, 0, 2, 2], [0, 1, 1, 0])
     Q = line.point(0, 1)
     cert = check_pair(G1, G2, Q)
     assert cert.failures == ("orbits at (0:1) differ",) and not cert.orbit_equal
@@ -309,3 +310,66 @@ def test_scaling_certificates_match_their_listed_twins(p):
         assert H.torus is not None
         assert (check_pair_all_basepoints(T, H).verdict == "pass") == (c in passing)
         assert_certificates_match_listed_twins(T, H)
+
+
+def assert_certificates_match_the_counted_twin(G1, G2, bases=(0,)):
+    """check_pair at each point of index in `bases`, and
+    check_pair_all_basepoints, give the bytes of conftest.counted_certificate,
+    which counts orbit sizes with Counter and always builds split."""
+    points = G1.line.points()
+    assert (check_pair_all_basepoints(G1, G2).to_json()
+            == counted_certificate(G1, G2, 0, range(len(points))).to_json())
+    for i in bases:
+        assert (check_pair(G1, G2, points[i]).to_json()
+                == counted_certificate(G1, G2, i, (i,)).to_json())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_certificates_match_the_counted_twin_on_every_pair_of_subgroups(p):
+    # every ordered pair: orders that differ, groups that are not
+    # transitive, partitions that differ and partitions that are equal
+    for G1 in all_subgroups(p):
+        for G2 in all_subgroups(p):
+            assert_certificates_match_the_counted_twin(G1, G2, bases=(0, p))
+
+
+@pytest.mark.parametrize("p,seed", [(7, 202), (11, 303)])
+def test_certificates_match_the_counted_twin_on_random_subgroups(p, seed):
+    groups = seeded_random_subgroups(p, 30, seed)
+    for G1 in groups:
+        for G2 in groups:
+            assert_certificates_match_the_counted_twin(G1, G2)
+
+
+@pytest.mark.parametrize("p", [11, 23, 59])
+def test_paper_certificates_match_the_counted_twin(p):
+    for label in "abc":
+        G1, G2 = case_subgroups(p, label)
+        for pair in ((G1, G2), (G2, G1), (G1, G1), (G2, G2)):
+            assert_certificates_match_the_counted_twin(*pair, bases=(0, 1, p))
+
+
+@pytest.mark.parametrize("verdict", ["pass", "fail"])
+@pytest.mark.parametrize("p", [101, 199, 401])
+def test_singer_certificates_match_the_counted_twin(p, verdict):
+    G1, G2, _ = subgroups_from_dict(singer_documents(p, p)[verdict])
+    for pair in ((G1, G2), (G2, G1), (G1, G1)):
+        assert_certificates_match_the_counted_twin(*pair, bases=(0, p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_certificates_match_the_counted_twin_on_random_generator_sets(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    line = projective_line(p)
+    entries = st.tuples(*[st.integers(0, p - 1)] * 4).filter(
+        lambda m: (m[0] * m[3] - m[1] * m[2]) % p)
+    groups = []
+    for _ in range(2):
+        gens = [[m[:2], m[2:]] for m in data.draw(st.lists(entries, min_size=1, max_size=3))]
+        try:
+            groups.append(generate_closure(line, gens))
+        except ClosureCapExceeded:  # PSL(2, 11) or PGL(2, 11), closed in full
+            groups.append(reference_closure(line, gens, cap=p ** 3 - p))
+    i = data.draw(st.integers(0, p))
+    assert_certificates_match_the_counted_twin(*groups, bases=(i,))

@@ -11,8 +11,9 @@ from conftest import (all_subgroups, canonical_matrices, conjugated, made_subgro
 from galoispairs import (LABELS, ClosureCapExceeded, GroupKind, ModulusMismatch,
                          ProjectiveMatrix, ProjectivePoint, SearchConfig, Subgroup,
                          case_subgroups, check_pair, conjugate, find_cyclic_regular,
-                         generate_closure, intersect, orbit, orbit_labels, parse_kind,
-                         projective_line, recognize, reverify, run_search)
+                         generate_closure, intersect, orbit, orbit_partition, parse_kind,
+                         projective_line, recognize, reverify, run_search,
+                         subgroups_from_dict)
 from galoispairs.cases import prime_table
 from galoispairs.field import is_prime
 from galoispairs.search import _POLYHEDRAL_GENERATORS, _singer, _transitive_group
@@ -424,28 +425,32 @@ def test_regularity_of_order_p_plus_1_groups():
             assert len(stabilizer(G2, Q)) == 1
 
 
-def assert_orbit_labels_match_orbits(G):
-    """orbit_labels(G) and orbit() at every point give one partition: the
-    points that share the label of point i are the orbit of point i."""
+def assert_orbit_partition_matches_orbits(G):
+    """orbit_partition(G) and orbit() at every point give one partition: the
+    points that share the label of point i are the orbit of point i, the
+    size at that label is its length, and the sizes are keyed by the labels
+    alone."""
     line = G.line
     points = line.points()
-    labels = orbit_labels(G)
+    labels, sizes = orbit_partition(G)
     assert len(labels) == len(points)
+    assert set(sizes) == set(labels)
     for i, Q in enumerate(points):
         block = {points[j] for j, label in enumerate(labels) if label == labels[i]}
         assert block == orbit(G, Q), (G, Q)
+        assert sizes[labels[i]] == len(block), (G, Q)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_orbit_labels_match_orbits_on_every_subgroup(p):
     for G in all_subgroups(p):
-        assert_orbit_labels_match_orbits(G)
+        assert_orbit_partition_matches_orbits(G)
 
 
 @pytest.mark.parametrize("q,count,seed", [(7, 110, 202), (11, 110, 303)])
 def test_orbit_labels_match_orbits_on_random_subgroups(q, count, seed):
     for G in seeded_random_subgroups(q, count, seed):
-        assert_orbit_labels_match_orbits(G)
+        assert_orbit_partition_matches_orbits(G)
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,7 +464,18 @@ def test_orbit_labels_match_orbits_on_random_generator_sets(data):
     # the closure is all of the group, PGL(2, 11) included, so orbit() sees
     # every element
     G = reference_closure(line, [[m[:2], m[2:]] for m in gens], cap=p ** 3 - p)
-    assert_orbit_labels_match_orbits(G)
+    assert_orbit_partition_matches_orbits(G)
+
+
+@pytest.mark.parametrize("p", [101, 199, 401, 10007])
+def test_torus_partition_matches_the_walk_on_its_listed_twin(p):
+    # the Singer torus, and the tori of a Singer pair document
+    line = projective_line(p)
+    G1, G2, _ = subgroups_from_dict(singer_documents(p, p)["fail"])
+    for T in (find_cyclic_regular(line), G1, G2):
+        assert T.torus is not None
+        twin = Subgroup(line, T.generators, frozenset(T.elements))
+        assert orbit_partition(T) == orbit_partition(twin) == ([0] * (p + 1), {0: p + 1})
 
 
 def test_orbit_rejects_a_point_not_reduced_mod_p():
